@@ -30,6 +30,10 @@ class ProblemParseError(Exception):
     pass
 
 
+class ProblemValidationError(Exception):
+    pass
+
+
 class Problem:
     def __init__(self, field, algebra, group=None, action=None,
                  coefficients="constant", max_degree=4):
@@ -49,17 +53,22 @@ def _scalar(field, x):
 
 
 def parse_problem(doc):
-    """Build a Problem from a decoded JSON document."""
+    """Build a Problem from a decoded JSON document; any document of the
+    wrong shape raises ProblemParseError."""
+    try:
+        return _parse_problem(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProblemParseError(f"{type(exc).__name__}: {exc}") from None
+
+
+def _parse_problem(doc):
     if not isinstance(doc, dict):
         raise ProblemParseError("top level must be an object")
     fspec = doc.get("field", {"type": "rational"})
     if fspec.get("type") == "rational":
         field = QQ
     elif fspec.get("type") == "prime":
-        try:
-            field = GF(int(fspec["p"]))
-        except (KeyError, ValueError) as exc:
-            raise ProblemParseError(f"field: {exc}") from None
+        field = GF(int(fspec["p"]))
     else:
         raise ProblemParseError(f"field: unknown type {fspec.get('type')!r}")
 
@@ -67,14 +76,13 @@ def parse_problem(doc):
     if not isinstance(aspec, dict) or "dim" not in aspec:
         raise ProblemParseError("algebra: need an object with 'dim'")
     dim = int(aspec["dim"])
+    if dim < 0:
+        raise ProblemParseError(f"algebra: negative dimension {dim}")
     z = field.zero()
     structure = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
     for ent in aspec.get("brackets", []):
-        try:
-            i, j = int(ent["i"]) - 1, int(ent["j"]) - 1
-            value = [_scalar(field, x) for x in ent["value"]]
-        except (KeyError, ValueError) as exc:
-            raise ProblemParseError(f"algebra.brackets: {exc}") from None
+        i, j = int(ent["i"]) - 1, int(ent["j"]) - 1
+        value = [_scalar(field, x) for x in ent["value"]]
         if not (0 <= i < dim and 0 <= j < dim) or len(value) != dim:
             raise ProblemParseError(
                 f"algebra.brackets: index or vector out of range in {ent}")
@@ -84,12 +92,10 @@ def parse_problem(doc):
     group = action = None
     if "group" in doc:
         gspec = doc["group"]
-        try:
-            order = int(gspec["order"])
-            table = [[int(x) for x in row] for row in gspec["table"]]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ProblemParseError(f"group: {exc}") from None
-        if len(table) != order or any(len(r) != order for r in table) or \
+        order = int(gspec["order"])
+        table = [[int(x) for x in row] for row in gspec["table"]]
+        if order < 1 or len(table) != order or \
+           any(len(r) != order for r in table) or \
            any(x < 0 or x >= order for r in table for x in r):
             raise ProblemParseError("group: malformed multiplication table")
         group = FiniteGroup(table)
@@ -157,7 +163,7 @@ def build_coefficient_system(problem, category):
                 maps[key] = Matrix.from_rows(
                     field, [[_scalar(field, x) for x in r]
                             for r in ent["matrix"]])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, IndexError) as exc:
             raise ProblemParseError(f"coefficients: {exc}") from None
         missing = [m for m in category.morphisms if m not in maps]
         if missing or set(algebras) != set(category.subgroups):
@@ -167,9 +173,24 @@ def build_coefficient_system(problem, category):
     raise ProblemParseError(f"coefficients: unknown spec {spec!r}")
 
 
+def check_problem(problem):
+    """Raise ProblemValidationError unless the algebra is Leibniz and the
+    group and action, when given, satisfy their axioms."""
+    for name, check, obj in [
+            ("Leibniz identity", check_leibniz_identity, problem.algebra),
+            ("group axioms", FiniteGroup.validate, problem.group),
+            ("action axioms", validate_action, problem.action)]:
+        if obj is None:
+            continue
+        v = check(obj)
+        if not v.ok:
+            raise ProblemValidationError(f"{name} violated: {v.violations[0]}")
+
+
 def make_setup(problem):
     if problem.action is None:
         raise ProblemParseError("this command needs a group action")
+    check_problem(problem)
     category = orbit_category(problem.group)
     coeffs = build_coefficient_system(problem, category)
     return EquivariantSetup(problem.action, category, coeffs)
@@ -213,12 +234,15 @@ def cmd_validate(args):
                f"violations at triples {[t for t, _ in v.violations]}")
     if not v.ok:
         status = 2
+    group_ok = True
     if problem.group is not None:
         gv = problem.group.validate()
         report.add("group_axioms", "ok" if gv.ok else f"violations {gv.violations}")
         if not gv.ok:
             status = 2
-    if problem.action is not None:
+            group_ok = False
+    # the action and coefficient checks presuppose a group
+    if problem.action is not None and group_ok:
         av = validate_action(problem.action)
         report.add("action_axioms", "ok" if av.ok else
                    f"violations {[x[:2] for x in av.violations]}")
@@ -249,6 +273,7 @@ def cmd_cohomology(args):
         for n in range(n_max + 1):
             report.add(f"betti_{n}", setup.cohomology(n).betti)
     else:
+        check_problem(problem)
         A = CoefficientAlgebra.scalar(problem.field)
         for n in range(n_max + 1):
             report.add(f"betti_{n}", cohomology(problem.algebra, A, n).betti)
@@ -384,6 +409,9 @@ def main(argv=None):
     except ProblemParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except ProblemValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

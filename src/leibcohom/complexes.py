@@ -209,7 +209,7 @@ def homology(alg, n):
     if n == 1:
         cycles = [row[:] for row in Matrix.identity(f, m).data]
     else:
-        cycles = kernel_basis(boundary_matrix(alg, n).matrix)
+        cycles, _ = kernel_basis(boundary_matrix(alg, n).matrix)
     boundaries = image_basis(boundary_matrix(alg, n + 1).matrix)
     return HomologyResult(n, dim_n, cycles, boundaries,
                           len(cycles) - len(boundaries))
@@ -221,7 +221,7 @@ def cohomology(alg, A, n):
         raise ValueError("degree must be >= 0")
     f = alg.field
     dim_n = (alg.dim ** n) * A.dim
-    cocycles = kernel_basis(coboundary_matrix(alg, A, n))
+    cocycles, _ = kernel_basis(coboundary_matrix(alg, A, n))
     if n == 0:
         coboundaries = []
     else:

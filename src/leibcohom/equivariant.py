@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, kernel_basis, solve_matrix
+from .linalg import Matrix, free_coordinates, kernel_basis
 from .complexes import (CoefficientAlgebra, CohomologyResult, coboundary_matrix,
                         image_basis, _quotient_data)
 from .groups import fixed_subalgebra, restriction_map
@@ -89,6 +89,7 @@ class InvariantCochainSpace:
     degree: int
     ambient_dim: int
     basis: list            # vectors in ambient coordinates
+    free: list             # the free column of each basis vector
     layout: list           # (subgroup, fixed_dim, coeff_dim, offset)
 
     @property
@@ -210,12 +211,8 @@ class EquivariantSetup:
                             row[offK + tK * aK + aj] = f.sub(
                                 row[offK + tK * aK + aj], c)
                     rows.append(row)
-        if rows:
-            basis = kernel_basis(Matrix(f, len(rows), total, rows))
-        else:
-            basis = [[f.one() if i == j else z for j in range(total)]
-                     for i in range(total)]
-        space = InvariantCochainSpace(n, total, basis, lay)
+        basis, free = kernel_basis(Matrix(f, len(rows), total, rows))
+        space = InvariantCochainSpace(n, total, basis, free, lay)
         self._spaces[n] = space
         return space
 
@@ -237,15 +234,12 @@ class EquivariantSetup:
         sn = self.invariant_space(n)
         sn1 = self.invariant_space(n + 1)
         D = self.ambient_coboundary(n)
-        images = Matrix.from_columns(self.field,
-                                     [D.apply(v) for v in sn.basis],
-                                     nrows=self.ambient_dim(n + 1))
-        basis_mat = Matrix.from_columns(self.field, sn1.basis,
-                                        nrows=sn1.ambient_dim)
-        X = solve_matrix(basis_mat, images)
-        if X is None:
+        columns = [free_coordinates(self.field, sn1.basis, sn1.free, D.apply(v))
+                   for v in sn.basis]
+        if None in columns:
             raise AssertionError(
                 f"delta image leaves the invariant subspace in degree {n}")
+        X = Matrix.from_columns(self.field, columns, nrows=sn1.dim)
         self._coboundaries[n] = X
         return X
 
@@ -266,7 +260,7 @@ class EquivariantSetup:
         if n < 0:
             raise ValueError("degree must be >= 0")
         sn = self.invariant_space(n)
-        cocycles = kernel_basis(self.equivariant_coboundary(n)) if sn.dim else []
+        cocycles = kernel_basis(self.equivariant_coboundary(n))[0] if sn.dim else []
         if n == 0:
             coboundaries = []
         else:

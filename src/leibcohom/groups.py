@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .linalg import Matrix, kernel_basis, rank, solve_matrix, vec_sub, vec_is_zero
+from .linalg import Matrix, free_coordinates, kernel_basis, rank
 from .leibniz import LeibnizAlgebra, AlgebraMorphism, check_morphism
 from .verdict import Verdict
 
@@ -178,21 +178,17 @@ def validate_action(action):
         if rank(action.psi(g)) != alg.dim:
             violations.append(("invertibility", g, None))
     for g in range(G.order):
-        psi = action.psi(g)
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = psi.apply(alg.basis_bracket(i, j))
-                rhs = alg.bracket(psi.column(i), psi.column(j))
-                residual = vec_sub(f, lhs, rhs)
-                if not vec_is_zero(f, residual):
-                    violations.append(("bracket_equivariance", (g, i, j), residual))
+        v = check_morphism(AlgebraMorphism(alg, alg, action.psi(g)))
+        for (i, j), residual in v.violations:
+            violations.append(("bracket_equivariance", (g, i, j), residual))
     return Verdict(not violations, violations)
 
 
 class FixedSubalgebra:
-    def __init__(self, subgroup, inclusion, algebra):
+    def __init__(self, subgroup, inclusion, free, algebra):
         self.subgroup = subgroup
         self.inclusion = inclusion     # dim(g) x dim(g^H), columns = basis
+        self.free = free               # the free column of each basis vector
         self.algebra = algebra         # induced Leibniz algebra on g^H
 
     @property
@@ -207,10 +203,7 @@ def fixed_subalgebra(action, H):
     m = alg.dim
     ident = Matrix.identity(f, m)
     stacked = [action.psi(h).sub(ident) for h in sorted(H) if h != 0]
-    if stacked:
-        basis = kernel_basis(Matrix.vstack(f, stacked))
-    else:
-        basis = [ident.column(i) for i in range(m)]
+    basis, free = kernel_basis(Matrix.vstack(f, stacked, cols=m))
     inclusion = Matrix.from_columns(f, basis, nrows=m)
     # induced structure constants: brackets of basis columns, expressed in
     # the basis; closure failure would contradict a validated action
@@ -219,15 +212,14 @@ def fixed_subalgebra(action, H):
         row = []
         for v in basis:
             w = alg.bracket(u, v)
-            x = solve_matrix(inclusion, Matrix.from_columns(f, [w], nrows=m))
+            x = free_coordinates(f, basis, free, w)
             if x is None:
                 raise AssertionError(
                     f"fixed-point set not closed under bracket, witness {w}")
-            row.append(x.column(0))
+            row.append(x)
         structure.append(row)
-    sub = LeibnizAlgebra(f, len(basis), structure) if basis else \
-        LeibnizAlgebra.zero_bracket(f, 0)
-    return FixedSubalgebra(H, inclusion, sub)
+    return FixedSubalgebra(H, inclusion, free,
+                           LeibnizAlgebra(f, len(basis), structure))
 
 
 def restriction_map(action, morphism, fixed):
@@ -239,12 +231,14 @@ def restriction_map(action, morphism, fixed):
     H, K, g = morphism
     fH, fK = fixed[H], fixed[K]
     f = action.algebra.field
-    image = action.psi(g).mul(fK.inclusion)
-    mat = solve_matrix(fH.inclusion, image)
-    if mat is None:
+    basis = fH.inclusion.columns()
+    columns = [free_coordinates(f, basis, fH.free, w)
+               for w in action.psi(g).mul(fK.inclusion).columns()]
+    if None in columns:
         raise AssertionError(
             f"psi_{g} does not map the {sorted(K)}-fixed set into the "
             f"{sorted(H)}-fixed set; invalid morphism triple")
+    mat = Matrix.from_columns(f, columns, nrows=fH.dim)
     phi = AlgebraMorphism(fK.algebra, fH.algebra, mat)
     assert check_morphism(phi).ok
     return phi

@@ -7,6 +7,8 @@ is assumed.  Indices are 0-based internally (file formats are 1-based).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import lcm
 
 from .linalg import Matrix, vec_is_zero, vec_add, vec_sub, unit_vector
 from .verdict import Verdict
@@ -56,22 +58,34 @@ class LeibnizAlgebra:
         return unit_vector(self.field, self.dim, i)
 
 
+def _integral(structure):
+    """Rows of vectors of field elements times their common denominator d
+    (1 over F_p), as ints, and d."""
+    d = lcm(*(x.denominator for row in structure for v in row for x in v))
+    return [[[x.numerator * (d // x.denominator) for x in v] for v in row]
+            for row in structure], d
+
+
 def check_leibniz_identity(alg):
-    """Verify [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] - [[e_i,e_k],e_j] on all triples."""
+    """Verify [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] - [[e_i,e_k],e_j] on all triples.
+
+    The identity is quadratic in the structure constants, so it is checked
+    in ints on the constants times their common denominator d.
+    """
     f = alg.field
+    n = alg.dim
+    s, d = _integral(alg.structure)
+    unscale = f.inv(f.coerce(d * d))
     violations = []
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        for j in range(alg.dim):
-            ej = alg.basis_vector(j)
-            for k in range(alg.dim):
-                ek = alg.basis_vector(k)
-                lhs = alg.bracket(ei, alg.bracket(ej, ek))
-                rhs = vec_sub(f, alg.bracket(alg.bracket(ei, ej), ek),
-                              alg.bracket(alg.bracket(ei, ek), ej))
-                residual = vec_sub(f, lhs, rhs)
-                if not vec_is_zero(f, residual):
-                    violations.append(((i, j, k), residual))
+    for i, j, k in product(range(n), repeat=3):
+        res = [0] * n
+        for l in range(n):
+            a, b, c = s[j][k][l], s[i][j][l], s[i][k][l]
+            for m in range(n):
+                res[m] += a * s[i][l][m] - b * s[l][k][m] + c * s[l][j][m]
+        if any(res) and any(map(f.coerce, res)):
+            violations.append(((i, j, k), [f.mul(f.coerce(x), unscale)
+                                           for x in res]))
     return Verdict(not violations, violations)
 
 
@@ -92,19 +106,33 @@ class AlgebraMorphism:
 
 
 def check_morphism(phi):
-    """phi([e_i,e_j]) = [phi e_i, phi e_j] on all basis pairs."""
+    """phi([e_i,e_j]) = [phi e_i, phi e_j] on all basis pairs.
+
+    Checked in ints: with phi = P/p and structure constants S/s, T/t on
+    source and target, p^2 s t times a residual is
+    p t P S_ij - s sum_ab P_ai P_bj T_ab.
+    """
     src, tgt = phi.source, phi.target
     if phi.matrix.rows != tgt.dim or phi.matrix.cols != src.dim:
         raise ValueError("matrix shape does not match algebra dimensions")
     f = tgt.field
+    n, m = src.dim, tgt.dim
+    (P,), p = _integral([phi.matrix.data])
+    S, s = _integral(src.structure)
+    T, t = _integral(tgt.structure)
+    unscale = f.inv(f.coerce(p * p * s * t))
     violations = []
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = phi.apply(src.basis_bracket(i, j))
-            rhs = tgt.bracket(phi.matrix.column(i), phi.matrix.column(j))
-            residual = vec_sub(f, lhs, rhs)
-            if not vec_is_zero(f, residual):
-                violations.append(((i, j), residual))
+    for i, j in product(range(n), repeat=2):
+        res = [p * t * sum(P[r][l] * S[i][j][l] for l in range(n))
+               for r in range(m)]
+        for a, b in product(range(m), repeat=2):
+            c = s * P[a][i] * P[b][j]
+            if c:
+                for r in range(m):
+                    res[r] -= c * T[a][b][r]
+        if any(res) and any(map(f.coerce, res)):
+            violations.append(((i, j), [f.mul(f.coerce(x), unscale)
+                                        for x in res]))
     return Verdict(not violations, violations)
 
 

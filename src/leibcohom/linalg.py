@@ -7,8 +7,9 @@ mostly zero (restriction powers are monomial, rho and coboundary
 matrices are sparse), so the products skip zeros: ``Matrix.mul`` walks
 the nonzero entries of each left row against the nonzero entries of the
 right rows they select, and ``kron`` and ``apply`` skip zero factors.
-``solve_matrix`` handles all right-hand sides with one Gaussian
-elimination of the augmented matrix.
+Bases of subspaces come from ``kernel_basis`` in reduced-echelon form, so
+``free_coordinates`` reads a vector's coordinates off its entries at the
+free columns instead of eliminating again.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
-
-    def div(self, a, b):
-        return a / self.coerce(b) if not isinstance(b, Fraction) else a / b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -106,9 +104,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -178,9 +173,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def is_zero(self):
         z = self.field.zero()
         return all(x == z for row in self.data for x in row)
@@ -196,25 +188,12 @@ class Matrix:
                       [[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
 
-    def add(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
-
     def sub(self, other):
         assert self.rows == other.rows and self.cols == other.cols
         f = self.field
         return Matrix(f, self.rows, self.cols,
                       [[f.sub(a, b) for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.data, other.data)])
-
-    def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        return Matrix(f, self.rows, self.cols,
-                      [[f.mul(c, x) for x in row] for row in self.data])
 
     def mul(self, other):
         """Product self * other, touching only nonzero entries.
@@ -345,9 +324,9 @@ def rank(m):
 
 
 def kernel_basis(m):
-    """Reduced-echelon basis of the null space, as a list of vectors.
+    """Reduced-echelon basis of the null space, and its free columns.
 
-    Deterministic: one vector per free column, with a 1 in the free slot.
+    Deterministic: one vector per free column, 1 there and 0 at the others.
     """
     f = m.field
     z, o = f.zero(), f.one()
@@ -361,7 +340,22 @@ def kernel_basis(m):
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(red.data[r][fc])
         basis.append(v)
-    return basis
+    return basis, free
+
+
+def free_coordinates(field, basis, free, v):
+    """Coordinates of v in a basis from ``kernel_basis``, or None off its span.
+
+    They are v's entries at the free columns if their combination rebuilds v.
+    """
+    coords = [v[c] for c in free]
+    rebuilt = [field.zero()] * len(v)
+    for c, b in zip(coords, basis):
+        if c:
+            for i, x in enumerate(b):
+                if x:
+                    rebuilt[i] = field.add(rebuilt[i], field.mul(c, x))
+    return coords if rebuilt == list(v) else None
 
 
 def in_span(v, basis_vectors, field=None):
@@ -443,10 +437,6 @@ class SpanEchelon:
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
         return v
 
-    def contains(self, v):
-        z = self.field.zero()
-        return all(x == z for x in self.reduce(v))
-
     def add(self, v):
         """Add v to the span; returns True if it enlarged the span."""
         f = self.field
@@ -461,52 +451,12 @@ class SpanEchelon:
                 return True
         return False
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
-def quotient_dimension(sub, ambient_sub, field=None, dim=None):
-    """dim span(sub)/span(ambient_sub), plus representatives.
-
-    Requires span(ambient_sub) <= span(sub); violation raises ValueError
-    carrying a witness vector.  The representatives complete ambient_sub
-    to a basis of span(sub).
-    """
-    if field is None:
-        field = QQ
-    if dim is None:
-        if sub:
-            dim = len(sub[0])
-        elif ambient_sub:
-            dim = len(ambient_sub[0])
-        else:
-            return 0, []
-    sub_ech = SpanEchelon(field, dim)
-    for v in sub:
-        sub_ech.add(v)
-    for v in ambient_sub:
-        if not sub_ech.contains(v):
-            raise ValueError(f"containment violation, witness {v}")
-    ech = SpanEchelon(field, dim)
-    for v in ambient_sub:
-        ech.add(v)
-    amb_rank = ech.rank
-    reps = []
-    for v in sub:
-        if ech.add(v):
-            reps.append(list(v))
-    return sub_ech.rank - amb_rank, reps
-
 
 def vec_add(field, u, v):
     return [field.add(a, b) for a, b in zip(u, v)]
 
 def vec_sub(field, u, v):
     return [field.sub(a, b) for a, b in zip(u, v)]
-
-def vec_scale(field, c, v):
-    return [field.mul(c, x) for x in v]
 
 def vec_is_zero(field, v):
     return not any(v)

@@ -259,3 +259,58 @@ def test_rational_string_scalars(tmp_path):
     problem = parse_problem(doc)
     from fractions import Fraction
     assert problem.algebra.structure[0][2][1] == Fraction(1, 2)
+
+
+def not_leibniz_doc(**extra):
+    doc = {"field": {"type": "rational"},
+           "algebra": {"dim": 1, "brackets": [{"i": 1, "j": 1, "value": [1]}]}}
+    doc.update(extra)
+    return doc
+
+
+def one_dim_doc(table, **extra):
+    doc = {"field": {"type": "rational"}, "algebra": {"dim": 1},
+           "group": {"order": len(table), "table": table},
+           "action": {"matrices": [[[1]]] * len(table)}}
+    doc.update(extra)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    lambda6_doc(field="rational"),
+    lambda6_z2_doc(action=[]),
+    lambda6_doc(max_degree="x"),
+    lambda6_doc(algebra={"dim": -1}),
+    lambda6_doc(algebra={"dim": "x"}),
+    lambda6_doc(algebra={"dim": 1, "brackets": [{"i": 1, "j": 1, "value": 3}]}),
+], ids=["field-string", "action-list", "max-degree-string", "negative-dim",
+        "dim-string", "bracket-value-int"])
+def test_parse_error_wrong_shape(tmp_path, capsys, doc):
+    code, _, err = run(capsys, ["cohomology", write(tmp_path, doc)])
+    assert code == 1
+    assert "parse error" in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["cohomology"], not_leibniz_doc()),
+    (["cohomology", "--equivariant"], one_dim_doc([[1, 0], [0, 1]])),
+    (["cohomology", "--equivariant"], lambda6_z2_doc(action={"matrices": [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]})),
+    (["cohomology", "--equivariant"], one_dim_doc([[0, 1], [1, 1]])),
+    (["cup", "--p", "1", "--q", "1"], not_leibniz_doc(
+        group={"order": 1, "table": [[0]]}, action={"matrices": [[[1]]]})),
+], ids=["not-leibniz", "no-identity", "action-breaks-bracket", "no-inverse",
+        "cup-not-leibniz"])
+def test_invalid_input_exits_2(tmp_path, capsys, argv, doc):
+    code, out, err = run(capsys, [argv[0], write(tmp_path, doc)] + argv[1:])
+    assert code == 2
+    assert "validation error" in err and out == ""
+
+
+def test_validate_skips_action_when_group_fails(tmp_path, capsys):
+    doc = one_dim_doc([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
+    code, out, _ = run(capsys, ["validate", write(tmp_path, doc)])
+    assert code == 2
+    assert "group_axioms: violations" in out
+    assert "action_axioms" not in out and "coefficient_system" not in out

@@ -202,3 +202,14 @@ def test_wrapper_functions(lambda6_z2_setup):
     res = L.equivariant_cohomology(setup.action, setup.category,
                                    setup.coefficients, 2)
     assert res.betti == 1
+
+
+def test_delta_image_outside_invariants_rejected():
+    # a restriction that is not an algebra map breaks delta's invariance
+    setup = catalog_setup("lambda6_z2")
+    e = frozenset({0})
+    bad = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    setup.restrictions[(e, e, 1)] = L.AlgebraMorphism(
+        setup.fixed[e].algebra, setup.fixed[e].algebra, bad)
+    with pytest.raises(AssertionError, match="leaves the invariant subspace"):
+        setup.equivariant_coboundary(1)

@@ -190,3 +190,26 @@ def test_fixed_bracket_closure_exact():
     for H in cat.subgroups:
         fx = fixed_subalgebra(action, H)   # raises on closure failure
         assert L.check_leibniz_identity(fx.algebra).ok
+
+
+def test_fixed_set_not_closed_rejected():
+    # [e1,e1] = e2 while psi = diag(1,-1) fixes only e1: not an automorphism
+    alg = L.LeibnizAlgebra(QQ, 2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+    action = GroupAction(FiniteGroup.cyclic(2), alg,
+                         [Matrix.identity(QQ, 2),
+                          Matrix.from_rows(QQ, [[1, 0], [0, -1]])])
+    with pytest.raises(AssertionError, match="not closed under bracket"):
+        fixed_subalgebra(action, frozenset({0, 1}))
+
+
+def test_restriction_rejects_invalid_triple():
+    alg = L.LeibnizAlgebra.zero_bracket(QQ, 2)
+    swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    action = GroupAction(FiniteGroup.cyclic(2), alg,
+                         [Matrix.identity(QQ, 2), swap])
+    e, G = frozenset({0}), frozenset({0, 1})
+    fixed = {H: fixed_subalgebra(action, H) for H in (e, G)}
+    assert restriction_map(action, (e, G, 0), fixed).matrix.cols == 1
+    # g^e is not inside g^G, so there is no map G/G -> G/e
+    with pytest.raises(AssertionError, match="invalid morphism triple"):
+        restriction_map(action, (G, e, 0), fixed)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
 from leibcohom.linalg import QQ, GF, Matrix
@@ -171,3 +172,46 @@ def test_catalog_entries_all_leibniz():
         assert check_leibniz_identity(entry.algebra).ok, name
         if entry.action is not None:
             assert L.validate_action(entry.action).ok, name
+
+
+# -- the integer-arithmetic checks against plain field arithmetic ----------
+
+small_fractions = st.one_of(st.just(Fraction(0)),
+                            st.fractions(-3, 3, max_denominator=4))
+
+
+def drawn_algebra(data, dim):
+    structure = data.draw(st.lists(st.lists(st.lists(
+        small_fractions, min_size=dim, max_size=dim),
+        min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    return L.LeibnizAlgebra(QQ, dim, structure)
+
+
+def sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_checks_match_bracket_arithmetic(data):
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    src, tgt = drawn_algebra(data, n), drawn_algebra(data, m)
+    e = src.basis_vector
+    expected = []
+    for i, j, k in product(range(n), repeat=3):
+        r = sub(src.bracket(e(i), src.bracket(e(j), e(k))),
+                sub(src.bracket(src.bracket(e(i), e(j)), e(k)),
+                    src.bracket(src.bracket(e(i), e(k)), e(j))))
+        if any(r):
+            expected.append(((i, j, k), r))
+    assert check_leibniz_identity(src).violations == expected
+    phi = AlgebraMorphism(src, tgt, Matrix.from_rows(QQ, data.draw(st.lists(
+        st.lists(small_fractions, min_size=n, max_size=n),
+        min_size=m, max_size=m))))
+    expected = []
+    for i, j in product(range(n), repeat=2):
+        r = sub(phi.apply(src.basis_bracket(i, j)),
+                tgt.bracket(phi.matrix.column(i), phi.matrix.column(j)))
+        if any(r):
+            expected.append(((i, j), r))
+    assert check_morphism(phi).violations == expected

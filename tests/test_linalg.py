@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
-                              quotient_dimension, solve, solve_matrix,
+                              free_coordinates, solve, solve_matrix, vec_add,
                               vec_is_zero)
 
 
@@ -23,18 +23,18 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(QQ, 2)) == []
+    assert kernel_basis(Matrix.identity(QQ, 2)) == ([], [])
 
 
 def test_kernel_zero_matrix():
-    basis = kernel_basis(Matrix.zero(QQ, 2, 2))
-    assert len(basis) == 2
+    basis, free = kernel_basis(Matrix.zero(QQ, 2, 2))
+    assert len(basis) == 2 and free == [0, 1]
     assert rank(Matrix.from_columns(QQ, basis)) == 2
 
 
 def test_kernel_one_equation():
-    basis = kernel_basis(qmat([[1, 1]]))
-    assert len(basis) == 1
+    basis, free = kernel_basis(qmat([[1, 1]]))
+    assert len(basis) == 1 and free == [1]
     v = basis[0]
     assert v[0] == -v[1] and v[0] != 0
 
@@ -57,22 +57,6 @@ def test_in_span_coefficient():
 def test_in_span_dimension_mismatch():
     with pytest.raises(ValueError):
         in_span([1, 2, 3], [[1, 2]])
-
-
-def test_quotient_dimension_cases():
-    e1, e2 = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
-    dim, reps = quotient_dimension([e1, e2], [])
-    assert dim == 2 and len(reps) == 2
-    dim, reps = quotient_dimension([e1], [e1])
-    assert dim == 0 and reps == []
-    dim, reps = quotient_dimension([e1, e2], [[Fraction(1), Fraction(1)]])
-    assert dim == 1 and len(reps) == 1
-
-
-def test_quotient_containment_violation():
-    with pytest.raises(ValueError, match="containment"):
-        quotient_dimension([[Fraction(1), Fraction(0)]],
-                           [[Fraction(0), Fraction(1)]])
 
 
 def test_prime_field_arithmetic():
@@ -98,14 +82,42 @@ def rational_matrices(draw, max_dim=5):
 @given(rational_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    assert rank(m) + len(kernel_basis(m)[0]) == m.cols
 
 
 @given(rational_matrices())
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m):
+    basis, free = kernel_basis(m)
+    for i, v in enumerate(basis):
         assert vec_is_zero(QQ, m.apply(v))
+        # reduced echelon: 1 at its own free column, 0 at the others
+        assert [v[c] for c in free] == [int(i == j) for j in range(len(free))]
+
+
+@given(rational_matrices(), st.lists(small_entries, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_free_coordinates_match_solve(m, coeffs):
+    basis, free = kernel_basis(m)
+    coeffs = coeffs[:len(basis)]
+    inclusion = Matrix.from_columns(QQ, basis, nrows=m.cols)
+    v = inclusion.apply([Fraction(c) for c in coeffs])
+    assert free_coordinates(QQ, basis, free, v) == solve(inclusion, v) == coeffs
+    # a nonzero row r of m is off its null space, since r . r > 0 over Q
+    for r in m.data:
+        if any(r):
+            off = vec_add(QQ, v, r)
+            assert free_coordinates(QQ, basis, free, off) is None
+            assert solve(inclusion, off) is None
+
+
+def test_free_coordinates_outside_span():
+    basis, free = kernel_basis(qmat([[1, 1, 0]]))
+    assert free == [1, 2]
+    assert free_coordinates(QQ, basis, free, [-2, 2, 5]) == [2, 5]
+    assert free_coordinates(QQ, basis, free, [1, 2, 5]) is None
+    assert free_coordinates(QQ, [], [], [0, 0]) == []
+    assert free_coordinates(QQ, [], [], [0, 1]) is None
 
 
 @given(rational_matrices())
