@@ -154,8 +154,12 @@ def build_coefficient_system(problem, category):
                 for ent in s.get("products", []):
                     prod[int(ent["i"]) - 1][int(ent["j"]) - 1] = \
                         [_scalar(field, x) for x in ent["value"]]
-                algebras[H] = CoefficientAlgebra(
-                    field, d, prod, [_scalar(field, x) for x in s["unit"]])
+                unit = [_scalar(field, x) for x in s["unit"]]
+                if len(unit) != d or any(len(v) != d for r in prod for v in r):
+                    raise ProblemParseError(
+                        f"coefficients: vectors of subgroup {sorted(H)} "
+                        f"must have length {d}")
+                algebras[H] = CoefficientAlgebra(field, d, prod, unit)
             maps = {}
             for ent in spec["maps"]:
                 key = (frozenset(int(x) for x in ent["H"]),
@@ -193,6 +197,12 @@ def make_setup(problem):
     check_problem(problem)
     category = orbit_category(problem.group)
     coeffs = build_coefficient_system(problem, category)
+    # the named systems are coefficient systems by construction
+    if isinstance(problem.coefficients, dict):
+        v = check_coefficient_system(coeffs)
+        if not v.ok:
+            raise ProblemValidationError(
+                f"coefficient system axioms violated: {v.violations[0]}")
     return EquivariantSetup(problem.action, category, coeffs)
 
 
@@ -284,6 +294,7 @@ def cmd_cohomology(args):
 def cmd_homology(args):
     problem = load_problem(args)
     n_max = args.max_degree if args.max_degree is not None else problem.max_degree
+    check_problem(problem)
     report = Report("homology")
     for n in range(1, n_max + 1):
         report.add(f"betti_{n}", homology(problem.algebra, n).betti)

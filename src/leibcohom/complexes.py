@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import Matrix, kernel_basis, SpanEchelon
+from .linalg import Matrix, kernel_basis
 from .verdict import Verdict
 
 
@@ -51,7 +51,6 @@ def boundary_matrix(alg, n):
     m = alg.dim
     src = TensorSpace(m, n)
     dst = TensorSpace(m, n - 1)
-    z = f.zero()
     mat = Matrix.zero(f, dst.dim, src.dim)
     for col, word in enumerate(src.words()):
         for i in range(n):               # 0-based positions
@@ -60,7 +59,7 @@ def boundary_matrix(alg, n):
                 br = alg.basis_bracket(word[i], word[j])
                 rest = word[:i] + (None,) + word[i + 1:j] + word[j + 1:]
                 for k in range(m):
-                    if br[k] == z:
+                    if not br[k]:
                         continue
                     new = rest[:i] + (k,) + rest[i + 1:]
                     row = dst.index(new)
@@ -96,15 +95,15 @@ class CoefficientAlgebra:
         z = f.zero()
         out = [z] * self.dim
         for i in range(self.dim):
-            if a[i] == z:
+            if not a[i]:
                 continue
             for j in range(self.dim):
-                if b[j] == z:
+                if not b[j]:
                     continue
                 c = f.mul(a[i], b[j])
-                for k in range(self.dim):
-                    if self.product[i][j][k] != z:
-                        out[k] = f.add(out[k], f.mul(c, self.product[i][j][k]))
+                for k, x in enumerate(self.product[i][j]):
+                    if x:
+                        out[k] = f.add(out[k], f.mul(c, x))
         return out
 
     def product_matrix(self):
@@ -177,26 +176,24 @@ class CohomologyResult:
 
 
 def image_basis(mat):
-    """Independent columns of mat, in column order (deterministic)."""
-    ech = SpanEchelon(mat.field, mat.rows)
-    basis = []
-    for j in range(mat.cols):
-        col = mat.column(j)
-        if ech.add(col):
-            basis.append(col)
-    return basis
+    """Independent columns of mat, in column order (deterministic).
+
+    Greedy independence in column order picks exactly the RREF pivots.
+    """
+    _, pivots = mat.rref()
+    return [mat.column(j) for j in pivots]
 
 
 def _quotient_data(field, cocycles, coboundaries, dim):
-    """Representatives completing the coboundaries to a basis of the cocycles."""
-    ech = SpanEchelon(field, dim)
-    for v in coboundaries:
-        ech.add(v)
-    reps = []
-    for v in cocycles:
-        if ech.add(v):
-            reps.append(v)
-    return reps
+    """Representatives completing the coboundaries to a basis of the cocycles.
+
+    A cocycle is kept when it is independent of the vectors before it,
+    that is when it sits at a pivot of the columns coboundaries + cocycles.
+    """
+    nb = len(coboundaries)
+    _, pivots = Matrix.from_columns(field, coboundaries + cocycles,
+                                    nrows=dim).rref()
+    return [cocycles[j - nb] for j in pivots if j >= nb]
 
 
 def homology(alg, n):

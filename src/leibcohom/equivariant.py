@@ -74,6 +74,8 @@ def check_coefficient_system(A):
             violations.append(("algebra_map", m))
         if H == K and g == 0 and mat != Matrix.identity(field, aH.dim):
             violations.append(("identity_morphism", m))
+    if any(kind == "shape" for kind, _ in violations):
+        return Verdict(False, violations)   # composites need matching shapes
     for m1 in cat.morphisms:
         for m2 in cat.morphisms:
             if m1[1] != m2[0]:
@@ -202,12 +204,12 @@ class EquivariantSetup:
                     row = [z] * total
                     for tH in range(hH ** n):
                         c = Rn.data[tH][tK]
-                        if c != z:
+                        if c:
                             row[offH + tH * aH + al] = f.add(
                                 row[offH + tH * aH + al], c)
                     for aj in range(aK):
                         c = Amap.data[al][aj]
-                        if c != z:
+                        if c:
                             row[offK + tK * aK + aj] = f.sub(
                                 row[offK + tK * aK + aj], c)
                     rows.append(row)
@@ -275,10 +277,11 @@ class EquivariantSetup:
         sn = self.invariant_space(n)
         out = [f.zero()] * sn.ambient_dim
         for c, v in zip(coords, sn.basis):
-            if c == f.zero():
+            if not c:
                 continue
             for i, x in enumerate(v):
-                out[i] = f.add(out[i], f.mul(c, x))
+                if x:
+                    out[i] = f.add(out[i], f.mul(c, x))
         return out
 
     def cochain_from_invariant(self, n, coords):

@@ -1,15 +1,19 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p.
 
 Everything downstream (boundary maps, invariant-cochain systems, cup
 products) is phrased as dense matrices over an exact field, stored as
 lists of ``fractions.Fraction`` or residues mod p.  Many of them are
 mostly zero (restriction powers are monomial, rho and coboundary
-matrices are sparse), so the products skip zeros: ``Matrix.mul`` walks
+matrices are sparse), so the kernels skip zeros: ``Matrix.mul`` walks
 the nonzero entries of each left row against the nonzero entries of the
 right rows they select, and ``kron`` and ``apply`` skip zero factors.
-Bases of subspaces come from ``kernel_basis`` in reduced-echelon form, so
+``Matrix.rref`` is the only elimination kernel; it eliminates on sparse
+rows (dicts of the nonzero entries) and writes the dense result.  Ranks,
+kernels, solutions, span tests and image bases all come from it.  Bases
+of subspaces come from ``kernel_basis`` in reduced-echelon form, so
 ``free_coordinates`` reads a vector's coordinates off its entries at the
-free columns instead of eliminating again.
+free columns instead of eliminating again.  Field elements are falsy
+exactly when they are zero, and zero tests use that.
 """
 
 from __future__ import annotations
@@ -174,8 +178,7 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -289,33 +292,58 @@ class Matrix:
     # -- elimination -----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column list)."""
+        """Reduced row echelon form; returns (Matrix, pivot column list).
+
+        Gauss-Jordan elimination on sparse rows, each a {column: entry}
+        dict of its nonzero entries.  Every input row in turn is cleared at
+        the pivot columns found so far (one pass: each pivot row is 0 at
+        the other pivot columns); what is left, scaled to 1 at its first
+        column, becomes a new pivot row, and that column is cleared from
+        the earlier pivot rows.  A pivot row never gains an entry left of
+        its pivot, so the pivot rows in pivot order are the unique RREF.
+        """
         f = self.field
-        z = f.zero()
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c] != z:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            piv_inv = f.inv(m[r][c])
-            m[r] = [f.mul(piv_inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != z:
-                    factor = m[i][c]
-                    m[i] = [f.sub(x, f.mul(factor, y))
-                            for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
+        z, one = f.zero(), f.one()
+        ncols = self.cols
+        pivot_rows = {}                 # pivot column -> sparse pivot row
+        for dense in self.data:
+            if len(pivot_rows) == ncols:
                 break
-        return Matrix(f, self.rows, self.cols, m), pivots
+            row = {j: x for j, x in enumerate(dense) if x}
+            for p in [j for j in row if j in pivot_rows]:
+                _subtract_multiple(f, row, row[p], pivot_rows[p])
+            if not row:
+                continue
+            pc = min(row)
+            lead = row[pc]
+            if lead != one:
+                inv = f.inv(lead)
+                row = {j: f.mul(inv, x) for j, x in row.items()}
+            for prow in pivot_rows.values():
+                c = prow.get(pc)
+                if c:
+                    _subtract_multiple(f, prow, c, row)
+            pivot_rows[pc] = row
+        pivots = sorted(pivot_rows)
+        data = []
+        for pc in pivots:
+            dense = [z] * ncols
+            for j, x in pivot_rows[pc].items():
+                dense[j] = x
+            data.append(dense)
+        data.extend([z] * ncols for _ in range(self.rows - len(pivots)))
+        return Matrix(f, self.rows, ncols, data), pivots
+
+
+def _subtract_multiple(f, row, c, other):
+    """row -= c * other on sparse rows, dropping the entries that cancel."""
+    z = f.zero()
+    for j, y in other.items():
+        x = f.sub(row.get(j, z), f.mul(c, y))
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def rank(m):
@@ -416,40 +444,6 @@ def solve_matrix(m, b):
     for r, pc in enumerate(pivots):
         x[pc] = red.data[r][m.cols:]
     return Matrix(f, m.cols, b.cols, x)
-
-
-class SpanEchelon:
-    """Incremental row-echelon container for a growing span of vectors."""
-
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
-        self.rows = []          # echelonized vectors
-        self.pivots = []        # pivot index of each row
-
-    def reduce(self, v):
-        f = self.field
-        z = f.zero()
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != z:
-                c = v[p]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, v):
-        """Add v to the span; returns True if it enlarged the span."""
-        f = self.field
-        z = f.zero()
-        v = self.reduce(v)
-        for p in range(self.dim):
-            if v[p] != z:
-                inv = f.inv(v[p])
-                v = [f.mul(inv, x) for x in v]
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
 
 
 def vec_add(field, u, v):

@@ -227,12 +227,13 @@ def test_prime_field_problem(tmp_path, capsys):
     assert code == 0
 
 
-def test_explicit_coefficient_system(tmp_path, capsys):
-    # spell out the constant system for Z/2 by hand
-    doc = lambda6_z2_doc(coefficients={
+def explicit_constant_doc(identity_map=((1,),), unit=(1,)):
+    """The constant system for Z/2 spelled out by hand; the map of the
+    identity morphism of G/G and the unit of A(G/e) can be replaced."""
+    return lambda6_z2_doc(coefficients={
         "systems": [
             {"subgroup": [0], "dim": 1,
-             "products": [{"i": 1, "j": 1, "value": [1]}], "unit": [1]},
+             "products": [{"i": 1, "j": 1, "value": [1]}], "unit": list(unit)},
             {"subgroup": [0, 1], "dim": 1,
              "products": [{"i": 1, "j": 1, "value": [1]}], "unit": [1]},
         ],
@@ -240,10 +241,14 @@ def test_explicit_coefficient_system(tmp_path, capsys):
             {"H": [0], "K": [0], "g": 0, "matrix": [[1]]},
             {"H": [0], "K": [0], "g": 1, "matrix": [[1]]},
             {"H": [0], "K": [0, 1], "g": 0, "matrix": [[1]]},
-            {"H": [0, 1], "K": [0, 1], "g": 0, "matrix": [[1]]},
+            {"H": [0, 1], "K": [0, 1], "g": 0,
+             "matrix": [list(r) for r in identity_map]},
         ],
     })
-    path = write(tmp_path, doc)
+
+
+def test_explicit_coefficient_system(tmp_path, capsys):
+    path = write(tmp_path, explicit_constant_doc())
     code, out, _ = run(capsys, ["validate", path])
     assert code == 0
     assert "coefficient_system: ok" in out
@@ -251,6 +256,24 @@ def test_explicit_coefficient_system(tmp_path, capsys):
                                 "--max-degree", "2"])
     assert code == 0
     assert "betti_2: 1" in out
+
+
+@pytest.mark.parametrize("identity_map, kind", [
+    ([[2]], "unit"), ([[1], [1]], "shape")], ids=["not-unital", "wrong-shape"])
+def test_validate_reports_bad_coefficient_system(tmp_path, capsys,
+                                                  identity_map, kind):
+    path = write(tmp_path, explicit_constant_doc(identity_map))
+    code, out, _ = run(capsys, ["validate", path])
+    assert code == 2
+    assert f"coefficient_system: violations [('{kind}'" in out
+
+
+def test_parse_error_coefficient_unit_length(tmp_path, capsys):
+    path = write(tmp_path, explicit_constant_doc(unit=[1, 0]))
+    for argv in (["validate", path], ["cohomology", path, "--equivariant"]):
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert "parse error: coefficients" in err
 
 
 def test_rational_string_scalars(tmp_path):
@@ -300,8 +323,14 @@ def test_parse_error_wrong_shape(tmp_path, capsys, doc):
     (["cohomology", "--equivariant"], one_dim_doc([[0, 1], [1, 1]])),
     (["cup", "--p", "1", "--q", "1"], not_leibniz_doc(
         group={"order": 1, "table": [[0]]}, action={"matrices": [[[1]]]})),
+    (["homology", "--max-degree", "3"], {"algebra": {"dim": 2, "brackets": [
+        {"i": 1, "j": 1, "value": [1, 0]},
+        {"i": 1, "j": 2, "value": [0, 1]}]}}),
+    (["cohomology", "--equivariant"], explicit_constant_doc([[2]])),
+    (["cohomology", "--equivariant"], explicit_constant_doc([[1], [1]])),
 ], ids=["not-leibniz", "no-identity", "action-breaks-bracket", "no-inverse",
-        "cup-not-leibniz"])
+        "cup-not-leibniz", "homology-not-leibniz", "coefficients-not-unital",
+        "coefficients-wrong-shape"])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, doc):
     code, out, err = run(capsys, [argv[0], write(tmp_path, doc)] + argv[1:])
     assert code == 2

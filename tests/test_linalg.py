@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from leibcohom.complexes import image_basis
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
                               free_coordinates, solve, solve_matrix, vec_add,
                               vec_is_zero)
@@ -173,22 +174,34 @@ sparse_rationals = st.one_of(
 
 
 @st.composite
+def sparse_matrices(draw, rows, cols, entries=sparse_rationals, field=QQ):
+    """rows x cols over field; some rows and columns forced to zero."""
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    z = field.zero()
+    if rows:
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            data[i] = [z] * cols
+    if cols:
+        for j in draw(st.sets(st.integers(0, cols - 1))):
+            for row in data:
+                row[j] = z
+    return Matrix(field, rows, cols,
+                  [[field.coerce(x) for x in row] for row in data])
+
+
+@st.composite
 def product_pairs(draw, max_dim=5):
     """(A, B) with A r x k and B k x c; some rows and columns forced to zero."""
     r, k, c = (draw(st.integers(1, max_dim)) for _ in range(3))
+    return draw(sparse_matrices(r, k)), draw(sparse_matrices(k, c))
 
-    def mat(rows, cols):
-        data = draw(st.lists(st.lists(sparse_rationals, min_size=cols,
-                                      max_size=cols),
-                             min_size=rows, max_size=rows))
-        for i in draw(st.sets(st.integers(0, rows - 1))):
-            data[i] = [Fraction(0)] * cols
-        for j in draw(st.sets(st.integers(0, cols - 1))):
-            for row in data:
-                row[j] = Fraction(0)
-        return Matrix.from_rows(QQ, data)
 
-    return mat(r, k), mat(k, c)
+@st.composite
+def rref_inputs(draw, field=QQ, entries=sparse_rationals, max_dim=6):
+    """Rectangular matrices, 0 x n and n x 0 included."""
+    r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    return draw(sparse_matrices(r, c, entries, field))
 
 
 def to_sympy(m):
@@ -260,3 +273,74 @@ def test_solve_matrix_free_variables_zero():
     x = solve_matrix(m, qmat([[3, 0], [4, 0]]))
     assert x == qmat([[3, 0], [0, 0], [4, 0]])
     assert solve_matrix(m, Matrix.zero(QQ, 2, 0)) == Matrix.zero(QQ, 3, 0)
+
+
+# -- sparse elimination ------------------------------------------------------
+
+def textbook_rref(m):
+    """Dense Gauss-Jordan elimination, column by column: the reference."""
+    f = m.field
+    a = [row[:] for row in m.data]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, m.rows) if a[i][c] != f.zero()), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, x) for x in a[r]]
+        for i in range(m.rows):
+            factor = a[i][c]
+            if i != r and factor != f.zero():
+                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+@given(rref_inputs())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_sympy(m):
+    before = [row[:] for row in m.data]
+    red, pivots = m.rref()
+    expected, expected_pivots = to_sympy(m).rref()
+    assert (red.field, red.rows, red.cols) == (QQ, m.rows, m.cols)
+    assert to_sympy(red) == expected
+    assert pivots == list(expected_pivots)
+    assert m.data == before
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_textbook_over_prime_fields(p, data):
+    f = GF(p)
+    m = data.draw(rref_inputs(f, st.one_of(st.just(0), st.integers(0, p - 1))))
+    red, pivots = m.rref()
+    assert (red.data, pivots) == textbook_rref(m)
+
+
+def test_rref_empty_shapes():
+    for r, c in [(0, 0), (0, 3), (3, 0)]:
+        red, pivots = Matrix.zero(QQ, r, c).rref()
+        assert red == Matrix.zero(QQ, r, c) and pivots == []
+
+
+def test_image_basis_skips_dependent_leading_columns():
+    # column 0 is zero, 2 is twice 1, 4 is 1 + 3
+    m = qmat([[0, 1, 2, 0, 1, 5],
+              [0, 2, 4, 1, 3, 0],
+              [0, 0, 0, 0, 0, 1]])
+    assert image_basis(m) == [m.column(1), m.column(3), m.column(5)]
+    assert image_basis(Matrix.zero(QQ, 2, 3)) == []
+
+
+@given(rref_inputs())
+@settings(max_examples=60, deadline=None)
+def test_image_basis_is_greedy_in_column_order(m):
+    chosen = []
+    for col in m.columns():
+        with_col = Matrix.from_columns(QQ, chosen + [col], nrows=m.rows)
+        if to_sympy(with_col).rank() > len(chosen):
+            chosen.append(col)
+    assert image_basis(m) == chosen
