@@ -54,11 +54,10 @@ def _letter_permutation_action(alg, words, dimV):
     index = {w: i for i, w in enumerate(words)}
     mats = []
     for perm in perms:
-        mat = Matrix.zero(f, alg.dim, alg.dim)
+        rows = [{} for _ in words]
         for j, w in enumerate(words):
-            new = tuple(perm[a] for a in w)
-            mat.data[index[new]][j] = f.one()
-        mats.append(mat)
+            rows[index[tuple(perm[a] for a in w)]][j] = f.one()
+        mats.append(Matrix.from_entries(f, alg.dim, alg.dim, rows))
     return GroupAction(group, alg, mats)
 
 

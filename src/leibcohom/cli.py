@@ -131,7 +131,7 @@ def load_problem(args):
             doc = json.load(fh)
     except OSError as exc:
         raise ProblemParseError(f"cannot read {args.file}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, or an integer too long to read
         raise ProblemParseError(f"{args.file}: invalid JSON: {exc}") from None
     return parse_problem(doc)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, dense_vector, kernel_basis
 from .verdict import Verdict
 
 
@@ -48,24 +48,31 @@ def boundary_matrix(alg, n):
     if n < 2:
         raise ValueError("boundary map needs degree >= 2")
     f = alg.field
+    z = f.zero()
     m = alg.dim
     src = TensorSpace(m, n)
     dst = TensorSpace(m, n - 1)
-    mat = Matrix.zero(f, dst.dim, src.dim)
+    brackets = [[{k: f.mul(sign, x)
+                  for k, x in enumerate(alg.basis_bracket(a, b)) if x}
+                 for a in range(m) for b in range(m)]
+                for sign in (f.neg(f.one()), f.one())]
+    place = [m ** (n - 2 - i) for i in range(n - 1)]   # of slot i in a word of dst
+    rows = [{} for _ in range(dst.dim)]
     for col, word in enumerate(src.words()):
-        for i in range(n):               # 0-based positions
-            for j in range(i + 1, n):    # sign uses the 1-based j
-                sign = f.one() if (j + 1) % 2 == 0 else f.neg(f.one())
-                br = alg.basis_bracket(word[i], word[j])
-                rest = word[:i] + (None,) + word[i + 1:j] + word[j + 1:]
-                for k in range(m):
-                    if not br[k]:
-                        continue
-                    new = rest[:i] + (k,) + rest[i + 1:]
-                    row = dst.index(new)
-                    mat.data[row][col] = f.add(mat.data[row][col],
-                                               f.mul(sign, br[k]))
-    return BoundaryOperator(n, mat)
+        for j in range(1, n):            # 0-based; the sign uses the 1-based j
+            signed = brackets[j % 2]
+            removed = dst.index(word[:j] + word[j + 1:])
+            for i in range(j):
+                # x_i becomes [x_i, x_j] in the word without x_j
+                base = removed - word[i] * place[i]
+                for k, x in signed[word[i] * m + word[j]].items():
+                    row = rows[base + k * place[i]]
+                    y = f.add(row.get(col, z), x)
+                    if y:
+                        row[col] = y
+                    else:
+                        del row[col]
+    return BoundaryOperator(n, Matrix.from_entries(f, dst.dim, src.dim, rows))
 
 
 class CoefficientAlgebra:
@@ -108,13 +115,13 @@ class CoefficientAlgebra:
 
     def product_matrix(self):
         """mu as a dim x dim^2 matrix on the Kronecker basis of A(x)A."""
-        f = self.field
-        mat = Matrix.zero(f, self.dim, self.dim * self.dim)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    mat.data[k][i * self.dim + j] = self.product[i][j][k]
-        return mat
+        d = self.dim
+        rows = [{} for _ in range(d)]
+        for i, j in product(range(d), repeat=2):
+            for k, x in enumerate(self.product[i][j]):
+                if x:
+                    rows[k][i * d + j] = x
+        return Matrix.from_entries(self.field, d, d * d, rows)
 
     def validate(self):
         f = self.field
@@ -158,30 +165,61 @@ def coboundary_matrix(alg, A, n):
 
 @dataclass
 class HomologyResult:
+    """Cycles and boundaries as sparse vectors; the ``*_basis``
+    properties spell them out as lists."""
+    field: object
     degree: int
     chain_dimension: int
-    cycle_basis: list
-    boundary_basis: list
+    cycles: list
+    boundaries: list
     betti: int
+
+    @property
+    def cycle_basis(self):
+        return _dense(self.field, self.cycles, self.chain_dimension)
+
+    @property
+    def boundary_basis(self):
+        return _dense(self.field, self.boundaries, self.chain_dimension)
 
 
 @dataclass
 class CohomologyResult:
+    """Cocycles, coboundaries and class representatives as sparse
+    vectors; the ``*_basis`` and ``representatives`` properties spell
+    them out as lists."""
+    field: object
     degree: int
     cochain_dimension: int
-    cocycle_basis: list
-    coboundary_basis: list
+    cocycles: list
+    coboundaries: list
     betti: int
-    representatives: list
+    classes: list
+
+    @property
+    def cocycle_basis(self):
+        return _dense(self.field, self.cocycles, self.cochain_dimension)
+
+    @property
+    def coboundary_basis(self):
+        return _dense(self.field, self.coboundaries, self.cochain_dimension)
+
+    @property
+    def representatives(self):
+        return _dense(self.field, self.classes, self.cochain_dimension)
+
+
+def _dense(field, vectors, n):
+    return [dense_vector(field, v, n) for v in vectors]
 
 
 def image_basis(mat):
-    """Independent columns of mat, in column order (deterministic).
-
-    Greedy independence in column order picks exactly the RREF pivots.
+    """Independent columns of mat as sparse vectors, in column order
+    (deterministic): greedy independence picks exactly the RREF pivots.
     """
     _, pivots = mat.rref()
-    return [mat.column(j) for j in pivots]
+    columns = mat.transpose().entries
+    return [columns[j] for j in pivots]
 
 
 def _quotient_data(field, cocycles, coboundaries, dim):
@@ -191,8 +229,9 @@ def _quotient_data(field, cocycles, coboundaries, dim):
     that is when it sits at a pivot of the columns coboundaries + cocycles.
     """
     nb = len(coboundaries)
-    _, pivots = Matrix.from_columns(field, coboundaries + cocycles,
-                                    nrows=dim).rref()
+    vectors = coboundaries + cocycles
+    _, pivots = Matrix.from_entries(field, len(vectors), dim,
+                                    vectors).transpose().rref()
     return [cocycles[j - nb] for j in pivots if j >= nb]
 
 
@@ -204,11 +243,11 @@ def homology(alg, n):
     m = alg.dim
     dim_n = m ** n
     if n == 1:
-        cycles = [row[:] for row in Matrix.identity(f, m).data]
+        cycles = Matrix.identity(f, m).entries
     else:
         cycles, _ = kernel_basis(boundary_matrix(alg, n).matrix)
     boundaries = image_basis(boundary_matrix(alg, n + 1).matrix)
-    return HomologyResult(n, dim_n, cycles, boundaries,
+    return HomologyResult(f, n, dim_n, cycles, boundaries,
                           len(cycles) - len(boundaries))
 
 
@@ -224,5 +263,5 @@ def cohomology(alg, A, n):
     else:
         coboundaries = image_basis(coboundary_matrix(alg, A, n - 1))
     reps = _quotient_data(f, cocycles, coboundaries, dim_n)
-    return CohomologyResult(n, dim_n, cocycles, coboundaries,
+    return CohomologyResult(f, n, dim_n, cocycles, coboundaries,
                             len(cocycles) - len(coboundaries), reps)

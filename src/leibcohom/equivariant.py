@@ -10,9 +10,11 @@ cohomology.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .linalg import Matrix, free_coordinates, kernel_basis
+from .linalg import (Matrix, combination, dense_vector, free_coordinates,
+                     kernel_basis, sparse_vector)
 from .complexes import (CoefficientAlgebra, CohomologyResult, coboundary_matrix,
                         image_basis, _quotient_data)
 from .groups import fixed_subalgebra, restriction_map
@@ -45,13 +47,12 @@ def coset_function_coefficients(category, field):
     maps = {}
     for (H, K, g) in category.morphisms:
         ch, ck = cosets[H], cosets[K]
-        mat = Matrix.zero(field, len(ch), len(ck))
-        for i, c in enumerate(ch):
-            x = min(c)
-            xg = G.mul(x, g)
-            j = next(jj for jj, ckos in enumerate(ck) if xg in ckos)
-            mat.data[i][j] = field.one()
-        maps[(H, K, g)] = mat
+        rows = []
+        for c in ch:
+            xg = G.mul(min(c), g)
+            rows.append({next(j for j, ckos in enumerate(ck) if xg in ckos):
+                         field.one()})
+        maps[(H, K, g)] = Matrix.from_entries(field, len(ch), len(ck), rows)
     return CoefficientSystem(category, field, algebras, maps)
 
 
@@ -88,19 +89,29 @@ def check_coefficient_system(A):
 
 @dataclass
 class InvariantCochainSpace:
+    field: object
     degree: int
     ambient_dim: int
-    basis: list            # vectors in ambient coordinates
+    vectors: list          # sparse basis vectors in ambient coordinates
     free: list             # the free column of each basis vector
     layout: list           # (subgroup, fixed_dim, coeff_dim, offset)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.vectors)
+
+    @property
+    def basis(self):
+        """The basis as dense ambient vectors, built on each access."""
+        return [dense_vector(self.field, v, self.ambient_dim)
+                for v in self.vectors]
 
 
 class EquivariantCochain:
-    """Family {c_H}, each c_H a (dim A(G/H)) x (dim g^H)^n matrix."""
+    """Family {c_H}, each c_H a (dim A(G/H)) x (dim g^H)^n matrix.
+
+    In ambient coordinates c_H[al][t] sits at offset_H + t * dim A(G/H) + al.
+    """
 
     def __init__(self, degree, components):
         self.degree = degree
@@ -108,22 +119,34 @@ class EquivariantCochain:
 
     @classmethod
     def from_ambient(cls, setup, n, vec):
-        comps = {}
-        for (H, h, a, off) in setup.layout(n):
-            mat = Matrix.zero(setup.field, a, h ** n)
-            for t in range(h ** n):
-                for al in range(a):
-                    mat.data[al][t] = vec[off + t * a + al]
-            comps[H] = mat
-        return cls(n, comps)
+        """From a dense ambient vector."""
+        return cls.from_sparse(setup, n, sparse_vector(vec))
+
+    @classmethod
+    def from_sparse(cls, setup, n, vec):
+        """From a sparse ambient vector."""
+        lay = setup.layout(n)
+        starts = [off for (_, _, _, off) in lay]
+        rows = [[{} for _ in range(a)] for (_, _, a, _) in lay]
+        for i, x in vec.items():
+            b = bisect_right(starts, i) - 1       # skips empty blocks
+            t, al = divmod(i - starts[b], lay[b][2])
+            rows[b][al][t] = x
+        return cls(n, {H: Matrix.from_entries(setup.field, a, h ** n, r)
+                       for (H, h, a, _), r in zip(lay, rows)})
 
     def to_ambient(self, setup):
-        out = []
+        """As a dense ambient vector."""
+        return dense_vector(setup.field, self.to_sparse(setup),
+                            setup.ambient_dim(self.degree))
+
+    def to_sparse(self, setup):
+        """As a sparse ambient vector."""
+        out = {}
         for (H, h, a, off) in setup.layout(self.degree):
-            mat = self.components[H]
-            for t in range(h ** self.degree):
-                for al in range(a):
-                    out.append(mat.data[al][t])
+            for al, row in enumerate(self.components[H].entries):
+                for t, x in row.items():
+                    out[off + t * a + al] = x
         return out
 
 
@@ -191,30 +214,28 @@ class EquivariantSetup:
         offsets = {H: (h, a, off) for (H, h, a, off) in lay}
         total = self.ambient_dim(n)
         f = self.field
-        z = f.zero()
         rows = []
         for m in self.category.morphisms:
             H, K, g = m
             hH, aH, offH = offsets[H]
             hK, aK, offK = offsets[K]
-            Rn = self.restriction_power(m, n)     # hH^n x hK^n
-            Amap = self.coefficients.maps[m]      # aH x aK
-            for tK in range(hK ** n):
+            # row (tK, al) of c_H R^{(x)n} - A(g-hat) c_K, in ambient indices
+            Rn_columns = self.restriction_power(m, n).transpose().entries
+            minus_A = [{aj: f.neg(c) for aj, c in row.items()}
+                       for row in self.coefficients.maps[m].entries]
+            for tK, column in enumerate(Rn_columns):
                 for al in range(aH):
-                    row = [z] * total
-                    for tH in range(hH ** n):
-                        c = Rn.data[tH][tK]
-                        if c:
-                            row[offH + tH * aH + al] = f.add(
-                                row[offH + tH * aH + al], c)
-                    for aj in range(aK):
-                        c = Amap.data[al][aj]
-                        if c:
-                            row[offK + tK * aK + aj] = f.sub(
-                                row[offK + tK * aK + aj], c)
+                    row = {offH + tH * aH + al: c for tH, c in column.items()}
+                    for aj, c in minus_A[al].items():
+                        k = offK + tK * aK + aj      # may meet row when H == K
+                        x = f.add(row[k], c) if k in row else c
+                        if x:
+                            row[k] = x
+                        else:
+                            del row[k]
                     rows.append(row)
-        basis, free = kernel_basis(Matrix(f, len(rows), total, rows))
-        space = InvariantCochainSpace(n, total, basis, free, lay)
+        basis, free = kernel_basis(Matrix.from_entries(f, len(rows), total, rows))
+        space = InvariantCochainSpace(f, n, total, basis, free, lay)
         self._spaces[n] = space
         return space
 
@@ -233,15 +254,17 @@ class EquivariantSetup:
         """delta on invariant coordinates S^n_G -> S^{n+1}_G."""
         if n in self._coboundaries:
             return self._coboundaries[n]
+        f = self.field
         sn = self.invariant_space(n)
         sn1 = self.invariant_space(n + 1)
-        D = self.ambient_coboundary(n)
-        columns = [free_coordinates(self.field, sn1.basis, sn1.free, D.apply(v))
-                   for v in sn.basis]
+        # row i of B D^T is delta of basis vector i, for B the basis as rows
+        B = Matrix.from_entries(f, sn.dim, sn.ambient_dim, sn.vectors)
+        images = B.mul(self.ambient_coboundary(n).transpose()).entries
+        columns = [free_coordinates(f, sn1.vectors, sn1.free, w) for w in images]
         if None in columns:
             raise AssertionError(
                 f"delta image leaves the invariant subspace in degree {n}")
-        X = Matrix.from_columns(self.field, columns, nrows=sn1.dim)
+        X = Matrix.from_entries(f, sn.dim, sn1.dim, columns).transpose()
         self._coboundaries[n] = X
         return X
 
@@ -268,24 +291,18 @@ class EquivariantSetup:
         else:
             coboundaries = image_basis(self.equivariant_coboundary(n - 1))
         reps = _quotient_data(self.field, cocycles, coboundaries, sn.dim)
-        return CohomologyResult(n, sn.dim, cocycles, coboundaries,
+        return CohomologyResult(self.field, n, sn.dim, cocycles, coboundaries,
                                 len(cocycles) - len(coboundaries), reps)
 
     def invariant_to_ambient(self, n, coords):
-        """Expand invariant-basis coordinates into an ambient vector."""
+        """Expand a list of invariant-basis coordinates into a sparse
+        ambient vector."""
         f = self.field
-        sn = self.invariant_space(n)
-        out = [f.zero()] * sn.ambient_dim
-        for c, v in zip(coords, sn.basis):
-            if not c:
-                continue
-            for i, x in enumerate(v):
-                if x:
-                    out[i] = f.add(out[i], f.mul(c, x))
-        return out
+        return combination(f, zip(map(f.coerce, coords),
+                                  self.invariant_space(n).vectors))
 
     def cochain_from_invariant(self, n, coords):
-        return EquivariantCochain.from_ambient(
+        return EquivariantCochain.from_sparse(
             self, n, self.invariant_to_ambient(n, coords))
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .linalg import Matrix, free_coordinates, kernel_basis, rank
+from .linalg import (Matrix, dense_vector, free_coordinates, kernel_basis,
+                     rank, sparse_vector)
 from .leibniz import LeibnizAlgebra, AlgebraMorphism, check_morphism
 from .verdict import Verdict
 
@@ -204,19 +205,20 @@ def fixed_subalgebra(action, H):
     ident = Matrix.identity(f, m)
     stacked = [action.psi(h).sub(ident) for h in sorted(H) if h != 0]
     basis, free = kernel_basis(Matrix.vstack(f, stacked, cols=m))
-    inclusion = Matrix.from_columns(f, basis, nrows=m)
+    inclusion = Matrix.from_entries(f, len(basis), m, basis).transpose()
     # induced structure constants: brackets of basis columns, expressed in
     # the basis; closure failure would contradict a validated action
+    vectors = [dense_vector(f, b, m) for b in basis]
     structure = []
-    for u in basis:
+    for u in vectors:
         row = []
-        for v in basis:
+        for v in vectors:
             w = alg.bracket(u, v)
-            x = free_coordinates(f, basis, free, w)
+            x = free_coordinates(f, basis, free, sparse_vector(w))
             if x is None:
                 raise AssertionError(
                     f"fixed-point set not closed under bracket, witness {w}")
-            row.append(x)
+            row.append(dense_vector(f, x, len(basis)))
         structure.append(row)
     return FixedSubalgebra(H, inclusion, free,
                            LeibnizAlgebra(f, len(basis), structure))
@@ -231,14 +233,18 @@ def restriction_map(action, morphism, fixed):
     H, K, g = morphism
     fH, fK = fixed[H], fixed[K]
     f = action.algebra.field
-    basis = fH.inclusion.columns()
+    basis = fH.inclusion.transpose().entries
     columns = [free_coordinates(f, basis, fH.free, w)
-               for w in action.psi(g).mul(fK.inclusion).columns()]
+               for w in action.psi(g).mul(fK.inclusion).transpose().entries]
     if None in columns:
         raise AssertionError(
             f"psi_{g} does not map the {sorted(K)}-fixed set into the "
             f"{sorted(H)}-fixed set; invalid morphism triple")
-    mat = Matrix.from_columns(f, columns, nrows=fH.dim)
+    mat = Matrix.from_entries(f, fK.dim, fH.dim, columns).transpose()
     phi = AlgebraMorphism(fK.algebra, fH.algebra, mat)
-    assert check_morphism(phi).ok
+    verdict = check_morphism(phi)
+    if not verdict.ok:
+        raise AssertionError(
+            f"psi_{g} restricted to the {sorted(K)}-fixed set breaks the "
+            f"bracket at {verdict.violations[0][0]}")
     return phi

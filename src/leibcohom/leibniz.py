@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from .linalg import Matrix, vec_is_zero, vec_add, vec_sub, unit_vector
+from .linalg import Matrix, dense_vector, vec_is_zero, vec_add
 from .verdict import Verdict
 
 
@@ -55,7 +55,7 @@ class LeibnizAlgebra:
         return list(self.structure[i][j])
 
     def basis_vector(self, i):
-        return unit_vector(self.field, self.dim, i)
+        return dense_vector(self.field, {i: self.field.one()}, self.dim)
 
 
 def _integral(structure):
@@ -117,17 +117,22 @@ def check_morphism(phi):
         raise ValueError("matrix shape does not match algebra dimensions")
     f = tgt.field
     n, m = src.dim, tgt.dim
-    (P,), p = _integral([phi.matrix.data])
+    rows = phi.matrix.entries
+    p = lcm(*(x.denominator for row in rows for x in row.values()))
+    P = [{l: x.numerator * (p // x.denominator) for l, x in row.items()}
+         for row in rows]
+    Pcols = [{a: row[l] for a, row in enumerate(P) if l in row}
+             for l in range(n)]
     S, s = _integral(src.structure)
     T, t = _integral(tgt.structure)
     unscale = f.inv(f.coerce(p * p * s * t))
     violations = []
     for i, j in product(range(n), repeat=2):
-        res = [p * t * sum(P[r][l] * S[i][j][l] for l in range(n))
+        res = [p * t * sum(x * S[i][j][l] for l, x in P[r].items())
                for r in range(m)]
-        for a, b in product(range(m), repeat=2):
-            c = s * P[a][i] * P[b][j]
-            if c:
+        for a, x in Pcols[i].items():
+            for b, y in Pcols[j].items():
+                c = s * x * y
                 for r in range(m):
                     res[r] -= c * T[a][b][r]
         if any(res) and any(map(f.coerce, res)):
@@ -171,7 +176,7 @@ class DifferentialLieAlgebra:
                 rhs = vec_add(f,
                               self.lie.bracket(d.column(i), self.lie.basis_vector(j)),
                               self.lie.bracket(self.lie.basis_vector(i), d.column(j)))
-                residual = vec_sub(f, lhs, rhs)
+                residual = [f.sub(a, b) for a, b in zip(lhs, rhs)]
                 if not vec_is_zero(f, residual):
                     violations.append(("derivation", (i, j), residual))
         return Verdict(not violations, violations)

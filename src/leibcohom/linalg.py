@@ -1,24 +1,48 @@
-"""Exact linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p, on sparse matrices.
 
-Everything downstream (boundary maps, invariant-cochain systems, cup
-products) is phrased as dense matrices over an exact field, stored as
-lists of ``fractions.Fraction`` or residues mod p.  Many of them are
-mostly zero (restriction powers are monomial, rho and coboundary
-matrices are sparse), so the kernels skip zeros: ``Matrix.mul`` walks
-the nonzero entries of each left row against the nonzero entries of the
-right rows they select, and ``kron`` and ``apply`` skip zero factors.
-``Matrix.rref`` is the only elimination kernel; it eliminates on sparse
-rows (dicts of the nonzero entries) and writes the dense result.  Ranks,
-kernels, solutions, span tests and image bases all come from it.  Bases
+Boundary maps, invariant-cochain systems and cup products are matrices
+over an exact field (``fractions.Fraction`` or residues mod p), and
+mostly zero.  A ``Matrix`` stores one {column: entry} dict of nonzero
+entries per row, a sparse vector is one such dict, and every kernel
+works on them.  ``Matrix.rref`` is the only elimination kernel.  Bases
 of subspaces come from ``kernel_basis`` in reduced-echelon form, so
-``free_coordinates`` reads a vector's coordinates off its entries at the
-free columns instead of eliminating again.  Field elements are falsy
-exactly when they are zero, and zero tests use that.
+``free_coordinates`` reads coordinates off the free columns instead of
+eliminating again.  Dense lists appear only at the edges: the dense
+constructor, ``data``, ``column``, ``apply`` and the ``solve`` family.
+Field elements are falsy exactly when they are zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+# Miller-Rabin with the first 13 primes as bases is exact below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin; exact for n < PRIME_TEST_BOUND."""
+    if n < 2:
+        return False
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RationalField:
@@ -69,10 +93,13 @@ class RationalField:
 
 
 class PrimeField:
-    """F_p for a prime p; elements are ints in [0, p)."""
+    """F_p for a prime p below PRIME_TEST_BOUND; elements are ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_TEST_BOUND:
+            raise ValueError(f"p has {p.bit_length()} bits; primes must be "
+                             f"below {PRIME_TEST_BOUND}")
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
@@ -127,23 +154,36 @@ def GF(p):
 
 
 class Matrix:
-    """Dense matrix over an exact field; immutable by convention."""
+    """Sparse matrix over an exact field; immutable by convention.
+
+    ``entries`` holds one {column: entry} dict per row, of the row's
+    nonzero entries only; ``__eq__`` and every kernel rely on that, and
+    matrices may share row dicts.  The constructor takes dense rows;
+    ``data`` is a dense copy, built on each access.
+    """
 
     def __init__(self, field, rows, cols, data):
-        assert len(data) == rows and all(len(r) == cols for r in data)
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError(f"dense rows do not make a {rows}x{cols} matrix")
+        self.field, self.rows, self.cols = field, rows, cols
+        self.entries = [sparse_vector(r) for r in data]
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def from_entries(cls, field, rows, cols, entries):
+        """From sparse rows of nonzero entries, which the matrix keeps."""
+        if len(entries) != rows:
+            raise ValueError(f"{len(entries)} sparse rows for {rows} rows")
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.entries = field, rows, cols, entries
+        return m
+
+    @classmethod
     def from_rows(cls, field, rows_of_entries):
-        rows = len(rows_of_entries)
-        cols = len(rows_of_entries[0]) if rows else 0
-        data = [[field.coerce(x) for x in r] for r in rows_of_entries]
-        return cls(field, rows, cols, data)
+        cols = len(rows_of_entries[0]) if rows_of_entries else 0
+        return cls(field, len(rows_of_entries), cols,
+                   [[field.coerce(x) for x in r] for r in rows_of_entries])
 
     @classmethod
     def from_columns(cls, field, columns, nrows=None):
@@ -151,116 +191,101 @@ class Matrix:
             if nrows is None:
                 raise ValueError("empty column list needs an explicit row count")
             return cls.zero(field, nrows, 0)
-        nrows = len(columns[0])
-        data = [[field.coerce(columns[j][i]) for j in range(len(columns))]
-                for i in range(nrows)]
-        return cls(field, nrows, len(columns), data)
+        return cls.from_rows(field, columns).transpose()
 
     @classmethod
     def zero(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls.from_entries(field, rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, [[o if i == j else z for j in range(n)]
-                                 for i in range(n)])
+        o = field.one()
+        return cls.from_entries(field, n, n, [{i: o} for i in range(n)])
 
     # -- basic ops -------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.entries == other.entries)
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
+    @property
+    def data(self):
+        return [dense_vector(self.field, row, self.cols) for row in self.entries]
+
     def is_zero(self):
-        return not any(any(row) for row in self.data)
+        return not any(self.entries)
 
     def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+        z = self.field.zero()
+        return [row.get(j, z) for row in self.entries]
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix.from_entries(self.field, self.cols, self.rows, out)
+
+    def _check(self, other, same_shape):
+        if self.field != other.field or not same_shape:
+            raise ValueError(f"incompatible matrices {self!r} and {other!r}")
 
     def sub(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        self._check(other, (self.rows, self.cols) == (other.rows, other.cols))
         f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        one, minus = f.one(), f.neg(f.one())
+        return Matrix.from_entries(f, self.rows, self.cols, [
+            combination(f, [(one, r1), (minus, r2)])
+            for r1, r2 in zip(self.entries, other.entries)])
 
     def mul(self, other):
-        """Product self * other, touching only nonzero entries.
-
-        Each output row accumulates, for every nonzero entry of the left
-        row, that entry times the nonzero entries of one right row; only
-        the right rows some left entry needs are scanned, once per call.
-        Field elements are falsy exactly when they are zero.
-        """
-        assert self.field == other.field
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
-                             f"{other.rows}x{other.cols}")
+        """Product self * other: each nonzero entry of a left row meets
+        the nonzero entries of one right row."""
+        self._check(other, self.cols == other.rows)
         f = self.field
-        z = f.zero()
-        sparse_rows = {}
+        add, mul = f.add, f.mul
+        right = other.entries
         out = []
-        for row in self.data:
-            acc = [z] * other.cols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                brow = sparse_rows.get(k)
-                if brow is None:
-                    brow = [(j, b) for j, b in enumerate(other.data[k]) if b]
-                    sparse_rows[k] = brow
-                for j, b in brow:
-                    acc[j] = f.add(acc[j], f.mul(a, b))
-            out.append(acc)
-        return Matrix(f, self.rows, other.cols, out)
+        for row in self.entries:
+            acc = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    c = mul(a, b)
+                    acc[j] = add(acc[j], c) if j in acc else c
+            out.append({j: x for j, x in acc.items() if x})
+        return Matrix.from_entries(f, self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix-vector product, vector as a plain list."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         f = self.field
-        z = f.zero()
-        support = [(k, b) for k, b in enumerate(vec) if b]
         out = []
-        for row in self.data:
-            acc = z
-            for k, b in support:
-                a = row[k]
-                if a:
+        for row in self.entries:
+            acc = f.zero()
+            for k, a in row.items():
+                b = vec[k]
+                if b:
                     acc = f.add(acc, f.mul(a, b))
             out.append(acc)
         return out
 
     def kron(self, other):
         """Kronecker product; index order matches lexicographic tensor words."""
-        f = self.field
-        zero_block = [f.zero()] * other.cols
-        data = []
-        for i1 in range(self.rows):
-            for i2 in range(other.rows):
-                row = []
-                for j1 in range(self.cols):
-                    a = self.data[i1][j1]
-                    if a:
-                        row.extend(f.mul(a, b) for b in other.data[i2])
-                    else:
-                        row.extend(zero_block)
-                data.append(row)
-        return Matrix(f, self.rows * other.rows, self.cols * other.cols, data)
+        mul = self.field.mul
+        w = other.cols
+        out = [{j1 * w + j2: mul(a, b) for j1, a in arow.items()
+                for j2, b in brow.items()}
+               for arow in self.entries for brow in other.entries]
+        return Matrix.from_entries(self.field, self.rows * other.rows,
+                                   self.cols * other.cols, out)
 
     @classmethod
     def vstack(cls, field, mats, cols=None):
@@ -270,46 +295,42 @@ class Matrix:
                 raise ValueError("empty vstack needs a column count")
             return cls.zero(field, 0, cols)
         cols = mats[0].cols
-        data = []
-        for m in mats:
-            assert m.cols == cols
-            data.extend([row[:] for row in m.data])
-        return cls(field, len(data), cols, data)
+        if any(m.field != field or m.cols != cols for m in mats):
+            raise ValueError(f"cannot stack {mats} over {field}")
+        entries = [row for m in mats for row in m.entries]
+        return cls.from_entries(field, len(entries), cols, entries)
 
     @classmethod
     def block_diag(cls, field, mats):
-        rows = sum(m.rows for m in mats)
-        cols = sum(m.cols for m in mats)
-        out = cls.zero(field, rows, cols)
-        r = c = 0
+        entries = []
+        c = 0
         for m in mats:
-            for i in range(m.rows):
-                out.data[r + i][c:c + m.cols] = m.data[i][:]
-            r += m.rows
+            entries.extend({c + j: x for j, x in row.items()}
+                           for row in m.entries)
             c += m.cols
-        return out
+        return cls.from_entries(field, len(entries), c, entries)
 
     # -- elimination -----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list).
 
-        Gauss-Jordan elimination on sparse rows, each a {column: entry}
-        dict of its nonzero entries.  Every input row in turn is cleared at
-        the pivot columns found so far (one pass: each pivot row is 0 at
-        the other pivot columns); what is left, scaled to 1 at its first
-        column, becomes a new pivot row, and that column is cleared from
-        the earlier pivot rows.  A pivot row never gains an entry left of
-        its pivot, so the pivot rows in pivot order are the unique RREF.
+        Gauss-Jordan elimination on copies of the sparse rows.  Every row
+        in turn is cleared at the pivot columns found so far (one pass:
+        each pivot row is 0 at the other pivot columns); what is left,
+        scaled to 1 at its first column, becomes a new pivot row, and that
+        column is cleared from the earlier pivot rows.  A pivot row never
+        gains an entry left of its pivot, so the pivot rows in pivot order
+        and then empty rows are the unique RREF.
         """
         f = self.field
-        z, one = f.zero(), f.one()
+        one = f.one()
         ncols = self.cols
         pivot_rows = {}                 # pivot column -> sparse pivot row
-        for dense in self.data:
+        for row in self.entries:
             if len(pivot_rows) == ncols:
                 break
-            row = {j: x for j, x in enumerate(dense) if x}
+            row = dict(row)
             for p in [j for j in row if j in pivot_rows]:
                 _subtract_multiple(f, row, row[p], pivot_rows[p])
             if not row:
@@ -325,25 +346,46 @@ class Matrix:
                     _subtract_multiple(f, prow, c, row)
             pivot_rows[pc] = row
         pivots = sorted(pivot_rows)
-        data = []
-        for pc in pivots:
-            dense = [z] * ncols
-            for j, x in pivot_rows[pc].items():
-                dense[j] = x
-            data.append(dense)
-        data.extend([z] * ncols for _ in range(self.rows - len(pivots)))
-        return Matrix(f, self.rows, ncols, data), pivots
+        entries = [pivot_rows[pc] for pc in pivots]
+        entries.extend({} for _ in range(self.rows - len(pivots)))
+        return Matrix.from_entries(f, self.rows, ncols, entries), pivots
 
 
 def _subtract_multiple(f, row, c, other):
     """row -= c * other on sparse rows, dropping the entries that cancel."""
-    z = f.zero()
+    sub, mul = f.sub, f.mul
+    minus_c = f.neg(c)
     for j, y in other.items():
-        x = f.sub(row.get(j, z), f.mul(c, y))
-        if x:
-            row[j] = x
+        if j in row:
+            x = sub(row[j], mul(c, y))
+            if x:
+                row[j] = x
+            else:
+                del row[j]
         else:
-            del row[j]
+            row[j] = mul(minus_c, y)
+
+
+def sparse_vector(v):
+    """The {index: entry} dict of a dense vector's nonzero entries."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def dense_vector(field, v, n):
+    """A sparse vector as a list of length n."""
+    out = [field.zero()] * n
+    for j, x in v.items():
+        out[j] = x
+    return out
+
+
+def combination(field, terms):
+    """Sum of c * v over the (coefficient, sparse vector) pairs in terms."""
+    out = {}
+    for c, v in terms:
+        if c:
+            _subtract_multiple(field, out, field.neg(c), v)
+    return out
 
 
 def rank(m):
@@ -352,76 +394,44 @@ def rank(m):
 
 
 def kernel_basis(m):
-    """Reduced-echelon basis of the null space, and its free columns.
-
-    Deterministic: one vector per free column, 1 there and 0 at the others.
+    """Reduced-echelon basis of the null space, and its free columns: one
+    sparse vector per free column, 1 there and 0 at the other free columns.
     """
     f = m.field
-    z, o = f.zero(), f.one()
+    one = f.one()
     red, pivots = m.rref()
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [z] * m.cols
-        v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.data[r][fc])
-        basis.append(v)
-    return basis, free
+    basis = {fc: {fc: one} for fc in free}
+    for pc, row in zip(pivots, red.entries):
+        for j, x in row.items():
+            if j != pc:             # a free column: the row is 0 at other pivots
+                basis[j][pc] = f.neg(x)
+    return [basis[fc] for fc in free], free
 
 
 def free_coordinates(field, basis, free, v):
-    """Coordinates of v in a basis from ``kernel_basis``, or None off its span.
-
-    They are v's entries at the free columns if their combination rebuilds v.
-    """
-    coords = [v[c] for c in free]
-    rebuilt = [field.zero()] * len(v)
-    for c, b in zip(coords, basis):
-        if c:
-            for i, x in enumerate(b):
-                if x:
-                    rebuilt[i] = field.add(rebuilt[i], field.mul(c, x))
-    return coords if rebuilt == list(v) else None
+    """Sparse coordinates of the sparse vector v in a basis from
+    ``kernel_basis``: v's entries at the free columns if their combination
+    rebuilds v, else None."""
+    coords = {i: v[c] for i, c in enumerate(free) if c in v}
+    rebuilt = combination(field, ((c, basis[i]) for i, c in coords.items()))
+    return coords if rebuilt == v else None
 
 
-def in_span(v, basis_vectors, field=None):
-    """Is v a linear combination of the given vectors?
-
-    Returns (True, coefficients) or (False, None).  The coefficients
-    reconstruct v exactly.
-    """
-    if field is None:
-        field = QQ
-    if basis_vectors:
-        n = len(basis_vectors[0])
-        if len(v) != n:
-            raise ValueError("dimension mismatch")
-        m = Matrix.from_columns(field, basis_vectors)
-    else:
-        n = len(v)
-        m = Matrix.zero(field, n, 0)
-    v = [field.coerce(x) for x in v]
-    coeffs = solve(m, v)
-    if coeffs is None:
-        return False, None
-    return True, coeffs
+def in_span(v, basis_vectors, field=QQ):
+    """(True, coefficients that rebuild v) if the list v is a combination
+    of the listed vectors, else (False, None)."""
+    if basis_vectors and len(v) != len(basis_vectors[0]):
+        raise ValueError("dimension mismatch")
+    coeffs = solve(Matrix.from_columns(field, basis_vectors, nrows=len(v)), v)
+    return coeffs is not None, coeffs
 
 
 def solve(m, target):
-    """One solution x of m x = target, or None if inconsistent."""
-    f = m.field
-    z = f.zero()
-    aug = Matrix(f, m.rows, m.cols + 1,
-                 [row[:] + [t] for row, t in zip(m.data, target)])
-    red, pivots = aug.rref()
-    if m.cols in pivots:
-        return None
-    x = [z] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][m.cols]
-    return x
+    """One solution x of m x = target, or None if inconsistent; lists."""
+    x = solve_matrix(m, Matrix.from_columns(m.field, [target]))
+    return None if x is None else x.column(0)
 
 
 def solve_matrix(m, b):
@@ -433,29 +443,20 @@ def solve_matrix(m, b):
     """
     if m.rows != b.rows:
         raise ValueError("dimension mismatch")
-    f = m.field
-    z = f.zero()
-    aug = Matrix(f, m.rows, m.cols + b.cols,
-                 [row + brow for row, brow in zip(m.data, b.data)])
-    red, pivots = aug.rref()
-    if pivots and pivots[-1] >= m.cols:
+    k = m.cols
+    aug = [{**row, **{k + j: x for j, x in brow.items()}}
+           for row, brow in zip(m.entries, b.entries)]
+    red, pivots = Matrix.from_entries(m.field, m.rows, k + b.cols, aug).rref()
+    if pivots and pivots[-1] >= k:
         return None
-    x = [[z] * b.cols for _ in range(m.cols)]
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][m.cols:]
-    return Matrix(f, m.cols, b.cols, x)
+    x = [{} for _ in range(k)]
+    for pc, row in zip(pivots, red.entries):
+        x[pc] = {j - k: y for j, y in row.items() if j >= k}
+    return Matrix.from_entries(m.field, k, b.cols, x)
 
 
 def vec_add(field, u, v):
     return [field.add(a, b) for a, b in zip(u, v)]
 
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
 def vec_is_zero(field, v):
     return not any(v)
-
-def unit_vector(field, n, i):
-    v = [field.zero()] * n
-    v[i] = field.one()
-    return v

@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .linalg import Matrix, free_coordinates, in_span
+from .linalg import (Matrix, combination, dense_vector, free_coordinates,
+                     solve_matrix)
 from .complexes import TensorSpace
 from .verdict import Verdict
 
@@ -124,15 +125,15 @@ class PermutationSum:
         return {w: c for w, c in out.items() if c != 0}
 
     def matrix(self, m, field):
-        """Dense matrix on TensorSpace(m, n) over the given field."""
+        """Matrix on TensorSpace(m, n) over the given field."""
         space = TensorSpace(m, self.n)
-        mat = Matrix.zero(field, space.dim, space.dim)
+        rows = [{} for _ in range(space.dim)]
         for col, word in enumerate(space.words()):
             for new, c in self.apply_word(word).items():
-                row = space.index(new)
-                mat.data[row][col] = field.add(mat.data[row][col],
-                                               field.coerce(c))
-        return mat
+                x = field.coerce(c)
+                if x:
+                    rows[space.index(new)][col] = x
+        return Matrix.from_entries(field, space.dim, space.dim, rows)
 
 
 def shuffle_sum(p, q):
@@ -289,7 +290,10 @@ def cup(c, d, setup, check_invariance=True):
         rho_mat = setup.rho_matrix(p, q, h)
         comps[H] = cup_component(c.components[H], d.components[H], mu, rho_mat)
     out = EquivariantCochain(p + q, comps)
-    assert setup.check_invariance(out).ok
+    verdict = setup.check_invariance(out)
+    if not verdict.ok:
+        raise AssertionError(f"cup product is not invariant; violated "
+                             f"constraint {verdict.violations[0][0]}")
     return out
 
 
@@ -309,20 +313,23 @@ def zinbiel_check_on_cohomology(a, b, c, setup):
                check_invariance=False)
     rhs2 = cup(a, cup(c, b, setup, check_invariance=False), setup,
                check_invariance=False)
-    sign = f.one() if (q * r) % 2 == 0 else f.neg(f.one())
-    w = [f.sub(f.sub(x, y), f.mul(sign, zz))
-         for x, y, zz in zip(lhs.to_ambient(setup), rhs1.to_ambient(setup),
-                             rhs2.to_ambient(setup))]
+    one = f.one()
+    minus = f.neg(one)
+    w = combination(f, [(one, lhs.to_sparse(setup)),
+                        (minus, rhs1.to_sparse(setup)),
+                        (minus if (q * r) % 2 == 0 else one,
+                         rhs2.to_sparse(setup))])
     n = p + q + r
     sn = setup.invariant_space(n)
-    coords = free_coordinates(f, sn.basis, sn.free, w)
+    coords = free_coordinates(f, sn.vectors, sn.free, w)
     if coords is None:
         raise AssertionError(f"zinbiel defect leaves S^{n}_G, witness {w}")
     delta = setup.equivariant_coboundary(n - 1)
-    ok, _ = in_span(coords, delta.columns(), field=f)
-    if ok:
+    target = Matrix.from_entries(f, 1, sn.dim, [coords]).transpose()
+    if solve_matrix(delta, target) is not None:
         return Verdict.passed()
-    return Verdict.failed([("defect_not_a_coboundary", w)])
+    return Verdict.failed([("defect_not_a_coboundary",
+                             dense_vector(f, w, sn.ambient_dim))])
 
 
 # -- free zinbiel algebra -------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -343,3 +344,28 @@ def test_validate_skips_action_when_group_fails(tmp_path, capsys):
     assert code == 2
     assert "group_axioms: violations" in out
     assert "action_axioms" not in out and "coefficient_system" not in out
+
+
+@pytest.mark.parametrize("p", ["1" + "0" * 400, "1000000000000000003", "7" * 5000],
+                         ids=["401-digit", "prime-1e18", "5000-digit"])
+def test_large_prime_is_a_quick_parse_error(tmp_path, capsys, p):
+    # a 401-digit p is beyond the prime test's exact range and a 5000-digit
+    # one beyond what json reads; the prime 10^18 + 3 is accepted at once,
+    # and there the missing algebra is the error
+    path = tmp_path / "problem.json"
+    path.write_text('{"field": {"type": "prime", "p": ' + p + '}}')
+    start = time.monotonic()
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert time.monotonic() - start < 5
+    assert code == 1 and out == ""
+    assert "parse error" in err and "Traceback" not in err
+
+
+def test_prime_field_near_1e18(tmp_path, capsys):
+    doc = {"field": {"type": "prime", "p": 10 ** 18 + 3},
+           "algebra": {"dim": 1, "brackets": []}}
+    code, out, _ = run(capsys, ["cohomology", write(tmp_path, doc),
+                                "--max-degree", "2"])
+    assert code == 0
+    assert strip_header(out).splitlines()[1:] == ["betti_0: 1", "betti_1: 1",
+                                                  "betti_2: 1"]

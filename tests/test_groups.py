@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import leibcohom as L
@@ -213,3 +218,35 @@ def test_restriction_rejects_invalid_triple():
     # g^e is not inside g^G, so there is no map G/G -> G/e
     with pytest.raises(AssertionError, match="invalid morphism triple"):
         restriction_map(action, (G, e, 0), fixed)
+
+
+OPTIMIZED_GUARDS = """
+import leibcohom as L
+from leibcohom.linalg import QQ, Matrix
+assert False, "asserts must be stripped here"
+try:
+    Matrix(QQ, 2, 2, [[1, 2]])
+except ValueError:
+    print("shape guard")
+alg = L.catalog("lambda6").algebra
+double = Matrix.from_rows(QQ, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+action = L.GroupAction(L.FiniteGroup.trivial(), alg, [double])
+e = frozenset({0})
+try:
+    L.restriction_map(action, (e, e, 0), {e: L.fixed_subalgebra(action, e)})
+except AssertionError as exc:
+    if "breaks the bracket" in str(exc):
+        print("morphism guard")
+"""
+
+
+def test_guards_survive_python_O():
+    # psi = 2 Id on lambda6 is linear but doubles brackets, so it is no
+    # algebra map; the guards must raise with asserts compiled away
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["shape guard", "morphism guard"]

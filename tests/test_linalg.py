@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 from leibcohom.complexes import image_basis
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
                               free_coordinates, solve, solve_matrix, vec_add,
-                              vec_is_zero)
+                              vec_is_zero, dense_vector, sparse_vector,
+                              is_prime, PRIME_TEST_BOUND)
 
 
 def qmat(rows):
     return Matrix.from_rows(QQ, rows)
+
+
+def dense(vectors, n):
+    return [dense_vector(QQ, v, n) for v in vectors]
 
 
 def test_rank_identity_and_zero():
@@ -30,7 +35,7 @@ def test_kernel_identity_empty():
 def test_kernel_zero_matrix():
     basis, free = kernel_basis(Matrix.zero(QQ, 2, 2))
     assert len(basis) == 2 and free == [0, 1]
-    assert rank(Matrix.from_columns(QQ, basis)) == 2
+    assert rank(Matrix.from_columns(QQ, dense(basis, 2))) == 2
 
 
 def test_kernel_one_equation():
@@ -68,6 +73,23 @@ def test_prime_field_arithmetic():
         GF(6)
 
 
+def test_is_prime_matches_sympy():
+    for n in range(10 ** 4):
+        assert is_prime(n) == sympy.isprime(n), n
+    near = [10 ** e + d for e in (18, 24) for d in range(-60, 61)]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    tricky = [3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in near + tricky + [PRIME_TEST_BOUND - 2]:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_prime_field_refuses_p_beyond_the_exact_range():
+    assert GF(10 ** 18 + 3).p == 10 ** 18 + 3
+    for p in (PRIME_TEST_BOUND, 10 ** 400 + 1):
+        with pytest.raises(ValueError, match="primes must be below"):
+            GF(p)
+
+
 small_entries = st.integers(min_value=-9, max_value=9)
 
 
@@ -90,7 +112,7 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
     basis, free = kernel_basis(m)
-    for i, v in enumerate(basis):
+    for i, v in enumerate(dense(basis, m.cols)):
         assert vec_is_zero(QQ, m.apply(v))
         # reduced echelon: 1 at its own free column, 0 at the others
         assert [v[c] for c in free] == [int(i == j) for j in range(len(free))]
@@ -101,24 +123,25 @@ def test_kernel_vectors_annihilate(m):
 def test_free_coordinates_match_solve(m, coeffs):
     basis, free = kernel_basis(m)
     coeffs = coeffs[:len(basis)]
-    inclusion = Matrix.from_columns(QQ, basis, nrows=m.cols)
+    inclusion = Matrix.from_columns(QQ, dense(basis, m.cols), nrows=m.cols)
     v = inclusion.apply([Fraction(c) for c in coeffs])
-    assert free_coordinates(QQ, basis, free, v) == solve(inclusion, v) == coeffs
+    coords = free_coordinates(QQ, basis, free, sparse_vector(v))
+    assert dense_vector(QQ, coords, len(basis)) == solve(inclusion, v) == coeffs
     # a nonzero row r of m is off its null space, since r . r > 0 over Q
     for r in m.data:
         if any(r):
             off = vec_add(QQ, v, r)
-            assert free_coordinates(QQ, basis, free, off) is None
+            assert free_coordinates(QQ, basis, free, sparse_vector(off)) is None
             assert solve(inclusion, off) is None
 
 
 def test_free_coordinates_outside_span():
     basis, free = kernel_basis(qmat([[1, 1, 0]]))
     assert free == [1, 2]
-    assert free_coordinates(QQ, basis, free, [-2, 2, 5]) == [2, 5]
-    assert free_coordinates(QQ, basis, free, [1, 2, 5]) is None
-    assert free_coordinates(QQ, [], [], [0, 0]) == []
-    assert free_coordinates(QQ, [], [], [0, 1]) is None
+    assert free_coordinates(QQ, basis, free, {0: -2, 1: 2, 2: 5}) == {0: 2, 1: 5}
+    assert free_coordinates(QQ, basis, free, {0: 1, 1: 2, 2: 5}) is None
+    assert free_coordinates(QQ, [], [], {}) == {}
+    assert free_coordinates(QQ, [], [], {1: 1}) is None
 
 
 @given(rational_matrices())
@@ -301,13 +324,14 @@ def textbook_rref(m):
 @given(rref_inputs())
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_sympy(m):
-    before = [row[:] for row in m.data]
+    before = [dict(row) for row in m.entries]
+    before_dense = m.data
     red, pivots = m.rref()
     expected, expected_pivots = to_sympy(m).rref()
     assert (red.field, red.rows, red.cols) == (QQ, m.rows, m.cols)
     assert to_sympy(red) == expected
     assert pivots == list(expected_pivots)
-    assert m.data == before
+    assert m.entries == before and m.data == before_dense
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -331,7 +355,7 @@ def test_image_basis_skips_dependent_leading_columns():
     m = qmat([[0, 1, 2, 0, 1, 5],
               [0, 2, 4, 1, 3, 0],
               [0, 0, 0, 0, 0, 1]])
-    assert image_basis(m) == [m.column(1), m.column(3), m.column(5)]
+    assert dense(image_basis(m), 3) == [m.column(1), m.column(3), m.column(5)]
     assert image_basis(Matrix.zero(QQ, 2, 3)) == []
 
 
@@ -343,4 +367,87 @@ def test_image_basis_is_greedy_in_column_order(m):
         with_col = Matrix.from_columns(QQ, chosen + [col], nrows=m.rows)
         if to_sympy(with_col).rank() > len(chosen):
             chosen.append(col)
-    assert image_basis(m) == chosen
+    assert dense(image_basis(m), m.rows) == chosen
+
+
+# -- canonical sparse rows ------------------------------------------------------
+
+CANONICAL_FIELDS = [QQ, GF(2), GF(5)]
+
+
+def field_entries(field):
+    if field == QQ:
+        return sparse_rationals
+    return st.one_of(st.just(0), st.integers(0, field.p - 1))
+
+
+def assert_canonical(m, expected):
+    """m stores no zero entry and no column out of range, and its dense
+    view is the sympy matrix expected."""
+    assert len(m.entries) == m.rows
+    for row in m.entries:
+        assert all(row.values())
+        assert all(0 <= j < m.cols for j in row)
+    assert to_sympy(m) == expected
+
+
+@pytest.mark.parametrize("field", CANONICAL_FIELDS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_constructor_and_kernel_returns_canonical_rows(field, data):
+    entries = field_entries(field)
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, a2 = (data.draw(sparse_matrices(r, k, entries, field)) for _ in range(2))
+    b = data.draw(sparse_matrices(k, c, entries, field))
+    A, A2, B = to_sympy(a), to_sympy(a2), to_sympy(b)
+
+    def reduce(s):
+        return s if field == QQ else s.applyfunc(lambda x: x % field.p)
+
+    kron = sympy.Matrix(r * k, k * c,
+                        lambda i, j: A[i // k, j // c] * B[i % k, j % c])
+    diag = sympy.Matrix(r + k, k + c, lambda i, j:
+                        A[i, j] if i < r and j < k else
+                        B[i - r, j - k] if i >= r and j >= k else 0)
+    if field == QQ:
+        rref = A.rref()[0]
+    else:
+        rref = sympy.Matrix(r, k, [x for row in textbook_rref(a)[0] for x in row])
+    cases = [
+        (Matrix.from_rows(field, a.data), A if r else sympy.zeros(0, 0)),
+        (Matrix.from_columns(field, a.columns(), nrows=r), A),
+        (Matrix.identity(field, c), sympy.eye(c)),
+        (a.mul(b), reduce(A * B)),
+        (a.kron(b), reduce(kron)),
+        (a.transpose(), A.T),
+        (a.sub(a2), reduce(A - A2)),
+        (a.sub(a), sympy.zeros(r, k)),
+        (Matrix.vstack(field, [a, a2]), sympy.Matrix.vstack(A, A2)),
+        (Matrix.block_diag(field, [a, b]), diag),
+        (a.rref()[0], rref),
+    ]
+    for m, expected in cases:
+        assert_canonical(m, expected)
+
+
+@given(rational_matrices(), st.lists(small_entries, min_size=5, max_size=5),
+       st.integers(0, 4), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_free_coordinates_rejects_a_change_at_a_pivot_column(m, coeffs, p, bump):
+    # v and v + bump e_p agree at every free column, so only the rebuild
+    # of v from its free-column entries tells them apart
+    _, pivots = m.rref()
+    if not pivots:
+        return
+    basis, free = kernel_basis(m)
+    v = {}
+    for c, b in zip(coeffs, basis):
+        for i, x in b.items():
+            v[i] = v.get(i, 0) + c * x
+    v = {i: Fraction(x) for i, x in v.items() if x}
+    assert free_coordinates(QQ, basis, free, v) is not None
+    pc = pivots[p % len(pivots)]
+    off = dict(v)
+    off[pc] = off.get(pc, 0) + bump
+    off = {i: x for i, x in off.items() if x}
+    assert free_coordinates(QQ, basis, free, off) is None

@@ -143,11 +143,10 @@ def test_rho_identity_matches_dense_matrices():
     second = mat((tau_sum(r, q) * rho_sum(r, q)).embed(n, p))
     sign = f.coerce((-1) ** (r * q))
     first = mat(rho_sum(q, r).embed(n, p))
-    rhs_sum = Matrix.zero(f, m ** n, m ** n)
-    for i in range(m ** n):
-        for j in range(m ** n):
-            rhs_sum.data[i][j] = f.add(first.data[i][j],
-                                       f.mul(sign, second.data[i][j]))
+    first_rows, second_rows = first.data, second.data
+    rhs_sum = Matrix(f, m ** n, m ** n,
+                     [[f.add(first_rows[i][j], f.mul(sign, second_rows[i][j]))
+                       for j in range(m ** n)] for i in range(m ** n)])
     rhs = rhs_sum.mul(mat(rho_sum(p, q + r)))
     assert lhs == rhs
 
