@@ -13,13 +13,12 @@ from .complexes import (TensorSpace, BoundaryOperator, CoefficientAlgebra,
 from .equivariant import (CoefficientSystem, EquivariantCochain,
                           EquivariantSetup, constant_coefficients,
                           coset_function_coefficients,
-                          check_coefficient_system, invariant_cochain_basis,
-                          equivariant_cohomology)
-from .shuffles import (shuffles, shuffle_sum, tilde, rho, tau, rho_sum,
-                       tau_sum, PermutationSum, TensorEndomorphism,
-                       check_rho_identity, cup, cup_nonequivariant,
-                       zinbiel_check_on_cohomology, FreeZinbielElement,
-                       free_zinbiel_product, check_zinbiel_axiom)
+                          check_coefficient_system)
+from .shuffles import (shuffles, shuffle_sum, tilde, rho_sum, tau_sum,
+                       PermutationSum, check_rho_identity, cup,
+                       cup_nonequivariant, zinbiel_check_on_cohomology,
+                       FreeZinbielElement, free_zinbiel_product,
+                       check_zinbiel_axiom)
 from .catalog import catalog, CatalogEntry
 
 __version__ = "0.1.0"

@@ -169,6 +169,7 @@ class EquivariantSetup:
                              for m in category.morphisms}
         self._spaces = {}
         self._coboundaries = {}
+        self._images = {}
         self._ambient_deltas = {}
         self._restriction_powers = {}
         self._rho_matrices = {}
@@ -268,6 +269,15 @@ class EquivariantSetup:
         self._coboundaries[n] = X
         return X
 
+    def coboundary_image(self, n):
+        """Reduced-echelon basis of the image of delta: S^{n-1}_G -> S^n_G
+        for n >= 1, as sparse rows in invariant coordinates, and its pivot
+        columns."""
+        if n not in self._images:
+            red, pivots = self.equivariant_coboundary(n - 1).transpose().rref()
+            self._images[n] = (red.entries[:len(pivots)], pivots)
+        return self._images[n]
+
     def check_invariance(self, cochain):
         """Residuals of all invariance constraints for a cochain family."""
         n = cochain.degree
@@ -305,11 +315,3 @@ class EquivariantSetup:
         return EquivariantCochain.from_sparse(
             self, n, self.invariant_to_ambient(n, coords))
 
-
-def invariant_cochain_basis(action, category, coefficients, n):
-    """Basis of S^n_G; convenience wrapper over EquivariantSetup."""
-    return EquivariantSetup(action, category, coefficients).invariant_space(n)
-
-
-def equivariant_cohomology(action, category, coefficients, n):
-    return EquivariantSetup(action, category, coefficients).cohomology(n)

@@ -17,7 +17,8 @@ from .verdict import Verdict
 class FiniteGroup:
     def __init__(self, table):
         n = len(table)
-        assert all(len(row) == n for row in table)
+        if any(len(row) != n for row in table):
+            raise ValueError(f"a group table of {n} rows must be {n}x{n}")
         self.order = n
         self.table = [list(row) for row in table]
         self.inverse = [None] * n
@@ -61,7 +62,8 @@ class FiniteGroup:
     def symmetric(cls, n):
         """S_n as a multiplication table; identity permutation is element 0."""
         elems = sorted(permutations(range(n)))
-        assert elems[0] == tuple(range(n))
+        if elems[0] != tuple(range(n)):
+            raise AssertionError("element 0 of S_n is not the identity")
         idx = {p: i for i, p in enumerate(elems)}
         # product = apply right first, then left
         table = [[idx[tuple(p[q[i]] for i in range(n))] for q in elems]
@@ -140,11 +142,13 @@ class OrbitCategory:
         """Composite of m1: G/H -> G/K and m2: G/K -> G/L, as a stored triple."""
         H1, K1, g1 = m1
         K2, L2, g2 = m2
-        assert K1 == K2
+        if K1 != K2:
+            raise AssertionError(f"cannot compose {m1} with {m2}")
         g = self.group.mul(g1, g2)
         coset = frozenset(self.group.mul(g, l) for l in L2)
         triple = (H1, L2, min(coset))
-        assert triple in self._morph_set
+        if triple not in self._morph_set:
+            raise AssertionError(f"composite {triple} is not a stored morphism")
         return triple
 
 
@@ -156,7 +160,9 @@ class GroupAction:
     """Action of a finite group on a Leibniz algebra by one matrix per element."""
 
     def __init__(self, group, algebra, matrices):
-        assert len(matrices) == group.order
+        if len(matrices) != group.order:
+            raise ValueError(f"{len(matrices)} matrices for a group of "
+                             f"order {group.order}")
         self.group = group
         self.algebra = algebra
         self.matrices = matrices

@@ -21,7 +21,8 @@ class LeibnizAlgebra:
     """
 
     def __init__(self, field, dim, structure):
-        assert len(structure) == dim and all(len(row) == dim for row in structure)
+        if len(structure) != dim or any(len(row) != dim for row in structure):
+            raise ValueError(f"structure constants must be {dim}x{dim}")
         self.field = field
         self.dim = dim
         self.structure = [[[field.coerce(x) for x in structure[i][j]]
@@ -100,7 +101,8 @@ class AlgebraMorphism:
 
     def compose(self, other):
         """self after other (other.target must be self.source)."""
-        assert other.target is self.source or other.target.dim == self.source.dim
+        if other.target.dim != self.source.dim:
+            raise ValueError("cannot compose morphisms of mismatched dimensions")
         return AlgebraMorphism(other.source, self.target,
                                self.matrix.mul(other.matrix))
 

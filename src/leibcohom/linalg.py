@@ -4,17 +4,21 @@ Boundary maps, invariant-cochain systems and cup products are matrices
 over an exact field (``fractions.Fraction`` or residues mod p), and
 mostly zero.  A ``Matrix`` stores one {column: entry} dict of nonzero
 entries per row, a sparse vector is one such dict, and every kernel
-works on them.  ``Matrix.rref`` is the only elimination kernel.  Bases
-of subspaces come from ``kernel_basis`` in reduced-echelon form, so
-``free_coordinates`` reads coordinates off the free columns instead of
-eliminating again.  Dense lists appear only at the edges: the dense
-constructor, ``data``, ``column``, ``apply`` and the ``solve`` family.
-Field elements are falsy exactly when they are zero.
+works on them.  ``Matrix.rref`` is the only elimination kernel.  Its
+inner loop runs on Python ints: over Q fraction-free on rows cleared of
+denominators, over F_p on plain residues; each pivot row becomes field
+elements again only once, at exit.  Bases of subspaces come from
+``kernel_basis`` in reduced-echelon form, so ``free_coordinates`` reads
+coordinates off the free columns instead of eliminating again.  Dense
+lists appear only at the edges: the dense constructor, ``data``,
+``column``, ``apply`` and the ``solve`` family.  Field elements are
+falsy exactly when they are zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # Miller-Rabin with the first 13 primes as bases is exact below this
 # bound (Sorenson and Webster, Math. Comp. 86, 2017)
@@ -49,6 +53,7 @@ class RationalField:
     """The field Q, with elements represented as ``Fraction``."""
 
     name = "QQ"
+    characteristic = 0
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -82,6 +87,33 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
+    # how a sparse row enters, is kept in and leaves ``Matrix.rref``
+
+    def to_ints(self, row):
+        """The row times the lcm of its denominators, as ints."""
+        s = lcm(*[x.denominator for x in row.values()])
+        if s == 1:
+            return {j: x.numerator for j, x in row.items()}
+        return {j: x.numerator * (s // x.denominator) for j, x in row.items()}
+
+    def normalise(self, row):
+        """An int row divided by the gcd of its entries and signed so that
+        its first entry is positive."""
+        if row:
+            g = gcd(*row.values())
+            if row[min(row)] < 0:
+                g = -g
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+        return row
+
+    def from_ints(self, row, pc):
+        """A normalised int row divided by its entry at column pc."""
+        d = row[pc]
+        if d == 1:
+            return {j: Fraction(x) for j, x in row.items()}
+        return {j: Fraction(x, d) for j, x in row.items()}
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -101,7 +133,7 @@ class PrimeField:
                              f"below {PRIME_TEST_BOUND}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.name = f"GF({p})"
 
     def coerce(self, x):
@@ -135,6 +167,26 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
+
+    # how a sparse row enters, is kept in and leaves ``Matrix.rref``
+
+    def to_ints(self, row):
+        """A copy of the row; residues are ints already."""
+        return dict(row)
+
+    def normalise(self, row):
+        """A row of residues scaled so that its first entry is 1."""
+        p = self.p
+        if row:
+            lead = row[min(row)]
+            if lead != 1:
+                inv = pow(lead, p - 2, p)
+                row = {j: x * inv % p for j, x in row.items()}
+        return row
+
+    def from_ints(self, row, pc):
+        """A monic row of residues is already in the field."""
+        return row
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -315,55 +367,76 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list).
 
-        Gauss-Jordan elimination on copies of the sparse rows.  Every row
-        in turn is cleared at the pivot columns found so far (one pass:
-        each pivot row is 0 at the other pivot columns); what is left,
-        scaled to 1 at its first column, becomes a new pivot row, and that
-        column is cleared from the earlier pivot rows.  A pivot row never
-        gains an entry left of its pivot, so the pivot rows in pivot order
-        and then empty rows are the unique RREF.
+        Gauss-Jordan elimination in Python ints.  The field says how a row
+        enters (``to_ints``: over Q, times the lcm of its denominators; over
+        F_p, its residues), how it is kept (``normalise``: over Q,
+        primitive with a positive lead; over F_p, monic) and how it leaves
+        (``from_ints``).  Entries are reduced mod the characteristic
+        inline, so over Q they are never reduced.
+
+        Each row in turn is cleared at the pivot columns found so far, all
+        at once: scaled by the lcm s of those columns' leads d, it loses
+        (s x_j / d) times the pivot row of each column j it meets.  One
+        pass suffices, since each pivot row is 0 at the other pivot
+        columns.  What is left, normalised, becomes a new pivot row with
+        lead d at its first column, and that column is cleared
+        fraction-free from the earlier pivot rows: prow <- (d/g) prow -
+        (c/g) row for g = gcd(c, d), normalised again.  A pivot row never
+        gains an entry left of its pivot, so the pivot rows in pivot
+        order, each divided by its lead at exit (the one conversion back
+        to field elements), and then empty rows are the unique RREF.
         """
         f = self.field
-        one = f.one()
+        mod = f.characteristic
+        normalise = f.normalise
         ncols = self.cols
-        pivot_rows = {}                 # pivot column -> sparse pivot row
+        pivot_rows = {}             # pivot column -> normalised int row
         for row in self.entries:
+            if not row:
+                continue
             if len(pivot_rows) == ncols:
                 break
-            row = dict(row)
-            for p in [j for j in row if j in pivot_rows]:
-                _subtract_multiple(f, row, row[p], pivot_rows[p])
+            hits = [j for j in row if j in pivot_rows]
+            row = f.to_ints(row)
+            if hits:
+                leads = [pivot_rows[j][j] for j in hits]
+                s = lcm(*leads)
+                if s != 1:
+                    row = {k: s * x for k, x in row.items()}
+                for j, d in zip(hits, leads):
+                    _eliminate(row, row[j] // d, pivot_rows[j], mod)
+            row = normalise(row)
             if not row:
                 continue
             pc = min(row)
-            lead = row[pc]
-            if lead != one:
-                inv = f.inv(lead)
-                row = {j: f.mul(inv, x) for j, x in row.items()}
-            for prow in pivot_rows.values():
+            d = row[pc]
+            for q, prow in pivot_rows.items():
                 c = prow.get(pc)
                 if c:
-                    _subtract_multiple(f, prow, c, row)
+                    g = gcd(c, d)
+                    s = d // g
+                    if s != 1:
+                        prow = {k: s * x for k, x in prow.items()}
+                    _eliminate(prow, c // g, row, mod)
+                    pivot_rows[q] = normalise(prow)
             pivot_rows[pc] = row
         pivots = sorted(pivot_rows)
-        entries = [pivot_rows[pc] for pc in pivots]
+        entries = [f.from_ints(pivot_rows[pc], pc) for pc in pivots]
         entries.extend({} for _ in range(self.rows - len(pivots)))
         return Matrix.from_entries(f, self.rows, ncols, entries), pivots
 
 
-def _subtract_multiple(f, row, c, other):
-    """row -= c * other on sparse rows, dropping the entries that cancel."""
-    sub, mul = f.sub, f.mul
-    minus_c = f.neg(c)
-    for j, y in other.items():
-        if j in row:
-            x = sub(row[j], mul(c, y))
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+def _eliminate(row, c, other, mod):
+    """row -= c * other on int rows, reduced mod ``mod`` unless it is 0;
+    entries that cancel are dropped."""
+    for k, y in other.items():
+        x = row[k] - c * y if k in row else -c * y
+        if mod:
+            x %= mod
+        if x:
+            row[k] = x
         else:
-            row[j] = mul(minus_c, y)
+            del row[k]
 
 
 def sparse_vector(v):
@@ -381,10 +454,20 @@ def dense_vector(field, v, n):
 
 def combination(field, terms):
     """Sum of c * v over the (coefficient, sparse vector) pairs in terms."""
+    add, mul = field.add, field.mul
     out = {}
     for c, v in terms:
-        if c:
-            _subtract_multiple(field, out, field.neg(c), v)
+        if not c:
+            continue
+        for j, y in v.items():
+            if j in out:
+                x = add(out[j], mul(c, y))
+                if x:
+                    out[j] = x
+                else:
+                    del out[j]
+            else:
+                out[j] = mul(c, y)
     return out
 
 
@@ -411,9 +494,11 @@ def kernel_basis(m):
 
 
 def free_coordinates(field, basis, free, v):
-    """Sparse coordinates of the sparse vector v in a basis from
-    ``kernel_basis``: v's entries at the free columns if their combination
-    rebuilds v, else None."""
+    """Sparse coordinates of the sparse vector v in a basis whose vector i
+    is 1 at column free[i] and 0 at the other listed columns (a basis from
+    ``kernel_basis``, or the nonzero rows of an RREF with their pivots):
+    v's entries at those columns if their combination rebuilds v, else
+    None."""
     coords = {i: v[c] for i, c in enumerate(free) if c in v}
     rebuilt = combination(field, ((c, basis[i]) for i, c in coords.items()))
     return coords if rebuilt == v else None

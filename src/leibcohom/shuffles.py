@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .linalg import (Matrix, combination, dense_vector, free_coordinates,
-                     solve_matrix)
+from .linalg import Matrix, combination, dense_vector, free_coordinates
 from .complexes import TensorSpace
 from .verdict import Verdict
 
@@ -77,8 +76,12 @@ class PermutationSum:
         return (isinstance(other, PermutationSum)
                 and self.n == other.n and self.terms == other.terms)
 
+    def _check(self, other):
+        if self.n != other.n:
+            raise ValueError(f"elements of S_{self.n} and S_{other.n}")
+
     def __add__(self, other):
-        assert self.n == other.n
+        self._check(other)
         out = dict(self.terms)
         for sigma, c in other.terms.items():
             out[sigma] = out.get(sigma, Fraction(0)) + c
@@ -92,7 +95,7 @@ class PermutationSum:
 
     def __mul__(self, other):
         """Group-algebra product; matches composition of tensor operators."""
-        assert self.n == other.n
+        self._check(other)
         out = {}
         for s, cs in self.terms.items():
             for t, ct in other.terms.items():
@@ -102,7 +105,8 @@ class PermutationSum:
 
     def embed(self, n_total, offset=0):
         """View each permutation as acting on slots offset+1..offset+n."""
-        assert offset + self.n <= n_total
+        if offset + self.n > n_total:
+            raise ValueError(f"S_{self.n} at offset {offset} exceeds S_{n_total}")
         out = {}
         for sigma, c in self.terms.items():
             big = list(range(1, n_total + 1))
@@ -114,7 +118,8 @@ class PermutationSum:
     def apply_word(self, word):
         """Image of a basis word: dict word -> coefficient."""
         n = self.n
-        assert len(word) == n
+        if len(word) != n:
+            raise ValueError(f"a word of length {len(word)} for S_{n}")
         out = {}
         for sigma, c in self.terms.items():
             new = [None] * n
@@ -172,37 +177,15 @@ def tau_sum(p, q):
     return PermutationSum.single(tau_perm(p, q))
 
 
-class TensorEndomorphism:
-    """A permutation-sum operator realized on words over an m-letter alphabet."""
-
-    def __init__(self, perm_sum, m):
-        self.perm_sum = perm_sum
-        self.m = m
-        self.degree = perm_sum.n
-
-    def matrix(self, field):
-        return self.perm_sum.matrix(self.m, field)
-
-    def apply_word(self, word):
-        return self.perm_sum.apply_word(word)
-
-
-def rho(p, q, m):
-    return TensorEndomorphism(rho_sum(p, q), m)
-
-
-def tau(p, q, m):
-    return TensorEndomorphism(tau_sum(p, q), m)
-
-
 def rho_explicit_word(p, q, word):
     """The signed-sum formula for rho_{p,q} applied to one basis word.
 
     sum over (p-1,q)-shuffles sigma of sgn(sigma) x_1 x_{sigma(2)} ...
     x_{sigma(p+q)}, with sigma relabeled to act on positions 2..p+q.
-    Independent cross-check of rho().
+    Independent cross-check of rho_sum().
     """
-    assert len(word) == p + q
+    if len(word) != p + q:
+        raise ValueError(f"a word of length {len(word)} for rho_{{{p},{q}}}")
     out = {}
     for sigma in shuffles(p - 1, q):
         sign = perm_sign(sigma)
@@ -302,8 +285,9 @@ def zinbiel_check_on_cohomology(a, b, c, setup):
 
     a, b, c are EquivariantCochain cocycle representatives of degrees
     p, q, r.  The cochain-level defect, in coordinates of S^{p+q+r}_G, is
-    tested for membership in the span of the columns of the equivariant
-    coboundary from degree p+q+r-1.
+    reduced against the setup's reduced-echelon basis of the image of the
+    equivariant coboundary from degree p+q+r-1; it is a coboundary when
+    its entries at the pivot columns rebuild it.
     """
     p, q, r = a.degree, b.degree, c.degree
     f = setup.field
@@ -324,9 +308,8 @@ def zinbiel_check_on_cohomology(a, b, c, setup):
     coords = free_coordinates(f, sn.vectors, sn.free, w)
     if coords is None:
         raise AssertionError(f"zinbiel defect leaves S^{n}_G, witness {w}")
-    delta = setup.equivariant_coboundary(n - 1)
-    target = Matrix.from_entries(f, 1, sn.dim, [coords]).transpose()
-    if solve_matrix(delta, target) is not None:
+    image, pivots = setup.coboundary_image(n)
+    if free_coordinates(f, image, pivots, coords) is not None:
         return Verdict.passed()
     return Verdict.failed([("defect_not_a_coboundary",
                              dense_vector(f, w, sn.ambient_dim))])

@@ -1,9 +1,10 @@
 from itertools import product
 
 import pytest
+import sympy
 
 import leibcohom as L
-from leibcohom.linalg import QQ, GF, Matrix, vec_is_zero
+from leibcohom.linalg import QQ, GF, Matrix, dense_vector, vec_is_zero
 from leibcohom.equivariant import (constant_coefficients,
                                    coset_function_coefficients,
                                    check_coefficient_system,
@@ -194,14 +195,27 @@ def test_coset_invariance_lemma():
             assert setup.check_invariance(c).ok
 
 
-def test_wrapper_functions(lambda6_z2_setup):
+def test_fresh_setup_degree_two(lambda6_z2_setup):
     setup = lambda6_z2_setup
-    space = L.invariant_cochain_basis(setup.action, setup.category,
-                                      setup.coefficients, 2)
-    assert space.dim == 5
-    res = L.equivariant_cohomology(setup.action, setup.category,
-                                   setup.coefficients, 2)
-    assert res.betti == 1
+    fresh = L.EquivariantSetup(setup.action, setup.category, setup.coefficients)
+    assert fresh.invariant_space(2).dim == 5
+    assert fresh.cohomology(2).betti == 1
+
+
+def test_coboundary_image_is_the_rref_of_the_coboundary_columns(
+        lambda6_z2_setup):
+    setup = lambda6_z2_setup
+    for n in range(1, 4):
+        rows, pivots = setup.coboundary_image(n)
+        assert setup.coboundary_image(n) is setup.coboundary_image(n)
+        delta_t = setup.equivariant_coboundary(n - 1).transpose()
+        expected, expected_pivots = sympy.Matrix(
+            delta_t.rows, delta_t.cols,
+            [sympy.Rational(x.numerator, x.denominator)
+             for row in delta_t.data for x in row]).rref()
+        assert pivots == list(expected_pivots)
+        assert [dense_vector(QQ, r, delta_t.cols) for r in rows] == \
+            expected.tolist()[:len(pivots)]
 
 
 def test_delta_image_outside_invariants_rejected():

@@ -237,6 +237,16 @@ try:
 except AssertionError as exc:
     if "breaks the bracket" in str(exc):
         print("morphism guard")
+try:
+    L.FiniteGroup([[0, 1], [1]])
+except ValueError:
+    print("group shape guard")
+G = frozenset({0, 1})
+try:
+    L.orbit_category(L.FiniteGroup.cyclic(2)).compose((e, G, 0), (e, G, 0))
+except AssertionError as exc:
+    if "cannot compose" in str(exc):
+        print("composite guard")
 """
 
 
@@ -249,4 +259,6 @@ def test_guards_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["shape guard", "morphism guard"]
+    assert done.stdout.split("\n")[:4] == ["shape guard", "morphism guard",
+                                           "group shape guard",
+                                           "composite guard"]

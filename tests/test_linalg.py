@@ -334,14 +334,18 @@ def test_rref_matches_sympy(m):
     assert m.entries == before and m.data == before_dense
 
 
-@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 10 ** 18 + 3])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_rref_matches_textbook_over_prime_fields(p, data):
     f = GF(p)
     m = data.draw(rref_inputs(f, st.one_of(st.just(0), st.integers(0, p - 1))))
+    before = [dict(row) for row in m.entries]
     red, pivots = m.rref()
     assert (red.data, pivots) == textbook_rref(m)
+    assert all(type(x) is int and 0 < x < p
+               for row in red.entries for x in row.values())
+    assert m.entries == before
 
 
 def test_rref_empty_shapes():
@@ -451,3 +455,64 @@ def test_free_coordinates_rejects_a_change_at_a_pivot_column(m, coeffs, p, bump)
     off[pc] = off.get(pc, 0) + bump
     off = {i: x for i, x in off.items() if x}
     assert free_coordinates(QQ, basis, free, off) is None
+
+
+# -- the integer elimination kernel ---------------------------------------------
+
+big_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)))
+
+
+def assert_rref_matches_sympy(m):
+    before = [dict(row) for row in m.entries]
+    red, pivots = m.rref()
+    expected, expected_pivots = to_sympy(m).rref()
+    assert to_sympy(red) == expected
+    assert pivots == list(expected_pivots)
+    assert all(type(x) is Fraction for row in red.entries for x in row.values())
+    assert m.entries == before
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rref_matches_sympy_on_large_rationals(data):
+    r, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    m = data.draw(sparse_matrices(r, c, big_rationals))
+    # a row repeated at a large scale keeps the rank below the row count
+    extra = data.draw(st.builds(Fraction, st.integers(1, 10 ** 9),
+                                st.integers(1, 10 ** 6)))
+    rows = m.data + [[extra * x for x in m.data[0]]]
+    assert_rref_matches_sympy(Matrix(QQ, r + 1, c, rows))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_rref_of_scaled_hilbert_blocks(n):
+    # [H | K] for H_ij = 1/(i+j+1), which is invertible, has RREF
+    # [I | H^-1 K]; K_ij = 1/(i+2j+1) makes H^-1 K far from integral.
+    # Rows are scaled by large rationals, and one is repeated
+    scales = [Fraction(10 ** 9 - 7 * i, 10 ** 6 + i) for i in range(n)]
+    rows = [[s * Fraction(1, i + j + 1) for j in range(n)]
+            + [s * Fraction(1, i + 2 * j + 1) for j in range(n)]
+            for i, s in enumerate(scales)]
+    m = Matrix.from_rows(QQ, rows + [rows[0]])
+    assert_rref_matches_sympy(m)
+    assert rank(m) == n
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rref_is_unchanged_by_a_dense_unimodular_rebasing(data):
+    # P D for an integer P of determinant 1 has the row space of D, hence
+    # the same RREF, but its rows are dense
+    r, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    d = data.draw(sparse_matrices(r, c))
+    p = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(data.draw(st.integers(r, 4 * r))):
+        i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+        if i != j:
+            k = data.draw(st.integers(-50, 50))
+            p[i] = [x + k * y for x, y in zip(p[i], p[j])]
+    pd = Matrix.from_rows(QQ, p).mul(d)
+    assert_rref_matches_sympy(pd)
+    assert pd.rref() == d.rref()

@@ -12,7 +12,7 @@ from leibcohom.complexes import (CoefficientAlgebra, boundary_matrix,
 from leibcohom.shuffles import (perm_identity, perm_inverse, perm_compose,
                                 perm_sign, shuffles, PermutationSum,
                                 shuffle_sum, tilde, rho_sum, tau_perm,
-                                tau_sum, rho, tau, rho_explicit_word,
+                                tau_sum, rho_explicit_word,
                                 check_rho_identity, cup_nonequivariant, cup,
                                 zinbiel_check_on_cohomology,
                                 FreeZinbielElement, free_zinbiel_product,
@@ -103,7 +103,7 @@ def test_rho_matches_explicit_formula():
 
 def test_rho_matrix_agrees_with_word_action():
     p, q, m = 2, 2, 2
-    mat = rho(p, q, m).matrix(QQ)
+    mat = rho_sum(p, q).matrix(m, QQ)
     space = TensorSpace(m, p + q)
     words = list(space.words())
     for col, w in enumerate(words):
@@ -292,6 +292,34 @@ def test_zinbiel_relation_on_abelian():
         for b in reps:
             for c in reps:
                 assert zinbiel_check_on_cohomology(a, b, c, setup).ok
+
+
+def test_zinbiel_check_fails_with_a_nonassociative_coefficient_product():
+    # unit u, x x = y, x y = x, y x = 0, so (x x) x = 0 but x (x x) = x.
+    # With the trivial group on abelian_2, delta is 0, so the defect of
+    # a = b = x e^1, c = x e^2 on the word (e1, e1, e2) is no coboundary
+    alg = L.LeibnizAlgebra.zero_bracket(QQ, 2)
+    group = L.FiniteGroup.trivial()
+    category = L.orbit_category(group)
+    mu = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+          [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]
+    algebras = {H: CoefficientAlgebra(QQ, 3, mu, [1, 0, 0])
+                for H in category.subgroups}
+    maps = {m: Matrix.identity(QQ, 3) for m in category.morphisms}
+    setup = L.EquivariantSetup(
+        L.GroupAction(group, alg, [Matrix.identity(QQ, 2)]), category,
+        L.CoefficientSystem(category, QQ, algebras, maps))
+    H, = category.subgroups
+
+    def x_at(j):
+        return EquivariantCochain(1, {H: Matrix.from_rows(
+            QQ, [[0, 0], [int(j == 0), int(j == 1)], [0, 0]])})
+
+    verdict = zinbiel_check_on_cohomology(x_at(0), x_at(0), x_at(1), setup)
+    assert not verdict.ok
+    kind, witness = verdict.violations[0]
+    assert kind == "defect_not_a_coboundary" and not vec_is_zero(QQ, witness)
 
 
 # -- free zinbiel algebra -------------------------------------------------
