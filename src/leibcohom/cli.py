@@ -1,6 +1,7 @@
 """Command-line front end: problem files in, deterministic reports out.
 
-Exit codes: 0 success, 1 parse failure, 2 validation/check failure.
+Exit codes: 0 success, 1 parse failure, 2 validation/check failure or a
+degree over the size budget (``COCHAIN_BUDGET``).
 Reports are plain text; --json emits a JSON document instead.  The only
 non-deterministic content (timestamp, runtime) is isolated to one header
 line (one "timestamp" key in JSON).
@@ -9,6 +10,7 @@ line (one "timestamp" key in JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -18,7 +20,7 @@ from fractions import Fraction
 from .linalg import QQ, GF, Matrix
 from .leibniz import LeibnizAlgebra, check_leibniz_identity
 from .groups import FiniteGroup, GroupAction, orbit_category, validate_action
-from .complexes import CoefficientAlgebra, cohomology, homology
+from .complexes import CoefficientAlgebra, betti_numbers
 from .equivariant import (CoefficientSystem, EquivariantSetup,
                           constant_coefficients, coset_function_coefficients,
                           check_coefficient_system)
@@ -32,6 +34,37 @@ class ProblemParseError(Exception):
 
 class ProblemValidationError(Exception):
     pass
+
+
+class ProblemSizeError(Exception):
+    pass
+
+
+# The size budget: the cochain spaces of degrees 0..n that a command may
+# build, each counted as at least 1, add up to at most this dimension; n is
+# the highest degree the command reaches (N+1 for cohomology and homology
+# up to N, p+q for cup, p+q+r for zinbiel-check).  A cochain space has
+# dimension m^n on the plain paths and EquivariantSetup.ambient_dim(n) on
+# the equivariant ones.  Over the budget a command exits 2 before it builds
+# any cochain matrix.  Plain cohomology of the 3-dimensional lambda6 up to
+# degree 8 (3^9 cochains on top, 29524 in all) fits, and takes seconds.
+COCHAIN_BUDGET = 30000
+
+
+def check_size(degree, dim_at):
+    """Raise ProblemSizeError unless the cochain spaces of degrees
+    0..degree, of dimension dim_at(n), fit COCHAIN_BUDGET.  Counting each
+    degree as at least 1 also bounds the number of degrees when the
+    spaces stay small (an algebra of dimension 0 or 1), and stops the
+    loop before a power of a huge degree is computed."""
+    total = 0
+    for n in range(degree + 1):
+        total += max(1, dim_at(n))
+        if total > COCHAIN_BUDGET:
+            raise ProblemSizeError(
+                f"degree {degree} is over the size budget: the cochain "
+                f"spaces of degrees 0..{n} already have dimension {total} "
+                f"in all, more than {COCHAIN_BUDGET}")
 
 
 class Problem:
@@ -276,6 +309,7 @@ def cmd_cohomology(args):
     report = Report("cohomology")
     if args.equivariant:
         setup = make_setup(problem)
+        check_size(n_max + 1, setup.ambient_dim)
         for H in setup.category.subgroups:
             report.add(f"fixed_dim_{_fmt_subgroup(H)}", setup.fixed[H].dim)
         for n in range(n_max + 1):
@@ -284,9 +318,9 @@ def cmd_cohomology(args):
             report.add(f"betti_{n}", setup.cohomology(n).betti)
     else:
         check_problem(problem)
-        A = CoefficientAlgebra.scalar(problem.field)
-        for n in range(n_max + 1):
-            report.add(f"betti_{n}", cohomology(problem.algebra, A, n).betti)
+        check_size(n_max + 1, lambda n: problem.algebra.dim ** n)
+        for n, b in enumerate(betti_numbers(problem.algebra, n_max)):
+            report.add(f"betti_{n}", b)
     report.emit(args.json)
     return 0
 
@@ -295,9 +329,10 @@ def cmd_homology(args):
     problem = load_problem(args)
     n_max = args.max_degree if args.max_degree is not None else problem.max_degree
     check_problem(problem)
+    check_size(n_max + 1, lambda n: problem.algebra.dim ** n)
     report = Report("homology")
-    for n in range(1, n_max + 1):
-        report.add(f"betti_{n}", homology(problem.algebra, n).betti)
+    for n, b in enumerate(betti_numbers(problem.algebra, n_max)[1:], 1):
+        report.add(f"betti_{n}", b)
     report.emit(args.json)
     return 0
 
@@ -309,6 +344,7 @@ def cmd_cup(args):
         print("cup product needs strictly positive degrees", file=sys.stderr)
         return 2
     setup = make_setup(problem)
+    check_size(p + q, setup.ambient_dim)
     report = Report("cup")
     hp = setup.cohomology(p)
     hq = setup.cohomology(q)
@@ -338,6 +374,7 @@ def cmd_zinbiel_check(args):
         print("degree overflow beyond configured max", file=sys.stderr)
         return 2
     setup = make_setup(problem)
+    check_size(p + q + r, setup.ambient_dim)
     report = Report("zinbiel-check")
     reps = {n: setup.cohomology(n).representatives for n in {p, q, r}}
     status = 0
@@ -374,7 +411,10 @@ def cmd_rho_identity(args):
     return 0 if v.ok else 2
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="leibcohom",
         description="Exact (equivariant) Leibniz cohomology computations.")
@@ -411,8 +451,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if not hasattr(args, "file"):
         args.file = None
     try:
@@ -422,6 +461,9 @@ def main(argv=None):
         return 1
     except ProblemValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except ProblemSizeError as exc:
+        print(f"size error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,14 +8,25 @@ Boundary map on g^{(x)n}:
 Cochains take values in a commutative associative algebra A used as a
 trivial module: delta(c) = c o d, so the coboundary matrix is the
 transpose of d tensored with the identity on A-coordinates.
+
+d_n is built as the rows of d_n^T, one per source word: each bracket
+term is summed as a Python int on the structure constants cleared of
+denominators, and each nonzero sum becomes a field element once.  The
+coboundary matrix is then index arithmetic on those rows.  Over a field
+the plain Betti numbers need no bases: ``betti_numbers`` reads
+dim HL^n = dim HL_n = m^n - rank d_n - rank d_{n+1} off one rank per
+boundary map, while ``homology`` and ``cohomology`` also return cycles,
+cocycles and class representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from .linalg import Matrix, dense_vector, kernel_basis
+from .leibniz import _integral
+from .linalg import Matrix, dense_vector, kernel_basis, rank
 from .verdict import Verdict
 
 
@@ -43,36 +54,58 @@ class BoundaryOperator:
     matrix: Matrix   # TensorSpace(n) -> TensorSpace(n-1)
 
 
-def boundary_matrix(alg, n):
-    """Matrix of d on the lexicographic tensor basis, degree n >= 2."""
-    if n < 2:
-        raise ValueError("boundary map needs degree >= 2")
-    f = alg.field
-    z = f.zero()
+def _boundary_transpose(alg, n):
+    """d_n^T for n >= 2: one row per source word, of its image's
+    {target word: entry}.
+
+    The bracket terms are summed as Python ints on the structure
+    constants times their common denominator c, and each nonzero sum
+    becomes a field element once, at exit: over Q divided by c, over F_p
+    reduced mod p (there c = 1).
+    """
     m = alg.dim
-    src = TensorSpace(m, n)
-    dst = TensorSpace(m, n - 1)
-    brackets = [[{k: f.mul(sign, x)
-                  for k, x in enumerate(alg.basis_bracket(a, b)) if x}
+    s, c = _integral(alg.structure)
+    brackets = [[{k: sign * x for k, x in enumerate(s[a][b]) if x}
                  for a in range(m) for b in range(m)]
-                for sign in (f.neg(f.one()), f.one())]
-    place = [m ** (n - 2 - i) for i in range(n - 1)]   # of slot i in a word of dst
-    rows = [{} for _ in range(dst.dim)]
-    for col, word in enumerate(src.words()):
+                for sign in (-1, 1)]
+    power = [m ** e for e in range(n + 1)]
+    place = power[n - 2::-1]         # of slot i in a word of degree n-1
+    p = alg.field.characteristic
+    rows = []
+    for col, word in enumerate(product(range(m), repeat=n)):
+        acc = {}
         for j in range(1, n):            # 0-based; the sign uses the 1-based j
             signed = brackets[j % 2]
-            removed = dst.index(word[:j] + word[j + 1:])
+            # the index of the word without x_j
+            tail = power[n - 1 - j]
+            removed = col // (tail * m) * tail + col % tail
             for i in range(j):
                 # x_i becomes [x_i, x_j] in the word without x_j
                 base = removed - word[i] * place[i]
                 for k, x in signed[word[i] * m + word[j]].items():
-                    row = rows[base + k * place[i]]
-                    y = f.add(row.get(col, z), x)
-                    if y:
-                        row[col] = y
-                    else:
-                        del row[col]
-    return BoundaryOperator(n, Matrix.from_entries(f, dst.dim, src.dim, rows))
+                    t = base + k * place[i]
+                    acc[t] = acc.get(t, 0) + x
+        if p:
+            rows.append({t: y for t, x in acc.items() if (y := x % p)})
+        else:
+            rows.append({t: Fraction(x, c) for t, x in acc.items() if x})
+    return Matrix.from_entries(alg.field, m ** n, m ** (n - 1), rows)
+
+
+def boundary_matrix(alg, n):
+    """Matrix of d on the lexicographic tensor basis, degree n >= 2."""
+    if n < 2:
+        raise ValueError("boundary map needs degree >= 2")
+    return BoundaryOperator(n, _boundary_transpose(alg, n).transpose())
+
+
+def betti_numbers(alg, n_max):
+    """dim HL^n(g; K) = dim HL_n(g) for n = 0..n_max, from one rank per
+    boundary map: m^n - rank d_n - rank d_{n+1}, with d_0 = d_1 := 0."""
+    m = alg.dim
+    ranks = [0, 0] + [rank(_boundary_transpose(alg, k))
+                      for k in range(2, n_max + 2)]
+    return [m ** n - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
 
 
 class CoefficientAlgebra:
@@ -150,17 +183,20 @@ def coboundary_matrix(alg, A, n):
     """delta: Hom(g^n, A) -> Hom(g^{n+1}, A) as a matrix.
 
     Hom basis = elementary functionals ordered tensor-index major,
-    A-index minor.  delta = d_{n+1}^T (x) Id_A; for n = 0 the sum in the
-    boundary formula is empty, so delta^0 = 0.
+    A-index minor.  delta = d_{n+1}^T (x) Id_A, written out by index
+    arithmetic: row j*a + al of delta is row j of d_{n+1}^T moved to the
+    columns k*a + al.  For n = 0 the sum in the boundary formula is
+    empty, so delta^0 = 0.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    m = alg.dim
-    f = alg.field
+    m, a = alg.dim, A.dim
     if n == 0:
-        return Matrix.zero(f, m * A.dim, A.dim)
-    d = boundary_matrix(alg, n + 1).matrix
-    return d.transpose().kron(Matrix.identity(f, A.dim))
+        return Matrix.zero(alg.field, m * a, a)
+    rows = [{k * a + al: x for k, x in row.items()}
+            for row in _boundary_transpose(alg, n + 1).entries
+            for al in range(a)]
+    return Matrix.from_entries(alg.field, len(rows), m ** n * a, rows)
 
 
 @dataclass

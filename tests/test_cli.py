@@ -1,9 +1,25 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
+import sympy
 
+from leibcohom import cli
+from leibcohom.catalog import catalog, lambda6
 from leibcohom.cli import main, parse_problem, ProblemParseError
+from leibcohom.complexes import (CoefficientAlgebra, betti_numbers,
+                                 cohomology, homology)
+from leibcohom.leibniz import (LeibnizAlgebra, check_leibniz_identity,
+                               free_leibniz_truncated)
+from leibcohom.linalg import GF
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def lambda6_doc(**extra):
@@ -281,7 +297,6 @@ def test_rational_string_scalars(tmp_path):
     doc = lambda6_doc()
     doc["algebra"]["brackets"][0]["value"] = ["0", "1/2", "0"]
     problem = parse_problem(doc)
-    from fractions import Fraction
     assert problem.algebra.structure[0][2][1] == Fraction(1, 2)
 
 
@@ -369,3 +384,125 @@ def test_prime_field_near_1e18(tmp_path, capsys):
     assert code == 0
     assert strip_header(out).splitlines()[1:] == ["betti_0: 1", "betti_1: 1",
                                                   "betti_2: 1"]
+
+
+# -- the plain Betti numbers the CLI reads off one rank per boundary map ------
+
+def rebased(alg, seed):
+    """The algebra in the basis f_i = sum_a P[a][i] e_a, for a seeded unit
+    lower-triangular integer P (invertible over every field)."""
+    m = alg.dim
+    rng = random.Random(seed)
+    P = [[1 if a == i else rng.randint(-2, 2) if a > i else 0
+          for i in range(m)] for a in range(m)]
+    Q = [[int(x) for x in row] for row in sympy.Matrix(P).inv().tolist()]
+    s = [[[Fraction(x) for x in v] for v in row] for row in alg.structure]
+    structure = []
+    for i in range(m):
+        structure.append([])
+        for j in range(m):
+            v = [sum(P[a][i] * P[b][j] * s[a][b][k]
+                     for a in range(m) for b in range(m)) for k in range(m)]
+            structure[i].append([sum(Q[l][k] * v[k] for k in range(m))
+                                 for l in range(m)])
+    return LeibnizAlgebra(alg.field, m, structure)
+
+
+def plain_algebras():
+    """Every catalog algebra, and two over F_2."""
+    return [(name, catalog(name).algebra) for name in
+            ["lambda6", "abelian_1", "abelian_2", "abelian_3", "derived2_f2_z2",
+             "free_leib(2,1)_perm", "free_leib(3,1)_perm", "free_leib(2,2)_perm"]
+            ] + [("lambda6-gf2", lambda6(GF(2))),
+                 ("free_leib(2,2)-gf2", free_leibniz_truncated(2, 2, GF(2))[0])]
+
+
+@pytest.mark.parametrize("name, alg", plain_algebras(),
+                         ids=[name for name, _ in plain_algebras()])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_betti_numbers_from_ranks_match_the_complexes(name, alg, seed):
+    if seed is not None:
+        alg = rebased(alg, seed)
+        assert check_leibniz_identity(alg).ok
+    A = CoefficientAlgebra.scalar(alg.field)
+    betti = betti_numbers(alg, 4)
+    assert betti == [cohomology(alg, A, n).betti for n in range(5)]
+    assert betti[1:] == [homology(alg, n).betti for n in range(1, 5)]
+
+
+def test_betti_numbers_at_degree_zero_and_below():
+    alg = catalog("lambda6").algebra
+    assert betti_numbers(alg, 0) == [1]
+    assert betti_numbers(alg, -1) == betti_numbers(alg, -5) == []
+
+
+def test_one_parser_per_process_keeps_no_state(capsys):
+    argv = ["--catalog", "lambda6_z2", "cohomology", "--max-degree", "1"]
+    parser = cli.build_parser()
+    for bad in (["--catalog", "lambda6_z2", "cohomology", "--max-degree", "x"],
+                ["--help"], ["cohomology", "--help"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["--json"] + argv[:3] + ["--equivariant"]
+                       + argv[3:])
+    assert code == 0 and json.loads(out)["invariant_dim_1"] == 1
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert strip_header(out) == "command: cohomology\nbetti_0: 1\nbetti_1: 1"
+    assert cli.build_parser() is parser
+
+
+# -- the size pre-flight ------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "abelian_3", "cohomology", "--max-degree", "14"],
+    ["--catalog", "lambda6_z2", "cup", "--p", "9", "--q", "9"],
+], ids=["cohomology-degree-14", "cup-9-9"])
+def test_size_preflight_refuses_quickly(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "leibcohom.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("size error: ")
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "abelian_1", "homology", "--max-degree", "100000000"],
+    ["--catalog", "lambda6", "cohomology", "--max-degree", "9"],
+    ["--catalog", "lambda6_z2", "cohomology", "--equivariant",
+     "--max-degree", "9"],
+    ["--catalog", "lambda6_z2", "cohomology", "--equivariant",
+     "--max-degree", str(10 ** 12)],
+], ids=["abelian_1-many-degrees", "plain-degree-9", "equivariant-degree-9",
+        "equivariant-huge-degree"])
+def test_size_preflight_refuses_in_process(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, argv)
+    assert time.monotonic() - start < 5
+    assert code == 2 and out == "" and err.startswith("size error: ")
+
+
+def test_size_preflight_uses_the_document_max_degree(tmp_path, capsys):
+    path = write(tmp_path, lambda6_doc(max_degree=9))
+    for command in ("cohomology", "homology"):
+        code, _, err = run(capsys, [command, path])
+        assert code == 2 and "size error" in err
+
+
+def test_size_preflight_zinbiel_check(tmp_path, capsys):
+    path = write(tmp_path, lambda6_z2_doc(max_degree=20))
+    code, out, err = run(capsys, ["zinbiel-check", path,
+                                  "--degrees", "4", "3", "3"])
+    assert code == 2 and out == "" and "degree 10 is over" in err
+
+
+def test_size_budget_admits_plain_lambda6_to_degree_8():
+    # degree 9 is the top of a tower up to 8: 3^0 + ... + 3^9 = 29524
+    cli.check_size(9, lambda n: 3 ** n)
+    with pytest.raises(cli.ProblemSizeError):
+        cli.check_size(10, lambda n: 3 ** n)

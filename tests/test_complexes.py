@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,3 +202,76 @@ def test_euler_characteristic_consistency(alg):
         kernel_dim = m ** n if n == 1 else \
             m ** n - rank(boundary_matrix(alg, n).matrix)
         assert res.betti == kernel_dim - rank(dn1)
+
+
+# ---------------------------------------------------------------------------
+# Word-level oracle in Fractions, written straight from the formula
+#   d(x_1..x_n) = sum_{i<j} (-1)^j (x_1..[x_i,x_j]..x_j-hat..x_n)
+# and sharing no code with the program: its own word order, its own sums.
+# ---------------------------------------------------------------------------
+
+def fraction_boundary(structure, m, n):
+    """{(target index, source index): Fraction} of d_n on the words of
+    range(m), lexicographic, from structure constants given as Fractions."""
+    sources = list(product(range(m), repeat=n))
+    targets = {w: t for t, w in enumerate(product(range(m), repeat=n - 1))}
+    out = {}
+    for s, word in enumerate(sources):
+        for j in range(2, n + 1):              # 1-based, as in the formula
+            for i in range(1, j):
+                coeffs = structure[word[i - 1]][word[j - 1]]
+                for k, c in enumerate(coeffs):
+                    new = word[:i - 1] + (k,) + word[i:j - 1] + word[j:]
+                    key = (targets[new], s)
+                    out[key] = out.get(key, Fraction(0)) + (-1) ** j * c
+    return {key: x for key, x in out.items() if x}
+
+
+@st.composite
+def structure_constants(draw, fractional):
+    m = draw(st.integers(1, 3))
+    dens = st.integers(1, 7) if fractional else st.just(1)
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), dens))
+    return draw(st.lists(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                  min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+
+
+def as_pairs(mat):
+    return {(r, c): x for r, row in enumerate(mat.entries)
+            for c, x in row.items()}
+
+
+@given(structure_constants(fractional=True), st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_boundary_matches_fraction_oracle_over_q(structure, n):
+    m = len(structure)
+    d = boundary_matrix(L.LeibnizAlgebra(QQ, m, structure), n).matrix
+    assert (d.rows, d.cols) == (m ** (n - 1), m ** n)
+    got = as_pairs(d)
+    assert all(type(x) is Fraction for x in got.values())
+    assert got == fraction_boundary(structure, m, n)
+
+
+@given(structure_constants(fractional=False), st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_boundary_matches_fraction_oracle_over_gf3(structure, n):
+    m = len(structure)
+    d = boundary_matrix(L.LeibnizAlgebra(GF(3), m, structure), n).matrix
+    want = {key: int(x) % 3 for key, x in
+            fraction_boundary(structure, m, n).items()}
+    assert as_pairs(d) == {key: x for key, x in want.items() if x}
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("name", ["lambda6", "derived2_f2_z2"])
+def test_coboundary_is_transpose_kron_identity(name, a):
+    alg = L.catalog(name).algebra
+    f = alg.field
+    A = CoefficientAlgebra.pointwise_functions(f, a)
+    for n in (1, 2, 3):
+        assert coboundary_matrix(alg, A, n) == \
+            boundary_matrix(alg, n + 1).matrix.transpose().kron(
+                Matrix.identity(f, a))
+    assert coboundary_matrix(alg, A, 0) == Matrix.zero(f, alg.dim * a, a)
