@@ -25,6 +25,7 @@ from .equivariant import (CoefficientSystem, EquivariantSetup,
                           constant_coefficients, coset_function_coefficients,
                           check_coefficient_system)
 from .shuffles import check_rho_identity, cup, zinbiel_check_on_cohomology
+from .verdict import VerdictError
 from .catalog import catalog
 
 
@@ -351,17 +352,27 @@ def cmd_cup(args):
     report.add(f"classes_degree_{p}", len(hp.representatives))
     report.add(f"classes_degree_{q}", len(hq.representatives))
     count = 0
+    status = 0
     for i, ra in enumerate(hp.representatives):
         for j, rb in enumerate(hq.representatives):
             a = setup.cochain_from_invariant(p, ra)
             b = setup.cochain_from_invariant(q, rb)
-            ab = cup(a, b, setup, check_invariance=False)
-            inv = setup.check_invariance(ab)
-            report.add(f"cup_{i}_{j}_invariant", "ok" if inv.ok else "FAIL")
+            try:
+                cup(a, b, setup, check_invariance=False)
+                verdict = "ok"
+            except VerdictError as exc:     # cup's own check of the product
+                (H, K, g), residual = exc.verdict.violations[0]
+                nonzero = [(al, t) for al, row in enumerate(residual.entries)
+                           for t in sorted(row)]
+                verdict = (f"FAIL constraint ({_fmt_subgroup(H)}, "
+                           f"{_fmt_subgroup(K)}, {g}) residual nonzero at "
+                           f"{nonzero}")
+                status = 2
+            report.add(f"cup_{i}_{j}_invariant", verdict)
             count += 1
     report.add("pairs_checked", count)
     report.emit(args.json)
-    return 0
+    return status
 
 
 def cmd_zinbiel_check(args):

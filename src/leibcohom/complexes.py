@@ -16,7 +16,10 @@ coboundary matrix is then index arithmetic on those rows.  Over a field
 the plain Betti numbers need no bases: ``betti_numbers`` reads
 dim HL^n = dim HL_n = m^n - rank d_n - rank d_{n+1} off one rank per
 boundary map, while ``homology`` and ``cohomology`` also return cycles,
-cocycles and class representatives.
+cocycles and class representatives.  Those ranks are taken on the int
+rows themselves, before any division by the common denominator, with
+the elimination loop that ``Matrix.rref`` runs (``reduce_int_rows``), so
+no entry becomes a field element at all.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .leibniz import _integral
-from .linalg import Matrix, dense_vector, kernel_basis, rank
+from .linalg import Matrix, dense_vector, kernel_basis, reduce_int_rows
 from .verdict import Verdict
 
 
@@ -54,14 +57,13 @@ class BoundaryOperator:
     matrix: Matrix   # TensorSpace(n) -> TensorSpace(n-1)
 
 
-def _boundary_transpose(alg, n):
-    """d_n^T for n >= 2: one row per source word, of its image's
-    {target word: entry}.
+def _boundary_ints(alg, n):
+    """d_n^T for n >= 2 as int rows, one per source word, of its image's
+    {target word: entry}, and the common denominator c they are to be
+    divided by.
 
     The bracket terms are summed as Python ints on the structure
-    constants times their common denominator c, and each nonzero sum
-    becomes a field element once, at exit: over Q divided by c, over F_p
-    reduced mod p (there c = 1).
+    constants times c; over F_p the sums are reduced mod p (there c = 1).
     """
     m = alg.dim
     s, c = _integral(alg.structure)
@@ -88,8 +90,17 @@ def _boundary_transpose(alg, n):
         if p:
             rows.append({t: y for t, x in acc.items() if (y := x % p)})
         else:
-            rows.append({t: Fraction(x, c) for t, x in acc.items() if x})
-    return Matrix.from_entries(alg.field, m ** n, m ** (n - 1), rows)
+            rows.append({t: x for t, x in acc.items() if x})
+    return rows, c
+
+
+def _boundary_transpose(alg, n):
+    """d_n^T for n >= 2 as a matrix: each nonzero int sum becomes a field
+    element once, over Q divided by the common denominator."""
+    rows, c = _boundary_ints(alg, n)
+    if not alg.field.characteristic:
+        rows = [{t: Fraction(x, c) for t, x in row.items()} for row in rows]
+    return Matrix.from_entries(alg.field, len(rows), alg.dim ** (n - 1), rows)
 
 
 def boundary_matrix(alg, n):
@@ -101,9 +112,12 @@ def boundary_matrix(alg, n):
 
 def betti_numbers(alg, n_max):
     """dim HL^n(g; K) = dim HL_n(g) for n = 0..n_max, from one rank per
-    boundary map: m^n - rank d_n - rank d_{n+1}, with d_0 = d_1 := 0."""
+    boundary map: m^n - rank d_n - rank d_{n+1}, with d_0 = d_1 := 0.
+    Each rank is taken on the int rows of d_k^T, since dividing them by
+    the common denominator does not change it."""
     m = alg.dim
-    ranks = [0, 0] + [rank(_boundary_transpose(alg, k))
+    ranks = [0, 0] + [len(reduce_int_rows(alg.field, _boundary_ints(alg, k)[0],
+                                          m ** (k - 1)))
                       for k in range(2, n_max + 2)]
     return [m ** n - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
 

@@ -6,6 +6,13 @@ orbit-category morphism, contravariantly.  An invariant n-cochain is a
 family {c_H} with c_H o (psi_g)^(x)n = A(g-hat) o c_K for every morphism;
 these form the complex whose cohomology is the equivariant Leibniz
 cohomology.
+
+``invariant_space`` eliminates only the binding constraints.  A morphism
+(H, H, g) whose restriction map and coefficient map are both identity
+matrices asks c_H = c_H at every degree, so it adds no row; the test is
+on the maps, not on the label g, so a coefficient system whose identity
+morphism is not sent to the identity is still constrained by it.
+``check_invariance`` still evaluates every morphism.
 """
 
 from __future__ import annotations
@@ -85,6 +92,10 @@ def check_coefficient_system(A):
             if A.maps[comp] != A.maps[m1].mul(A.maps[m2]):
                 violations.append(("functoriality", (m1, m2)))
     return Verdict(not violations, violations)
+
+
+def _is_identity(mat):
+    return mat == Matrix.identity(mat.field, mat.rows)
 
 
 @dataclass
@@ -218,6 +229,9 @@ class EquivariantSetup:
         rows = []
         for m in self.category.morphisms:
             H, K, g = m
+            if H == K and _is_identity(self.restrictions[m].matrix) \
+                    and _is_identity(self.coefficients.maps[m]):
+                continue                    # c_H = c_H at every degree
             hH, aH, offH = offsets[H]
             hK, aK, offK = offsets[K]
             # row (tK, al) of c_H R^{(x)n} - A(g-hat) c_K, in ambient indices

@@ -4,15 +4,20 @@ Boundary maps, invariant-cochain systems and cup products are matrices
 over an exact field (``fractions.Fraction`` or residues mod p), and
 mostly zero.  A ``Matrix`` stores one {column: entry} dict of nonzero
 entries per row, a sparse vector is one such dict, and every kernel
-works on them.  ``Matrix.rref`` is the only elimination kernel.  Its
-inner loop runs on Python ints: over Q fraction-free on rows cleared of
-denominators, over F_p on plain residues; each pivot row becomes field
-elements again only once, at exit.  Bases of subspaces come from
-``kernel_basis`` in reduced-echelon form, so ``free_coordinates`` reads
-coordinates off the free columns instead of eliminating again.  Dense
-lists appear only at the edges: the dense constructor, ``data``,
-``column``, ``apply`` and the ``solve`` family.  Field elements are
-falsy exactly when they are zero.
+works on them.  There is one elimination loop, ``reduce_int_rows``, on
+sparse rows of Python ints: over Q fraction-free on rows cleared of
+denominators, over F_p on plain residues.  ``Matrix.rref`` feeds it a
+matrix's rows and turns each pivot row into field elements once, at
+exit; the plain Betti numbers feed it the integral boundary rows
+directly.  The loop takes the rows sparsest first and keeps a column
+index (which pivot rows may hold each free column), so back-substitution
+visits only the pivot rows that meet the new pivot column, not all of
+them: its cost follows the entries it changes, not the square of the
+rank.  Bases of subspaces come from ``kernel_basis`` in reduced-echelon
+form, so ``free_coordinates`` reads coordinates off the free columns
+instead of eliminating again.  Dense lists appear only at the edges: the
+dense constructor, ``data``, ``column``, ``apply`` and the ``solve``
+family.  Field elements are falsy exactly when they are zero.
 """
 
 from __future__ import annotations
@@ -367,63 +372,93 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list).
 
-        Gauss-Jordan elimination in Python ints.  The field says how a row
-        enters (``to_ints``: over Q, times the lcm of its denominators; over
-        F_p, its residues), how it is kept (``normalise``: over Q,
-        primitive with a positive lead; over F_p, monic) and how it leaves
-        (``from_ints``).  Entries are reduced mod the characteristic
-        inline, so over Q they are never reduced.
-
-        Each row in turn is cleared at the pivot columns found so far, all
-        at once: scaled by the lcm s of those columns' leads d, it loses
-        (s x_j / d) times the pivot row of each column j it meets.  One
-        pass suffices, since each pivot row is 0 at the other pivot
-        columns.  What is left, normalised, becomes a new pivot row with
-        lead d at its first column, and that column is cleared
-        fraction-free from the earlier pivot rows: prow <- (d/g) prow -
-        (c/g) row for g = gcd(c, d), normalised again.  A pivot row never
-        gains an entry left of its pivot, so the pivot rows in pivot
-        order, each divided by its lead at exit (the one conversion back
-        to field elements), and then empty rows are the unique RREF.
+        The rows enter as ints through the field's ``to_ints`` (over Q,
+        times the lcm of their denominators; over F_p, their residues),
+        ``reduce_int_rows`` eliminates them, and each pivot row leaves
+        through ``from_ints``, divided by its lead: the one conversion back
+        to field elements.  The loop takes the rows sparsest first and
+        back-substitutes each new pivot only into the pivot rows its column
+        index names.  The pivot rows in pivot order and then empty rows are
+        the unique RREF, so neither the row order nor the index can change
+        the result.
         """
         f = self.field
-        mod = f.characteristic
-        normalise = f.normalise
-        ncols = self.cols
-        pivot_rows = {}             # pivot column -> normalised int row
-        for row in self.entries:
-            if not row:
-                continue
-            if len(pivot_rows) == ncols:
-                break
-            hits = [j for j in row if j in pivot_rows]
-            row = f.to_ints(row)
-            if hits:
-                leads = [pivot_rows[j][j] for j in hits]
-                s = lcm(*leads)
-                if s != 1:
-                    row = {k: s * x for k, x in row.items()}
-                for j, d in zip(hits, leads):
-                    _eliminate(row, row[j] // d, pivot_rows[j], mod)
-            row = normalise(row)
-            if not row:
-                continue
-            pc = min(row)
-            d = row[pc]
-            for q, prow in pivot_rows.items():
-                c = prow.get(pc)
-                if c:
-                    g = gcd(c, d)
-                    s = d // g
-                    if s != 1:
-                        prow = {k: s * x for k, x in prow.items()}
-                    _eliminate(prow, c // g, row, mod)
-                    pivot_rows[q] = normalise(prow)
-            pivot_rows[pc] = row
+        pivot_rows = reduce_int_rows(
+            f, [f.to_ints(row) for row in self.entries if row], self.cols)
         pivots = sorted(pivot_rows)
         entries = [f.from_ints(pivot_rows[pc], pc) for pc in pivots]
         entries.extend({} for _ in range(self.rows - len(pivots)))
-        return Matrix.from_entries(f, self.rows, ncols, entries), pivots
+        return Matrix.from_entries(f, self.rows, self.cols, entries), pivots
+
+
+def reduce_int_rows(field, rows, ncols):
+    """Gauss-Jordan elimination of sparse int rows with columns below ncols:
+    {pivot column: reduced pivot row}.  Over Q the rows are any int rows
+    and the pivot rows come out primitive with a positive lead; over F_p
+    the rows are residues and the pivot rows come out monic.  Both the
+    ``rref`` of a matrix and the rank of an integral boundary map are
+    taken with it.  Rows may be changed in place, so callers pass rows of
+    their own.
+
+    Rows are taken sparsest first, which keeps the pivot rows short.  Each
+    row is cleared at the pivot columns found so far, all at once: scaled
+    by the lcm s of those columns' leads d, it loses (s x_j / d) times the
+    pivot row of each column j it meets.  One pass suffices, since each
+    pivot row is 0 at the other pivot columns.  What is left, normalised,
+    becomes a new pivot row with lead d at its first column pc, and pc is
+    cleared fraction-free from the earlier pivot rows that hold it: prow
+    <- (d/g) prow - (c/g) row for g = gcd(c, d), normalised again.  A
+    pivot row never gains an entry left of its pivot.
+
+    ``holders`` maps each free column to the pivot columns whose rows may
+    hold it: a column gains a holder when an entry is written there, and
+    leaves the index when it becomes a pivot, so back-substitution visits
+    only the rows that can meet pc instead of every pivot row.  Entries
+    are reduced mod the characteristic inline, so over Q never.
+    """
+    mod = field.characteristic
+    normalise = field.normalise
+    pivot_rows = {}             # pivot column -> normalised int row
+    holders = {}                # free column -> pivot columns that may hold it
+    for row in sorted(rows, key=len):
+        if len(pivot_rows) == ncols:
+            break
+        hits = [j for j in row if j in pivot_rows]
+        if hits:
+            leads = [pivot_rows[j][j] for j in hits]
+            s = lcm(*leads)
+            if s != 1:
+                row = {k: s * x for k, x in row.items()}
+            for j, d in zip(hits, leads):
+                _eliminate(row, row[j] // d, pivot_rows[j], mod)
+        row = normalise(row)
+        if not row:
+            continue
+        pc = min(row)
+        d = row[pc]
+        held = holders.pop(pc, ())
+        rest = []                   # the holder sets of the row's free columns
+        for k in row:
+            if k != pc:
+                h = holders.get(k)
+                if h is None:
+                    h = holders[k] = set()
+                h.add(pc)
+                rest.append(h)
+        for q in held:
+            prow = pivot_rows[q]
+            c = prow.get(pc)
+            if c:
+                g = gcd(c, d)
+                s = d // g
+                if s != 1:
+                    prow = {k: s * x for k, x in prow.items()}
+                _eliminate(prow, c // g, row, mod)
+                pivot_rows[q] = normalise(prow)
+                for h in rest:
+                    h.add(q)
+        pivot_rows[pc] = row
+    return pivot_rows
 
 
 def _eliminate(row, c, other, mod):

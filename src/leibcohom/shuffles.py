@@ -16,7 +16,7 @@ from math import comb
 
 from .linalg import Matrix, combination, dense_vector, free_coordinates
 from .complexes import TensorSpace
-from .verdict import Verdict
+from .verdict import Verdict, VerdictError
 
 
 # -- permutations -------------------------------------------------------
@@ -254,7 +254,12 @@ def _log_dim(dim, m):
 
 
 def cup(c, d, setup, check_invariance=True):
-    """Equivariant cup product {c_H cup d_H}; degrees must be positive."""
+    """Equivariant cup product {c_H cup d_H}; degrees must be positive.
+
+    The product's invariance is always checked; a violation raises
+    ``VerdictError`` carrying the verdict.  ``check_invariance`` also
+    checks the factors first (a violation there is a ``ValueError``).
+    """
     from .equivariant import EquivariantCochain
     p, q = c.degree, d.degree
     if p < 1 or q < 1:
@@ -275,8 +280,8 @@ def cup(c, d, setup, check_invariance=True):
     out = EquivariantCochain(p + q, comps)
     verdict = setup.check_invariance(out)
     if not verdict.ok:
-        raise AssertionError(f"cup product is not invariant; violated "
-                             f"constraint {verdict.violations[0][0]}")
+        raise VerdictError(f"cup product is not invariant; violated "
+                           f"constraint {verdict.violations[0][0]}", verdict)
     return out
 
 

@@ -20,3 +20,11 @@ class Verdict:
 
     def __bool__(self):
         return self.ok
+
+
+class VerdictError(AssertionError):
+    """A guard that failed; ``verdict`` holds its violations as witnesses."""
+
+    def __init__(self, message, verdict):
+        super().__init__(message)
+        self.verdict = verdict

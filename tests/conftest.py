@@ -1,4 +1,8 @@
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
 
 import leibcohom as L
 from leibcohom.linalg import QQ, Matrix
@@ -27,6 +31,44 @@ def catalog_setup(name, coefficients="constant"):
     else:
         cs = L.coset_function_coefficients(category, field)
     return L.EquivariantSetup(entry.action, category, cs)
+
+
+def rebasing(m, seed):
+    """A seeded unit lower-triangular integer m x m matrix P (invertible
+    over every field) and its inverse, which is integral too."""
+    rng = random.Random(seed)
+    P = [[1 if a == i else rng.randint(-2, 2) if a > i else 0
+          for i in range(m)] for a in range(m)]
+    Q = [[int(x) for x in row] for row in sympy.Matrix(P).inv().tolist()]
+    return P, Q
+
+
+def rebased(alg, seed):
+    """The algebra in the basis f_i = sum_a P[a][i] e_a, for P from
+    ``rebasing(alg.dim, seed)``."""
+    m = alg.dim
+    P, Q = rebasing(m, seed)
+    s = [[[Fraction(x) for x in v] for v in row] for row in alg.structure]
+    structure = []
+    for i in range(m):
+        structure.append([])
+        for j in range(m):
+            v = [sum(P[a][i] * P[b][j] * s[a][b][k]
+                     for a in range(m) for b in range(m)) for k in range(m)]
+            structure[i].append([sum(Q[l][k] * v[k] for k in range(m))
+                                 for l in range(m)])
+    return L.LeibnizAlgebra(alg.field, m, structure)
+
+
+def rebased_action(action, seed):
+    """The same action on ``rebased(action.algebra, seed)``: each psi_g
+    becomes P^-1 psi_g P."""
+    alg = action.algebra
+    f = alg.field
+    P, Q = rebasing(alg.dim, seed)
+    P, Q = Matrix.from_rows(f, P), Matrix.from_rows(f, Q)
+    return L.GroupAction(action.group, rebased(alg, seed),
+                         [Q.mul(psi).mul(P) for psi in action.matrices])
 
 
 @pytest.fixture(scope="session")

@@ -1,22 +1,23 @@
 import json
 import os
-import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from leibcohom import cli
 from leibcohom.catalog import catalog, lambda6
 from leibcohom.cli import main, parse_problem, ProblemParseError
 from leibcohom.complexes import (CoefficientAlgebra, betti_numbers,
                                  cohomology, homology)
-from leibcohom.leibniz import (LeibnizAlgebra, check_leibniz_identity,
-                               free_leibniz_truncated)
-from leibcohom.linalg import GF
+from leibcohom.equivariant import EquivariantSetup
+from leibcohom.leibniz import check_leibniz_identity, free_leibniz_truncated
+from leibcohom.linalg import GF, Matrix
+from leibcohom.verdict import Verdict
+
+from conftest import rebased
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -177,6 +178,41 @@ def test_cup_command(capsys):
     assert code == 0
     assert "pairs_checked: 1" in out
     assert "cup_0_0_invariant: ok" in out
+
+
+def test_cup_checks_each_product_once(capsys, monkeypatch):
+    degrees = []
+    check = EquivariantSetup.check_invariance
+
+    def counting(self, cochain):
+        degrees.append(cochain.degree)
+        return check(self, cochain)
+
+    monkeypatch.setattr(EquivariantSetup, "check_invariance", counting)
+    code, out, _ = run(capsys, ["--catalog", "free_leib(2,2)_perm", "cup",
+                                "--p", "1", "--q", "2"])
+    assert code == 0
+    assert "pairs_checked: 4" in out and out.count(": ok") == 4
+    assert degrees == [3] * 4
+
+
+def test_cup_reports_a_product_that_fails_its_check(capsys, monkeypatch):
+    check = EquivariantSetup.check_invariance
+
+    def failing(self, cochain):
+        if cochain.degree != 2:
+            return check(self, cochain)
+        m = self.category.morphisms[-1]
+        residual = Matrix.from_entries(self.field, 1, 4, [{3: self.field.one()}])
+        return Verdict.failed([(m, residual)])
+
+    monkeypatch.setattr(EquivariantSetup, "check_invariance", failing)
+    code, out, err = run(capsys, ["--catalog", "derived2_f2_z2", "cup",
+                                  "--p", "1", "--q", "1"])
+    assert code == 2 and "Traceback" not in err
+    assert "cup_0_0_invariant: FAIL constraint ({0,1}, {0,1}, 0) " \
+        "residual nonzero at [(0, 3)]" in out
+    assert "pairs_checked: 1" in out
 
 
 def test_cup_rejects_degree_zero(capsys):
@@ -387,26 +423,6 @@ def test_prime_field_near_1e18(tmp_path, capsys):
 
 
 # -- the plain Betti numbers the CLI reads off one rank per boundary map ------
-
-def rebased(alg, seed):
-    """The algebra in the basis f_i = sum_a P[a][i] e_a, for a seeded unit
-    lower-triangular integer P (invertible over every field)."""
-    m = alg.dim
-    rng = random.Random(seed)
-    P = [[1 if a == i else rng.randint(-2, 2) if a > i else 0
-          for i in range(m)] for a in range(m)]
-    Q = [[int(x) for x in row] for row in sympy.Matrix(P).inv().tolist()]
-    s = [[[Fraction(x) for x in v] for v in row] for row in alg.structure]
-    structure = []
-    for i in range(m):
-        structure.append([])
-        for j in range(m):
-            v = [sum(P[a][i] * P[b][j] * s[a][b][k]
-                     for a in range(m) for b in range(m)) for k in range(m)]
-            structure[i].append([sum(Q[l][k] * v[k] for k in range(m))
-                                 for l in range(m)])
-    return LeibnizAlgebra(alg.field, m, structure)
-
 
 def plain_algebras():
     """Every catalog algebra, and two over F_2."""

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
 from leibcohom.linalg import QQ, GF, Matrix, dense_vector, vec_is_zero
@@ -10,7 +11,7 @@ from leibcohom.equivariant import (constant_coefficients,
                                    check_coefficient_system,
                                    CoefficientSystem, EquivariantCochain)
 
-from conftest import trivial_setup, catalog_setup
+from conftest import trivial_setup, catalog_setup, rebased_action
 
 
 def test_constant_coefficients_validate():
@@ -227,3 +228,170 @@ def test_delta_image_outside_invariants_rejected():
         setup.fixed[e].algebra, setup.fixed[e].algebra, bad)
     with pytest.raises(AssertionError, match="leaves the invariant subspace"):
         setup.equivariant_coboundary(1)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form oracles for S^n_G and HL^n_G on nontrivial groups.
+#   constant coefficients over Q: S^n_G is the G-invariant n-cochains, so
+#     dim S^n_G = (1/|G|) sum_g tr(psi_g)^n  (the character formula);
+#   coset-function coefficients: dim S^n_G = m^n and HL^n_G = HL^n(g)
+#     (Shapiro's lemma for coinduced coefficients).
+# The actions are representations of Z/2 x Z/2 and S_3 on abelian_m (every
+# invertible map is an automorphism of a zero bracket), the catalog actions,
+# and re-based copies of both.
+# ---------------------------------------------------------------------------
+
+KLEIN = L.FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+S3, S3_PERMS = L.FiniteGroup.symmetric(3)
+
+
+def _sign(perm):
+    return (-1) ** sum(perm[j] > perm[i] for i in range(3) for j in range(i))
+
+
+def _block(kind, g):
+    """One block of psi_g: a Klein character, a Klein swap through one
+    bit, or the trivial, sign or permutation representation of S_3."""
+    name, k = kind
+    if name == "character":
+        return [[(-1) ** bin(k & g).count("1")]]
+    if name == "swap":
+        return [[0, 1], [1, 0]] if g & k else [[1, 0], [0, 1]]
+    perm = S3_PERMS[g]
+    if name == "trivial":
+        return [[1]]
+    if name == "sign":
+        return [[_sign(perm)]]
+    return [[int(perm[j] == i) for j in range(3)] for i in range(3)]
+
+
+BLOCKS = {
+    "klein": (KLEIN, [("character", k) for k in range(4)]
+              + [("swap", 1), ("swap", 2)]),
+    "s3": (S3, [("trivial", None), ("sign", None), ("permutation", None)]),
+}
+
+
+@st.composite
+def abelian_actions(draw):
+    """Z/2 x Z/2 or S_3 acting on abelian_m, m <= 3, by a direct sum of
+    sign and permutation representations."""
+    group, kinds = BLOCKS[draw(st.sampled_from(sorted(BLOCKS)))]
+    blocks, m = [], 0
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        size = len(_block(kind, 0))
+        if m + size <= 3:
+            blocks.append(kind)
+            m += size
+    matrices = [Matrix.block_diag(QQ, [Matrix.from_rows(QQ, _block(kind, g))
+                                       for kind in blocks])
+                for g in range(group.order)]
+    return L.GroupAction(group, L.LeibnizAlgebra.zero_bracket(QQ, m), matrices)
+
+
+CATALOG_ACTIONS = ["lambda6_z2", "free_leib(2,1)_perm", "free_leib(3,1)_perm",
+                   "derived2_f2_z2"]
+
+
+@st.composite
+def actions(draw):
+    """A generated action on abelian_m or a catalog action, possibly
+    re-based."""
+    if draw(st.booleans()):
+        action = draw(abelian_actions())
+    else:
+        action = L.catalog(draw(st.sampled_from(CATALOG_ACTIONS))).action
+    seed = draw(st.sampled_from([None, 1, 2]))
+    if seed is not None:
+        action = rebased_action(action, seed)
+    assert L.validate_action(action).ok
+    return action
+
+
+def _setup(action, coefficients):
+    category = L.orbit_category(action.group)
+    return L.EquivariantSetup(action, category,
+                              coefficients(category, action.algebra.field))
+
+
+@given(actions())
+@settings(max_examples=30, deadline=None)
+def test_constant_coefficient_dimensions_follow_the_character_formula(action):
+    if action.algebra.field != QQ:
+        return
+    setup = _setup(action, constant_coefficients)
+    traces = [sum(row[i] for i, row in enumerate(psi.data))
+              for psi in action.matrices]
+    for n in range(4):
+        expected = sum(t ** n for t in traces) / action.group.order
+        assert setup.invariant_space(n).dim == expected
+
+
+@given(actions())
+@settings(max_examples=30, deadline=None)
+def test_coset_coefficients_give_the_plain_cohomology(action):
+    from leibcohom.complexes import betti_numbers
+    setup = _setup(action, coset_function_coefficients)
+    alg = action.algebra
+    plain = betti_numbers(alg, 2)
+    for n in range(3):
+        assert setup.invariant_space(n).dim == alg.dim ** n
+        assert setup.cohomology(n).betti == plain[n]
+
+
+def test_an_identity_morphism_sent_to_a_non_identity_map_still_binds():
+    # an unvalidated system on lambda6_z2: coset functions, but the
+    # identity morphism of G/e goes to the swap of the two cosets
+    good = catalog_setup("lambda6_z2", coefficients="coset-functions")
+    e = frozenset({0})
+    maps = dict(good.coefficients.maps)
+    maps[(e, e, 0)] = maps[(e, e, 1)]
+    assert maps[(e, e, 0)] != Matrix.identity(QQ, 2)
+    coefficients = CoefficientSystem(good.category, QQ,
+                                     good.coefficients.algebras, maps)
+    assert not check_coefficient_system(coefficients).ok
+    setup = L.EquivariantSetup(good.action, good.category, coefficients)
+    smaller = False
+    for n in range(4):
+        space = setup.invariant_space(n)
+        kernel = _kernel_of_all_constraints(setup, n)
+        assert space.dim == len(kernel)
+        basis = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                               for x in v] for v in space.basis])
+        both = basis.col_join(sympy.Matrix.hstack(*kernel).T) if kernel \
+            else basis
+        assert both.rank() == space.dim
+        smaller |= space.dim < good.invariant_space(n).dim
+    assert smaller
+
+
+def _kernel_of_all_constraints(setup, n):
+    """The null space, as sympy columns, of c_H R^(x)n - A(g-hat) c_K over
+    every morphism, each cochain unit vector evaluated on its own."""
+    def sym(mat):
+        return sympy.Matrix(mat.rows, mat.cols,
+                            [sympy.Rational(x.numerator, x.denominator)
+                             for row in mat.data for x in row])
+
+    layout = setup.layout(n)
+    total = setup.ambient_dim(n)
+    maps = []
+    for m in setup.category.morphisms:
+        Rn = sympy.eye(1)
+        for _ in range(n):
+            Rn = sympy.kronecker_product(Rn, sym(setup.restrictions[m].matrix))
+        maps.append((m[0], m[1], Rn, sym(setup.coefficients.maps[m])))
+    columns = []
+    for i in range(total):
+        comps = {}
+        for H, h, a, off in layout:
+            c = sympy.zeros(a, h ** n)
+            if off <= i < off + a * h ** n:
+                t, al = divmod(i - off, a)
+                c[al, t] = 1
+            comps[H] = c
+        residuals = []
+        for H, K, Rn, A in maps:
+            residuals.extend(comps[H] * Rn - A * comps[K])
+        columns.append(residuals)
+    return sympy.Matrix(columns).T.nullspace()

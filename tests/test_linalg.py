@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -516,3 +517,54 @@ def test_rref_is_unchanged_by_a_dense_unimodular_rebasing(data):
     pd = Matrix.from_rows(QQ, p).mul(d)
     assert_rref_matches_sympy(pd)
     assert pd.rref() == d.rref()
+
+
+# -- row order and the column index of the elimination loop ------------------
+
+ROW_ORDER_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+@pytest.mark.parametrize("field", ROW_ORDER_FIELDS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_rref_ignores_the_order_of_the_rows(field, data):
+    r, c = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    m = data.draw(sparse_matrices(r, c, field_entries(field), field))
+    order = data.draw(st.permutations(range(r)))
+    shuffled = Matrix.from_entries(field, r, c, [m.entries[i] for i in order])
+    before = [dict(row) for row in m.entries]
+    assert shuffled.rref() == m.rref()
+    assert m.entries == before
+    assert shuffled.entries == [before[i] for i in order]
+
+
+@st.composite
+def sparse_high_rank(draw, field, rows=170, cols=160):
+    """rows x cols with 1 to 3 nonzeros per row at random columns: rank
+    well above 100, and most pivot rows met again by later pivots."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    top = 7 if field == QQ else field.p - 1
+    entries = []
+    for _ in range(rows):
+        picked = rnd.sample(range(cols), rnd.randint(1, 3))
+        entries.append({j: field.coerce(rnd.choice([-1, 1]) * rnd.randint(1, top))
+                        for j in picked})
+    entries = [{j: x for j, x in row.items() if x} for row in entries]
+    return Matrix.from_entries(field, rows, cols, entries)
+
+
+@given(sparse_high_rank(QQ))
+@settings(max_examples=10, deadline=None)
+def test_rref_of_a_sparse_high_rank_matrix_matches_sympy(m):
+    assert_rref_matches_sympy(m)
+    assert rank(m) > 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_rref_of_a_sparse_high_rank_matrix_matches_textbook(p, data):
+    m = data.draw(sparse_high_rank(GF(p)))
+    red, pivots = m.rref()
+    assert (red.data, pivots) == textbook_rref(m)
+    assert len(pivots) > 100
