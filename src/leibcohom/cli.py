@@ -21,9 +21,9 @@ from .linalg import QQ, GF, Matrix
 from .leibniz import LeibnizAlgebra, check_leibniz_identity
 from .groups import FiniteGroup, GroupAction, orbit_category, validate_action
 from .complexes import CoefficientAlgebra, betti_numbers
-from .equivariant import (CoefficientSystem, EquivariantSetup,
-                          constant_coefficients, coset_function_coefficients,
-                          check_coefficient_system)
+from .equivariant import (CoefficientSystem, EquivariantCochain,
+                          EquivariantSetup, constant_coefficients,
+                          coset_function_coefficients, check_coefficient_system)
 from .shuffles import check_rho_identity, cup, zinbiel_check_on_cohomology
 from .verdict import VerdictError
 from .catalog import catalog
@@ -186,8 +186,12 @@ def build_coefficient_system(problem, category):
                 z = field.zero()
                 prod = [[[z] * d for _ in range(d)] for _ in range(d)]
                 for ent in s.get("products", []):
-                    prod[int(ent["i"]) - 1][int(ent["j"]) - 1] = \
-                        [_scalar(field, x) for x in ent["value"]]
+                    i, j = int(ent["i"]) - 1, int(ent["j"]) - 1
+                    if not (0 <= i < d and 0 <= j < d):
+                        raise ProblemParseError(
+                            f"coefficients: product index out of range in "
+                            f"{ent} for subgroup {sorted(H)} of dimension {d}")
+                    prod[i][j] = [_scalar(field, x) for x in ent["value"]]
                 unit = [_scalar(field, x) for x in s["unit"]]
                 if len(unit) != d or any(len(v) != d for r in prod for v in r):
                     raise ProblemParseError(
@@ -267,6 +271,16 @@ class Report:
 
 def _fmt_subgroup(H):
     return "{" + ",".join(str(x) for x in sorted(H)) + "}"
+
+
+def _nonzero_entries(setup, n, vec):
+    """The nonzero entries of a dense ambient vector of degree n, as
+    "[(subgroup, A-index, word), ...]"."""
+    cochain = EquivariantCochain.from_ambient(setup, n, vec)
+    return "[" + ", ".join(
+        f"({_fmt_subgroup(H)}, {al}, {t})" for H in setup.category.subgroups
+        for al, row in enumerate(cochain.components[H].entries)
+        for t in sorted(row)) + "]"
 
 
 def cmd_validate(args):
@@ -398,11 +412,16 @@ def cmd_zinbiel_check(args):
                 b = setup.cochain_from_invariant(q, rb)
                 c = setup.cochain_from_invariant(r, rc)
                 v = zinbiel_check_on_cohomology(a, b, c, setup)
-                report.add(f"triple_{i}_{j}_{k}", "ok" if v.ok else "FAIL")
                 triples += 1
-                if not v.ok:
-                    failures += 1
-                    status = 2
+                if v.ok:
+                    report.add(f"triple_{i}_{j}_{k}", "ok")
+                    continue
+                kind, defect = v.violations[0]
+                report.add(f"triple_{i}_{j}_{k}",
+                           f"FAIL {kind} nonzero at "
+                           f"{_nonzero_entries(setup, p + q + r, defect)}")
+                failures += 1
+                status = 2
     report.add("triples_checked", triples)
     report.add("failures", failures)
     report.emit(args.json)

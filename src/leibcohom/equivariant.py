@@ -7,23 +7,47 @@ family {c_H} with c_H o (psi_g)^(x)n = A(g-hat) o c_K for every morphism;
 these form the complex whose cohomology is the equivariant Leibniz
 cohomology.
 
-``invariant_space`` eliminates only the binding constraints.  A morphism
-(H, H, g) whose restriction map and coefficient map are both identity
-matrices asks c_H = c_H at every degree, so it adds no row; the test is
-on the maps, not on the label g, so a coefficient system whose identity
-morphism is not sent to the identity is still constrained by it.
-``check_invariance`` still evaluates every morphism.
+The per-degree data is built on demand and kept on the
+``EquivariantSetup``, except the constraint rows, which are streamed:
+
+* ``invariant_space(n)`` is S^n_G, the null space of the invariance
+  constraints.  R^(x)n is built once per (morphism, n) as int columns over
+  a common denominator (residues over F_p); the constraint rows are built
+  from it as int rows and go straight to the elimination loop, and the
+  basis is read off the pivot rows with one field element per entry.
+  Only the binding constraints are built: a morphism (H, H, g) whose
+  restriction map and coefficient map are both identity matrices asks
+  c_H = c_H at every degree, so it adds no row.  The test is on the maps,
+  not on the label g, so a coefficient system whose identity morphism is
+  not sent to the identity is still constrained by it.
+  ``check_invariance`` still evaluates every morphism, on
+  ``restriction_power``, the one conversion of R^(x)n to field entries.
+* ``cohomology(n)`` needs S^n_G only.  The images delta(b_i) of the basis
+  of S^n_G are kept as ambient vectors, and one elimination of their
+  columns per degree gives both the cocycles (its null space, the same
+  reduced basis the coboundary matrix X_n would give) and the pivot
+  columns.  The coboundaries of degree n + 1 are the S^(n+1)_G
+  coordinates of the pivot images, which are the columns ``image_basis``
+  would pick from X_n.  So a tower up to N never builds S^(N+1)_G, and no
+  coboundary is eliminated twice.  The pivot images are checked against
+  the constraint rows of degree n + 1 by a sparse product, so an image
+  that leaves the invariant subspace is refused in its own degree.
+* ``equivariant_coboundary(n)`` (X_n, which needs S^(n+1)_G) and
+  ``coboundary_image(n)`` serve the zinbiel span test; they read the kept
+  images and do not take the reduction above.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .linalg import (Matrix, combination, dense_vector, free_coordinates,
-                     kernel_basis, sparse_vector)
+                     int_kernel_basis, kernel_basis, sparse_vector)
 from .complexes import (CoefficientAlgebra, CohomologyResult, coboundary_matrix,
-                        image_basis, _quotient_data)
+                        _quotient_data)
 from .groups import fixed_subalgebra, restriction_map
 from .shuffles import rho_sum
 from .verdict import Verdict
@@ -96,6 +120,14 @@ def check_coefficient_system(A):
 
 def _is_identity(mat):
     return mat == Matrix.identity(mat.field, mat.rows)
+
+
+def _integral_rows(rows):
+    """Sparse rows of field elements times their common denominator d, as
+    ints, and d (1 over F_p)."""
+    d = lcm(*(x.denominator for row in rows for x in row.values()))
+    return [{i: x.numerator * (d // x.denominator) for i, x in row.items()}
+            for row in rows], d
 
 
 @dataclass
@@ -179,9 +211,11 @@ class EquivariantSetup:
         self.restrictions = {m: restriction_map(action, m, self.fixed)
                              for m in category.morphisms}
         self._spaces = {}
-        self._coboundaries = {}
         self._images = {}
-        self._ambient_deltas = {}
+        self._reductions = {}
+        self._coboundaries = {}
+        self._echelon_images = {}
+        self._int_powers = {}
         self._restriction_powers = {}
         self._rho_matrices = {}
 
@@ -200,16 +234,49 @@ class EquivariantSetup:
         H, h, a, off = lay[-1]
         return off + (h ** n) * a
 
+    def _restriction_ints(self, morphism, n):
+        """R^{(x)n} for the restriction map of one orbit-category morphism,
+        as int columns over a common denominator: (columns, d) with
+        R^{(x)n}[tH][tK] = columns[tK].get(tH, 0) / d.  Over F_p the
+        entries are residues and d = 1.  Built once per (morphism, n), as
+        R^{(x)(n-1)} (x) R."""
+        key = (morphism, n)
+        if key not in self._int_powers:
+            if n == 0:
+                self._int_powers[key] = [{0: 1}], 1
+            elif n == 1:
+                self._int_powers[key] = _integral_rows(
+                    self.restrictions[morphism].matrix.transpose().entries)
+            else:
+                prev, d = self._restriction_ints(morphism, n - 1)
+                base, e = self._restriction_ints(morphism, 1)
+                h = self.restrictions[morphism].matrix.rows
+                p = self.field.characteristic
+                if p:
+                    columns = [{i * h + j: x * y % p for i, x in u.items()
+                                for j, y in v.items()}
+                               for u in prev for v in base]
+                else:
+                    columns = [{i * h + j: x * y for i, x in u.items()
+                                for j, y in v.items()}
+                               for u in prev for v in base]
+                self._int_powers[key] = columns, d * e
+        return self._int_powers[key]
+
     def restriction_power(self, morphism, n):
-        """R^{(x)n} for the restriction map of one orbit-category morphism."""
+        """R^{(x)n} for the restriction map of one orbit-category morphism,
+        as a matrix: the one conversion of its int columns to field
+        entries."""
         key = (morphism, n)
         if key not in self._restriction_powers:
-            if n == 0:
-                Rn = Matrix.identity(self.field, 1)
-            else:
-                R = self.restrictions[morphism].matrix
-                Rn = self.restriction_power(morphism, n - 1).kron(R)
-            self._restriction_powers[key] = Rn
+            columns, d = self._restriction_ints(morphism, n)
+            f = self.field
+            if not f.characteristic:
+                columns = [{i: Fraction(x, d) for i, x in col.items()}
+                           for col in columns]
+            nrows = self.restrictions[morphism].matrix.rows ** n
+            self._restriction_powers[key] = Matrix.from_entries(
+                f, len(columns), nrows, columns).transpose()
         return self._restriction_powers[key]
 
     def rho_matrix(self, p, q, h):
@@ -219,67 +286,128 @@ class EquivariantSetup:
             self._rho_matrices[key] = rho_sum(p, q).matrix(h, self.field)
         return self._rho_matrices[key]
 
-    def invariant_space(self, n):
-        if n in self._spaces:
-            return self._spaces[n]
-        lay = self.layout(n)
-        offsets = {H: (h, a, off) for (H, h, a, off) in lay}
-        total = self.ambient_dim(n)
-        f = self.field
-        rows = []
+    def _constraint_rows(self, n):
+        """The invariance constraints of degree n as int rows in ambient
+        indices: row (tK, al) of c_H R^{(x)n} - A(g-hat) c_K for each
+        binding morphism (H, K, g), times a common denominator of R^{(x)n}
+        and A(g-hat) (residues over F_p), yielded one by one and kept
+        nowhere."""
+        offsets = {H: (a, off) for (H, _, a, off) in self.layout(n)}
+        p = self.field.characteristic
         for m in self.category.morphisms:
             H, K, g = m
             if H == K and _is_identity(self.restrictions[m].matrix) \
                     and _is_identity(self.coefficients.maps[m]):
                 continue                    # c_H = c_H at every degree
-            hH, aH, offH = offsets[H]
-            hK, aK, offK = offsets[K]
-            # row (tK, al) of c_H R^{(x)n} - A(g-hat) c_K, in ambient indices
-            Rn_columns = self.restriction_power(m, n).transpose().entries
-            minus_A = [{aj: f.neg(c) for aj, c in row.items()}
-                       for row in self.coefficients.maps[m].entries]
+            aH, offH = offsets[H]
+            aK, offK = offsets[K]
+            Rn_columns, d = self._restriction_ints(m, n)
+            A, e = _integral_rows(self.coefficients.maps[m].entries)
+            s = lcm(d, e)
+            r, a = s // d, -(s // e)
+            minus_A = [{aj: a * x % p if p else a * x for aj, x in row.items()}
+                       for row in A]
             for tK, column in enumerate(Rn_columns):
                 for al in range(aH):
-                    row = {offH + tH * aH + al: c for tH, c in column.items()}
+                    row = {offH + tH * aH + al: r * x
+                           for tH, x in column.items()}
                     for aj, c in minus_A[al].items():
                         k = offK + tK * aK + aj      # may meet row when H == K
-                        x = f.add(row[k], c) if k in row else c
+                        x = row[k] + c if k in row else c
+                        if p:
+                            x %= p
                         if x:
                             row[k] = x
                         else:
                             del row[k]
-                    rows.append(row)
-        basis, free = kernel_basis(Matrix.from_entries(f, len(rows), total, rows))
-        space = InvariantCochainSpace(f, n, total, basis, free, lay)
+                    yield row
+
+    def _satisfy_constraints(self, n, vectors):
+        """Whether the sparse ambient vectors of degree n satisfy every
+        constraint row of degree n: one sparse product in ints, each row
+        meeting the vectors through an index of their entries by column,
+        with no elimination and no row kept."""
+        if not vectors:
+            return True
+        f = self.field
+        p = f.characteristic
+        index = {}                  # ambient column -> (vector, int entry)
+        for i, w in enumerate(vectors):
+            for k, y in f.to_ints(w).items():
+                index.setdefault(k, []).append((i, y))
+        for row in self._constraint_rows(n):
+            acc = {}
+            for k, x in row.items():
+                for i, y in index.get(k, ()):
+                    acc[i] = acc.get(i, 0) + x * y
+            if any(v % p if p else v for v in acc.values()):
+                return False
+        return True
+
+    def invariant_space(self, n):
+        if n in self._spaces:
+            return self._spaces[n]
+        total = self.ambient_dim(n)
+        basis, free = int_kernel_basis(self.field, self._constraint_rows(n),
+                                       total)
+        space = InvariantCochainSpace(self.field, n, total, basis, free,
+                                      self.layout(n))
         self._spaces[n] = space
         return space
 
     def ambient_coboundary(self, n):
         """Block-diagonal (+)_H delta_H on the ambient sum, degree n -> n+1."""
-        if n in self._ambient_deltas:
-            return self._ambient_deltas[n]
         blocks = [coboundary_matrix(self.fixed[H].algebra,
                                     self.coefficients.algebras[H], n)
                   for H in self.category.subgroups]
-        D = Matrix.block_diag(self.field, blocks)
-        self._ambient_deltas[n] = D
-        return D
+        return Matrix.block_diag(self.field, blocks)
+
+    def _delta_images(self, n):
+        """delta of each basis vector of S^n_G, as sparse ambient vectors of
+        degree n + 1: the rows of B D^T for B the basis as rows."""
+        if n not in self._images:
+            sn = self.invariant_space(n)
+            B = Matrix.from_entries(self.field, sn.dim, sn.ambient_dim,
+                                    sn.vectors)
+            D = self.ambient_coboundary(n)
+            self._images[n] = B.mul(D.transpose()).entries
+        return self._images[n]
+
+    def _delta_reduction(self, n):
+        """(cocycles, pivots) of delta on S^n_G, from one elimination of the
+        columns of its ambient images: the reduced-echelon basis of their
+        null space, the cocycles in invariant coordinates, and the pivot
+        columns, the basis vectors whose images span the coboundaries of
+        degree n + 1.  Before it is kept, each pivot image is checked
+        against the constraint rows of degree n + 1; the other images are
+        combinations of them."""
+        if n not in self._reductions:
+            f = self.field
+            images = self._delta_images(n)
+            columns = Matrix.from_entries(f, len(images),
+                                          self.ambient_dim(n + 1), images)
+            cocycles, free = kernel_basis(columns.transpose())
+            free = set(free)
+            pivots = [j for j in range(len(images)) if j not in free]
+            if not self._satisfy_constraints(n + 1,
+                                             [images[j] for j in pivots]):
+                raise AssertionError(
+                    f"delta image leaves the invariant subspace in degree {n}")
+            self._reductions[n] = cocycles, pivots
+        return self._reductions[n]
 
     def equivariant_coboundary(self, n):
         """delta on invariant coordinates S^n_G -> S^{n+1}_G."""
         if n in self._coboundaries:
             return self._coboundaries[n]
         f = self.field
-        sn = self.invariant_space(n)
         sn1 = self.invariant_space(n + 1)
-        # row i of B D^T is delta of basis vector i, for B the basis as rows
-        B = Matrix.from_entries(f, sn.dim, sn.ambient_dim, sn.vectors)
-        images = B.mul(self.ambient_coboundary(n).transpose()).entries
-        columns = [free_coordinates(f, sn1.vectors, sn1.free, w) for w in images]
+        columns = [free_coordinates(f, sn1.vectors, sn1.free, w)
+                   for w in self._delta_images(n)]
         if None in columns:
             raise AssertionError(
                 f"delta image leaves the invariant subspace in degree {n}")
-        X = Matrix.from_entries(f, sn.dim, sn1.dim, columns).transpose()
+        X = Matrix.from_entries(f, len(columns), sn1.dim, columns).transpose()
         self._coboundaries[n] = X
         return X
 
@@ -287,10 +415,10 @@ class EquivariantSetup:
         """Reduced-echelon basis of the image of delta: S^{n-1}_G -> S^n_G
         for n >= 1, as sparse rows in invariant coordinates, and its pivot
         columns."""
-        if n not in self._images:
+        if n not in self._echelon_images:
             red, pivots = self.equivariant_coboundary(n - 1).transpose().rref()
-            self._images[n] = (red.entries[:len(pivots)], pivots)
-        return self._images[n]
+            self._echelon_images[n] = (red.entries[:len(pivots)], pivots)
+        return self._echelon_images[n]
 
     def check_invariance(self, cochain):
         """Residuals of all invariance constraints for a cochain family."""
@@ -305,17 +433,25 @@ class EquivariantSetup:
         return Verdict(not violations, violations)
 
     def cohomology(self, n):
-        """HL^n_G in invariant coordinates of degree n."""
+        """HL^n_G in invariant coordinates of degree n, from S^n_G alone:
+        the cocycles from the reduction of delta's images in degree n, the
+        coboundaries from the pivot images of degree n - 1."""
         if n < 0:
             raise ValueError("degree must be >= 0")
+        f = self.field
         sn = self.invariant_space(n)
-        cocycles = kernel_basis(self.equivariant_coboundary(n))[0] if sn.dim else []
-        if n == 0:
-            coboundaries = []
-        else:
-            coboundaries = image_basis(self.equivariant_coboundary(n - 1))
-        reps = _quotient_data(self.field, cocycles, coboundaries, sn.dim)
-        return CohomologyResult(self.field, n, sn.dim, cocycles, coboundaries,
+        cocycles, _ = self._delta_reduction(n)
+        coboundaries = []
+        if n > 0:
+            images = self._delta_images(n - 1)
+            for j in self._delta_reduction(n - 1)[1]:
+                c = free_coordinates(f, sn.vectors, sn.free, images[j])
+                if c is None:
+                    raise AssertionError(f"delta image leaves the invariant "
+                                         f"subspace in degree {n - 1}")
+                coboundaries.append(c)
+        reps = _quotient_data(f, cocycles, coboundaries, sn.dim)
+        return CohomologyResult(f, n, sn.dim, cocycles, coboundaries,
                                 len(cocycles) - len(coboundaries), reps)
 
     def invariant_to_ambient(self, n, coords):

@@ -9,14 +9,16 @@ sparse rows of Python ints: over Q fraction-free on rows cleared of
 denominators, over F_p on plain residues.  ``Matrix.rref`` feeds it a
 matrix's rows and turns each pivot row into field elements once, at
 exit; the plain Betti numbers feed it the integral boundary rows
-directly.  The loop takes the rows sparsest first and keeps a column
-index (which pivot rows may hold each free column), so back-substitution
-visits only the pivot rows that meet the new pivot column, not all of
-them: its cost follows the entries it changes, not the square of the
-rank.  Bases of subspaces come from ``kernel_basis`` in reduced-echelon
-form, so ``free_coordinates`` reads coordinates off the free columns
-instead of eliminating again.  Dense lists appear only at the edges: the
-dense constructor, ``data``, ``column``, ``apply`` and the ``solve``
+directly, and so do callers that build a system in ints, through
+``int_kernel_basis``.  The loop takes the rows sparsest first and keeps
+a column index (which pivot rows may hold each free column), so
+back-substitution visits only the pivot rows that meet the new pivot
+column, not all of them: its cost follows the entries it changes, not
+the square of the rank.  Bases of subspaces come from ``kernel_basis``
+in reduced-echelon form, read straight off the int pivot rows, so
+``free_coordinates`` reads coordinates off the free columns instead of
+eliminating again.  Dense lists appear only at the edges: the dense
+constructor, ``data``, ``column``, ``apply`` and the ``solve``
 family.  Field elements are falsy exactly when they are zero.
 """
 
@@ -119,6 +121,10 @@ class RationalField:
             return {j: Fraction(x) for j, x in row.items()}
         return {j: Fraction(x, d) for j, x in row.items()}
 
+    def neg_quotient(self, x, d):
+        """-x/d for ints x and d > 0."""
+        return Fraction(-x, d)
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -192,6 +198,10 @@ class PrimeField:
     def from_ints(self, row, pc):
         """A monic row of residues is already in the field."""
         return row
+
+    def neg_quotient(self, x, d):
+        """-x/d for an entry x of a monic row, whose lead d is 1."""
+        return -x % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -516,15 +526,29 @@ def kernel_basis(m):
     sparse vector per free column, 1 there and 0 at the other free columns.
     """
     f = m.field
-    one = f.one()
-    red, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    return int_kernel_basis(f, [f.to_ints(row) for row in m.entries if row],
+                            m.cols)
+
+
+def int_kernel_basis(field, rows, ncols):
+    """``kernel_basis`` of the matrix with the given int rows (as
+    ``to_ints`` makes them; any iterable, empty rows allowed, rows may be
+    changed in place).
+
+    The rows go straight to ``reduce_int_rows``, and each entry x of a
+    pivot row with lead d at a free column becomes one field element -x/d.
+    """
+    pivot_rows = reduce_int_rows(field, rows, ncols)
+    neg_quotient = field.neg_quotient
+    one = field.one()
+    free = [c for c in range(ncols) if c not in pivot_rows]
     basis = {fc: {fc: one} for fc in free}
-    for pc, row in zip(pivots, red.entries):
+    for pc in sorted(pivot_rows):
+        row = pivot_rows[pc]
+        d = row[pc]
         for j, x in row.items():
-            if j != pc:             # a free column: the row is 0 at other pivots
-                basis[j][pc] = f.neg(x)
+            if j != pc:         # a free column: the row is 0 at other pivots
+                basis[j][pc] = neg_quotient(x, d)
     return [basis[fc] for fc in free], free
 
 

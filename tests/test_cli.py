@@ -229,6 +229,24 @@ def test_zinbiel_check_command(capsys):
     assert "failures: 0" in out
 
 
+def test_zinbiel_check_reports_a_failing_triple_with_its_defect(
+        capsys, monkeypatch):
+    # the defect of degree 3 on derived2_f2_z2: word 3 of the {0} block
+    # (dim g = 2, constant coefficients) and the one word of the {0,1} block
+    def failing(a, b, c, setup):
+        defect = [0] * setup.ambient_dim(3)
+        defect[3] = defect[8] = 1
+        return Verdict.failed([("defect_not_a_coboundary", defect)])
+
+    monkeypatch.setattr(cli, "zinbiel_check_on_cohomology", failing)
+    code, out, err = run(capsys, ["--catalog", "derived2_f2_z2",
+                                  "zinbiel-check", "--degrees", "1", "1", "1"])
+    assert code == 2 and "Traceback" not in err
+    assert "triple_0_0_0: FAIL defect_not_a_coboundary nonzero at " \
+        "[({0}, 0, 3), ({0,1}, 0, 0)]" in out
+    assert "triples_checked: 1" in out and "failures: 1" in out
+
+
 def test_zinbiel_check_bad_degrees(capsys):
     code, _, err = run(capsys, ["--catalog", "derived2_f2_z2",
                                 "zinbiel-check", "--degrees", "0", "1", "1"])
@@ -327,6 +345,18 @@ def test_parse_error_coefficient_unit_length(tmp_path, capsys):
         code, _, err = run(capsys, argv)
         assert code == 1
         assert "parse error: coefficients" in err
+
+
+@pytest.mark.parametrize("index", [0, -1, 2])
+def test_parse_error_coefficient_product_index(tmp_path, capsys, index):
+    # index 0 or -1 would wrap to the last row of the product table
+    doc = explicit_constant_doc()
+    doc["coefficients"]["systems"][0]["products"][0]["i"] = index
+    path = write(tmp_path, doc)
+    for argv in (["validate", path], ["cohomology", path, "--equivariant"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "parse error: coefficients: product index out of range" in err
 
 
 def test_rational_string_scalars(tmp_path):

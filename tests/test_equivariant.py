@@ -5,7 +5,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
-from leibcohom.linalg import QQ, GF, Matrix, dense_vector, vec_is_zero
+from leibcohom.complexes import _quotient_data, image_basis
+from leibcohom.linalg import (QQ, GF, Matrix, dense_vector, kernel_basis,
+                              vec_is_zero)
 from leibcohom.equivariant import (constant_coefficients,
                                    coset_function_coefficients,
                                    check_coefficient_system,
@@ -219,15 +221,41 @@ def test_coboundary_image_is_the_rref_of_the_coboundary_columns(
             expected.tolist()[:len(pivots)]
 
 
-def test_delta_image_outside_invariants_rejected():
-    # a restriction that is not an algebra map breaks delta's invariance
+def _spy_on_spaces(setup):
+    """Record the degree of every invariant_space call on this setup."""
+    degrees = []
+    build = setup.invariant_space
+
+    def spy(n):
+        degrees.append(n)
+        return build(n)
+    setup.invariant_space = spy
+    return degrees
+
+
+def _tampered_setup():
+    """lambda6_z2 with a restriction that is not an algebra map, which
+    breaks delta's invariance."""
     setup = catalog_setup("lambda6_z2")
     e = frozenset({0})
     bad = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
     setup.restrictions[(e, e, 1)] = L.AlgebraMorphism(
         setup.fixed[e].algebra, setup.fixed[e].algebra, bad)
+    return setup
+
+
+def test_delta_image_outside_invariants_rejected():
     with pytest.raises(AssertionError, match="leaves the invariant subspace"):
-        setup.equivariant_coboundary(1)
+        _tampered_setup().equivariant_coboundary(1)
+
+
+def test_a_fresh_cohomology_rejects_an_image_outside_invariants():
+    # the top degree of a tower sees it too, without building S^2
+    setup = _tampered_setup()
+    degrees = _spy_on_spaces(setup)
+    with pytest.raises(AssertionError, match="leaves the invariant subspace"):
+        setup.cohomology(1)
+    assert max(degrees) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +423,128 @@ def _kernel_of_all_constraints(setup, n):
             residuals.extend(comps[H] * Rn - A * comps[K])
         columns.append(residuals)
     return sympy.Matrix(columns).T.nullspace()
+
+
+# ---------------------------------------------------------------------------
+# cohomology(n) reads delta off its ambient images in degree n.  It must give
+# what the coboundary matrices X_n = equivariant_coboundary(n) give: the
+# cocycles kernel_basis(X_n), the coboundaries image_basis(X_{n-1}) and the
+# classes _quotient_data of the two.
+# ---------------------------------------------------------------------------
+
+def _check_against_coboundary_matrices(setup, top):
+    f = setup.field
+    results = [setup.cohomology(n) for n in range(top + 1)]
+    for n, res in enumerate(results):
+        dim = setup.invariant_space(n).dim
+        cocycles, _ = kernel_basis(setup.equivariant_coboundary(n))
+        coboundaries = (image_basis(setup.equivariant_coboundary(n - 1))
+                        if n else [])
+        assert res.cochain_dimension == dim
+        assert res.cocycles == cocycles
+        assert res.coboundaries == coboundaries
+        assert res.classes == _quotient_data(f, cocycles, coboundaries, dim)
+        assert res.betti == len(cocycles) - len(coboundaries)
+
+
+@given(actions(), st.sampled_from([constant_coefficients,
+                                   coset_function_coefficients]))
+@settings(max_examples=30, deadline=None)
+def test_cohomology_equals_the_coboundary_matrix_route(action, coefficients):
+    _check_against_coboundary_matrices(_setup(action, coefficients), 3)
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
+def test_catalog_cohomology_equals_the_coboundary_matrix_route(name,
+                                                               coefficients):
+    top = 2 if name == "free_leib(2,2)_perm" else 3
+    _check_against_coboundary_matrices(
+        catalog_setup(name, coefficients=coefficients), top)
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS)
+def test_a_tower_leaves_the_next_space_unbuilt(name, coefficients):
+    setup = catalog_setup(name, coefficients=coefficients)
+    degrees = _spy_on_spaces(setup)
+    for n in range(4):
+        setup.invariant_space(n)
+        setup.cohomology(n)
+    assert max(degrees) == 3
+    # the coboundary matrix of the top degree still needs S^4_G
+    setup.equivariant_coboundary(3)
+    assert max(degrees) == 4
+
+
+# ---------------------------------------------------------------------------
+# An oracle that shares no code with the program: over Q with constant
+# coefficients S^n_G is the G-invariant n-cochains, so HL^n_G is the
+# cohomology of the G-averaged cochain complex, dim HL^n(g)^G.  Built here in
+# sympy from the structure constants and the action matrices alone: the
+# boundary from its defining formula, delta^n = d_{n+1}^T, the invariant
+# cochains as the column space of the average of (psi_g^(x)n)^T.
+# ---------------------------------------------------------------------------
+
+def _sympy_boundary(structure, m, n):
+    """d_n: g^(x)n -> g^(x)(n-1) for n >= 2, as an m^(n-1) x m^n matrix."""
+    words = list(product(range(m), repeat=n - 1))
+    index = {w: i for i, w in enumerate(words)}
+    d = sympy.zeros(m ** (n - 1), m ** n)
+    for col, x in enumerate(product(range(m), repeat=n)):
+        for j in range(1, n):
+            for i in range(j):
+                rest = x[:j] + x[j + 1:]
+                for k, c in enumerate(structure[x[i]][x[j]]):
+                    if c:
+                        w = rest[:i] + (k,) + rest[i + 1:]
+                        d[index[w], col] += (-1) ** (j + 1) * c
+    return d
+
+
+def _averaged_betti(action, top):
+    alg = action.algebra
+    m = alg.dim
+    structure = [[[sympy.Rational(x.numerator, x.denominator) for x in v]
+                  for v in row] for row in alg.structure]
+    psi = [sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in mat.data])
+           for mat in action.matrices]
+    invariant, delta = [], []
+    for n in range(top + 1):
+        average = sympy.zeros(m ** n, m ** n)
+        for g in psi:
+            power = sympy.eye(1)
+            for _ in range(n):
+                power = sympy.kronecker_product(power, g)
+            average += power.T
+        space = (average / len(psi)).columnspace()
+        invariant.append(sympy.Matrix.hstack(*space) if space
+                         else sympy.zeros(m ** n, 0))
+        d = _sympy_boundary(structure, m, n + 1) if n >= 1 else \
+            sympy.zeros(1, m)
+        delta.append((d.T * invariant[n]).rank() if invariant[n].cols else 0)
+    return [invariant[n].cols - delta[n] - (delta[n - 1] if n else 0)
+            for n in range(top + 1)]
+
+
+@given(actions())
+@settings(max_examples=20, deadline=None)
+def test_constant_coefficients_give_the_invariants_of_the_plain_cohomology(
+        action):
+    if action.algebra.field != QQ:
+        return
+    setup = _setup(action, constant_coefficients)
+    assert [setup.cohomology(n).betti for n in range(4)] == \
+        _averaged_betti(action, 3)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_lambda6_z2_cohomology_is_the_invariant_part_of_the_plain_one(seed):
+    action = L.catalog("lambda6_z2").action
+    if seed is not None:
+        action = rebased_action(action, seed)
+    expected = _averaged_betti(action, 3)
+    assert expected == [1, 0, 1, 0]     # HL^n(lambda6) = 1 in every degree
+    setup = _setup(action, constant_coefficients)
+    assert [setup.cohomology(n).betti for n in range(4)] == expected
