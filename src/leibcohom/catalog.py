@@ -8,6 +8,10 @@ Entries:
                      degree N, with S_D permuting the letters
   derived2_f2_z2     the 2-dim derived-bracket algebra over F_2 with Z/2
                      acting by x -> x+y, y -> y
+
+The sizes M, D and N are at least 1; a name with a size 0 is no entry.
+``catalog_dimension`` reads an entry's dimension off its name, so that a
+caller can refuse a large entry before it is built.
 """
 
 from __future__ import annotations
@@ -73,21 +77,55 @@ def derived2_f2():
     return derived_bracket_algebra(dgla)
 
 
+_ABELIAN = re.compile(r"abelian_(\d+)")
+_FREE_LEIB = re.compile(r"free_leib\((\d+),(\d+)\)_perm")
+
+
+def _sizes(pattern, name):
+    """The sizes a sized entry's name gives, as ints, or None when the name
+    does not match; KeyError when one of them is 0."""
+    m = pattern.fullmatch(name)
+    if m is None:
+        return None
+    sizes = [int(x) for x in m.groups()]
+    if min(sizes) < 1:
+        raise KeyError(f"degenerate catalog entry {name!r}")
+    return sizes
+
+
+def catalog_dimension(name, limit):
+    """The dimension of the algebra ``catalog(name)`` builds, or None when
+    it is over limit, read off the name: a sized entry is not built, and
+    its dimension is summed only up to limit.  KeyError for a name
+    ``catalog`` does not know."""
+    sizes = _sizes(_ABELIAN, name)
+    if sizes:
+        dim = sizes[0]
+    elif sizes := _sizes(_FREE_LEIB, name):
+        dimV, N = sizes
+        dim, words = 0, 1
+        for _ in range(N):          # the words of length 1..N
+            words *= dimV
+            dim += words
+            if dim > limit:
+                break
+    else:
+        dim = catalog(name).algebra.dim
+    return dim if dim <= limit else None
+
+
 def catalog(name):
     if name == "lambda6":
         return CatalogEntry(name, lambda6())
     if name == "lambda6_z2":
         alg = lambda6()
         return CatalogEntry(name, alg, _diag_action(alg, [1, -1, -1]))
-    m = re.fullmatch(r"abelian_(\d+)", name)
-    if m:
-        dim = int(m.group(1))
-        if dim < 1:
-            raise KeyError(name)
-        return CatalogEntry(name, LeibnizAlgebra.zero_bracket(QQ, dim))
-    m = re.fullmatch(r"free_leib\((\d+),(\d+)\)_perm", name)
-    if m:
-        dimV, N = int(m.group(1)), int(m.group(2))
+    sizes = _sizes(_ABELIAN, name)
+    if sizes:
+        return CatalogEntry(name, LeibnizAlgebra.zero_bracket(QQ, sizes[0]))
+    sizes = _sizes(_FREE_LEIB, name)
+    if sizes:
+        dimV, N = sizes
         alg, words = free_leibniz_truncated(dimV, N)
         action = _letter_permutation_action(alg, words, dimV)
         return CatalogEntry(name, alg, action, words)

@@ -1,7 +1,8 @@
 """Command-line front end: problem files in, deterministic reports out.
 
-Exit codes: 0 success, 1 parse failure, 2 validation/check failure or a
-degree over the size budget (``COCHAIN_BUDGET``).
+Exit codes: 0 success, 1 parse failure, 2 validation/check failure, an
+algebra over the dimension bound (``MAX_ALGEBRA_DIM``) or a degree over
+the size budget (``COCHAIN_BUDGET``).
 Reports are plain text; --json emits a JSON document instead.  The only
 non-deterministic content (timestamp, runtime) is isolated to one header
 line (one "timestamp" key in JSON).
@@ -26,7 +27,7 @@ from .equivariant import (CoefficientSystem, EquivariantCochain,
                           coset_function_coefficients, check_coefficient_system)
 from .shuffles import check_rho_identity, cup, zinbiel_check_on_cohomology
 from .verdict import VerdictError
-from .catalog import catalog
+from .catalog import catalog, catalog_dimension
 
 
 class ProblemParseError(Exception):
@@ -48,8 +49,17 @@ class ProblemSizeError(Exception):
 # dimension m^n on the plain paths and EquivariantSetup.ambient_dim(n) on
 # the equivariant ones.  Over the budget a command exits 2 before it builds
 # any cochain matrix.  Plain cohomology of the 3-dimensional lambda6 up to
-# degree 8 (3^9 cochains on top, 29524 in all) fits, and takes seconds.
+# degree 8 (3^9 cochains on top, 29524 in all) fits, and takes under a
+# second.
 COCHAIN_BUDGET = 30000
+
+# The largest algebra a problem may give, checked before its structure
+# table (dim^3 entries) is built.  The Leibniz check visits the nonzero
+# structure constants only, so its worst case is a dense table: at
+# dimension 24 a random dense table takes about 3 s in ``validate`` (10 s
+# at 32, 35 s at 40), and an empty one 0.2 s.  Every catalog entry in use fits
+# (the largest, free_leib(2,3)_perm, has dimension 14).
+MAX_ALGEBRA_DIM = 24
 
 
 def check_size(degree, dim_at):
@@ -112,6 +122,9 @@ def _parse_problem(doc):
     dim = int(aspec["dim"])
     if dim < 0:
         raise ProblemParseError(f"algebra: negative dimension {dim}")
+    if dim > MAX_ALGEBRA_DIM:
+        raise ProblemSizeError(f"algebra: dimension {dim} is over the bound "
+                               f"of {MAX_ALGEBRA_DIM}")
     z = field.zero()
     structure = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
     for ent in aspec.get("brackets", []):
@@ -154,6 +167,14 @@ def _parse_problem(doc):
 
 def load_problem(args):
     if args.catalog:
+        try:
+            dim = catalog_dimension(args.catalog, MAX_ALGEBRA_DIM)
+        except (KeyError, ValueError) as exc:   # ValueError: too many digits
+            raise ProblemParseError(f"--catalog: {exc.args[0]}") from None
+        if dim is None:
+            raise ProblemSizeError(
+                f"--catalog: the algebra of {args.catalog!r} has dimension "
+                f"over the bound of {MAX_ALGEBRA_DIM}")
         entry = catalog(args.catalog)
         return Problem(entry.algebra.field, entry.algebra,
                        entry.action.group if entry.action else None,

@@ -9,17 +9,20 @@ Cochains take values in a commutative associative algebra A used as a
 trivial module: delta(c) = c o d, so the coboundary matrix is the
 transpose of d tensored with the identity on A-coordinates.
 
-d_n is built as the rows of d_n^T, one per source word: each bracket
-term is summed as a Python int on the structure constants cleared of
-denominators, and each nonzero sum becomes a field element once.  The
-coboundary matrix is then index arithmetic on those rows.  Over a field
-the plain Betti numbers need no bases: ``betti_numbers`` reads
-dim HL^n = dim HL_n = m^n - rank d_n - rank d_{n+1} off one rank per
-boundary map, while ``homology`` and ``cohomology`` also return cycles,
-cocycles and class representatives.  Those ranks are taken on the int
-rows themselves, before any division by the common denominator, with
-the elimination loop that ``Matrix.rref`` runs (``reduce_int_rows``), so
-no entry becomes a field element at all.
+d_n is built as the rows of d_n^T, one per source word, in ints on the
+structure constants cleared of denominators, one degree at a time:
+``BoundaryChain`` steps from d_{n-1}^T to d_n^T by the recursion
+d_n(w x) = d_{n-1}(w) x + (-1)^n sum_{i<n} (w_1,...,[w_i,x],...,w_{n-1}),
+and keeps only the latest degree.  Each nonzero entry becomes a field
+element once, in ``boundary_matrix``; the coboundary matrix is then index
+arithmetic on those rows.  Over a field the plain Betti numbers need no
+bases: ``betti_numbers`` reads dim HL^n = dim HL_n = m^n - rank d_n -
+rank d_{n+1} off one rank per boundary map, while ``homology`` and
+``cohomology`` also return cycles, cocycles and class representatives.
+Those ranks are taken on the int rows themselves, before any division by
+the common denominator, with the elimination loop that ``Matrix.rref``
+runs (``reduce_int_rows``), so no entry becomes a field element at all;
+each d_k^T is reduced in place once d_{k+1}^T has been built from it.
 """
 
 from __future__ import annotations
@@ -57,47 +60,83 @@ class BoundaryOperator:
     matrix: Matrix   # TensorSpace(n) -> TensorSpace(n-1)
 
 
-def _boundary_ints(alg, n):
-    """d_n^T for n >= 2 as int rows, one per source word, of its image's
-    {target word: entry}, and the common denominator c they are to be
-    divided by.
+class BoundaryChain:
+    """d_k^T of one algebra as int rows, built one degree at a time.
 
-    The bracket terms are summed as Python ints on the structure
-    constants times c; over F_p the sums are reduced mod p (there c = 1).
+    ``rows`` is d_k^T for k = ``degree``: one {target word: entry} row per
+    source word of degree k, in ints to be divided by ``denominator``, the
+    common denominator c of the structure constants (over F_p the entries
+    are residues and c = 1).  The chain starts at d_1 = 0, one empty row
+    per letter.  ``step`` builds d_{k+1}^T from d_k^T by the recursion
+
+        d_k(w x) = d_{k-1}(w) x
+                   + (-1)^k sum_{i<k} (w_1,...,[w_i,x],...,w_{k-1})
+
+    for a word w of degree k - 1 and a letter x: row w m + x of d_k^T is
+    row w of d_{k-1}^T with x appended to each target word, plus (-1)^k
+    times one bracket term per slot, so k - 1 terms a row instead of the
+    k(k-1)/2 of the defining double sum.  Only the latest degree is kept.
     """
-    m = alg.dim
-    s, c = _integral(alg.structure)
-    brackets = [[{k: sign * x for k, x in enumerate(s[a][b]) if x}
-                 for a in range(m) for b in range(m)]
-                for sign in (-1, 1)]
-    power = [m ** e for e in range(n + 1)]
-    place = power[n - 2::-1]         # of slot i in a word of degree n-1
-    p = alg.field.characteristic
-    rows = []
-    for col, word in enumerate(product(range(m), repeat=n)):
-        acc = {}
-        for j in range(1, n):            # 0-based; the sign uses the 1-based j
-            signed = brackets[j % 2]
-            # the index of the word without x_j
-            tail = power[n - 1 - j]
-            removed = col // (tail * m) * tail + col % tail
-            for i in range(j):
-                # x_i becomes [x_i, x_j] in the word without x_j
-                base = removed - word[i] * place[i]
-                for k, x in signed[word[i] * m + word[j]].items():
-                    t = base + k * place[i]
-                    acc[t] = acc.get(t, 0) + x
-        if p:
-            rows.append({t: y for t, x in acc.items() if (y := x % p)})
-        else:
-            rows.append({t: x for t, x in acc.items() if x})
-    return rows, c
+
+    def __init__(self, alg):
+        m = self.m = alg.dim
+        self.characteristic = alg.field.characteristic
+        s, self.denominator = _integral(alg.structure)
+        # letter a -> [(x, [(k, entry)])] over the nonzero [e_a, e_x], once
+        # with each sign (-1)^k, indexed by k % 2
+        self._right = [[[(x, [(k, sign * y)
+                               for k, y in enumerate(s[a][x]) if y])
+                          for x in range(m) if any(s[a][x])]
+                         for a in range(m)]
+                        for sign in (1, -1)]
+        self.degree = 1
+        self.rows = [{} for _ in range(m)]
+
+    def step(self):
+        """Replace d_k^T by d_{k+1}^T."""
+        m, p = self.m, self.characteristic
+        k = self.degree + 1
+        right = self._right[k % 2]
+        place = [m ** e for e in range(k - 2, -1, -1)]  # of slot i, degree k-1
+        words = list(range(m ** (k - 1)))   # one int object per target word
+        rows = []
+        for w, (prev, word) in enumerate(zip(self.rows,
+                                             product(range(m), repeat=k - 1))):
+            block = [{words[t * m + x]: y for t, y in prev.items()}
+                     for x in range(m)]
+            touched = set()
+            for shift, a in zip(place, word):
+                base = w - a * shift        # w with slot i emptied
+                for x, terms in right[a]:
+                    acc = block[x]
+                    touched.add(x)
+                    for c, y in terms:
+                        u = words[base + c * shift]
+                        acc[u] = acc.get(u, 0) + y
+            for x in touched:
+                if p:
+                    block[x] = {u: z for u, y in block[x].items()
+                                if (z := y % p)}
+                else:
+                    block[x] = {u: y for u, y in block[x].items() if y}
+            rows.extend(block)
+        self.degree, self.rows = k, rows
+
+    def at(self, n):
+        """d_n^T for n >= 1: the rows held, stepped up to degree n, or
+        built again from d_1 when n is below the degree held."""
+        if n < self.degree:
+            self.degree, self.rows = 1, [{} for _ in range(self.m)]
+        while self.degree < n:
+            self.step()
+        return self.rows
 
 
 def _boundary_transpose(alg, n):
     """d_n^T for n >= 2 as a matrix: each nonzero int sum becomes a field
     element once, over Q divided by the common denominator."""
-    rows, c = _boundary_ints(alg, n)
+    chain = BoundaryChain(alg)
+    rows, c = chain.at(n), chain.denominator
     if not alg.field.characteristic:
         rows = [{t: Fraction(x, c) for t, x in row.items()} for row in rows]
     return Matrix.from_entries(alg.field, len(rows), alg.dim ** (n - 1), rows)
@@ -114,11 +153,20 @@ def betti_numbers(alg, n_max):
     """dim HL^n(g; K) = dim HL_n(g) for n = 0..n_max, from one rank per
     boundary map: m^n - rank d_n - rank d_{n+1}, with d_0 = d_1 := 0.
     Each rank is taken on the int rows of d_k^T, since dividing them by
-    the common denominator does not change it."""
+    the common denominator does not change it.  The chain walks up in
+    degree: d_k^T is reduced in place once d_{k+1}^T is built from it,
+    and then dropped."""
     m = alg.dim
-    ranks = [0, 0] + [len(reduce_int_rows(alg.field, _boundary_ints(alg, k)[0],
-                                          m ** (k - 1)))
-                      for k in range(2, n_max + 2)]
+    chain = BoundaryChain(alg)
+    ranks = [0, 0]
+    below = None                # d_{k-1}^T, to be ranked
+    for k in range(2, n_max + 2):
+        chain.step()
+        if below is not None:
+            ranks.append(len(reduce_int_rows(alg.field, below, m ** (k - 2))))
+        below = chain.rows
+    if below is not None:
+        ranks.append(len(reduce_int_rows(alg.field, below, m ** n_max)))
     return [m ** n - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
 
 

@@ -23,15 +23,20 @@ The per-degree data is built on demand and kept on the
   ``check_invariance`` still evaluates every morphism, on
   ``restriction_power``, the one conversion of R^(x)n to field entries.
 * ``cohomology(n)`` needs S^n_G only.  The images delta(b_i) of the basis
-  of S^n_G are kept as ambient vectors, and one elimination of their
-  columns per degree gives both the cocycles (its null space, the same
-  reduced basis the coboundary matrix X_n would give) and the pivot
-  columns.  The coboundaries of degree n + 1 are the S^(n+1)_G
-  coordinates of the pivot images, which are the columns ``image_basis``
-  would pick from X_n.  So a tower up to N never builds S^(N+1)_G, and no
-  coboundary is eliminated twice.  The pivot images are checked against
-  the constraint rows of degree n + 1 by a sparse product, so an image
-  that leaves the invariant subspace is refused in its own degree.
+  of S^n_G are summed in ints, on the block of each subgroup H over the
+  int rows of d_{n+1}^T of g^H: each H keeps a ``BoundaryChain`` with its
+  latest d^T, stepped up one degree as a tower climbs (and built again
+  from d_2 when a lower degree is asked for).  Each nonzero entry becomes
+  one field element.  The images are kept as ambient vectors, and one
+  elimination of their columns per degree gives both the cocycles (its
+  null space, the same reduced basis the coboundary matrix X_n would
+  give) and the pivot columns.  The coboundaries of degree n + 1 are the
+  S^(n+1)_G coordinates of the pivot images, which are the columns
+  ``image_basis`` would pick from X_n.  So a tower up to N never builds
+  S^(N+1)_G, and no coboundary is eliminated twice.  The pivot images
+  are checked against the constraint rows of degree n + 1 by a sparse
+  product, so an image that leaves the invariant subspace is refused in
+  its own degree.
 * ``equivariant_coboundary(n)`` (X_n, which needs S^(n+1)_G) and
   ``coboundary_image(n)`` serve the zinbiel span test; they read the kept
   images and do not take the reduction above.
@@ -46,7 +51,7 @@ from math import lcm
 
 from .linalg import (Matrix, combination, dense_vector, free_coordinates,
                      int_kernel_basis, kernel_basis, sparse_vector)
-from .complexes import (CoefficientAlgebra, CohomologyResult, coboundary_matrix,
+from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
                         _quotient_data)
 from .groups import fixed_subalgebra, restriction_map
 from .shuffles import rho_sum
@@ -211,6 +216,7 @@ class EquivariantSetup:
         self.restrictions = {m: restriction_map(action, m, self.fixed)
                              for m in category.morphisms}
         self._spaces = {}
+        self._chains = {}
         self._images = {}
         self._reductions = {}
         self._coboundaries = {}
@@ -355,22 +361,59 @@ class EquivariantSetup:
         self._spaces[n] = space
         return space
 
-    def ambient_coboundary(self, n):
-        """Block-diagonal (+)_H delta_H on the ambient sum, degree n -> n+1."""
-        blocks = [coboundary_matrix(self.fixed[H].algebra,
-                                    self.coefficients.algebras[H], n)
-                  for H in self.category.subgroups]
-        return Matrix.block_diag(self.field, blocks)
-
     def _delta_images(self, n):
-        """delta of each basis vector of S^n_G, as sparse ambient vectors of
-        degree n + 1: the rows of B D^T for B the basis as rows."""
+        """delta of each basis vector b of S^n_G, as sparse ambient vectors
+        of degree n + 1, summed in ints: on the block of H,
+
+            delta(b)[s a + al] = sum_t d_{n+1}^T[s][t] b[t a + al]
+
+        over the int rows of d_{n+1}^T of g^H, brought to the lcm c of the
+        subgroups' denominators, and b times the lcm e of its denominators.
+        Each entry of b is visited once, through the columns of d_{n+1}^T,
+        and each nonzero sum x becomes one field element, x / (c e) (x mod
+        p over F_p).  Each subgroup keeps only its latest d^T, stepped up
+        one degree as the tower climbs."""
         if n not in self._images:
-            sn = self.invariant_space(n)
-            B = Matrix.from_entries(self.field, sn.dim, sn.ambient_dim,
-                                    sn.vectors)
-            D = self.ambient_coboundary(n)
-            self._images[n] = B.mul(D.transpose()).entries
+            p = self.field.characteristic
+            lay = self.layout(n)
+            starts = [off for (_, _, _, off) in lay]
+            for H in self.category.subgroups:
+                if H not in self._chains:
+                    self._chains[H] = BoundaryChain(self.fixed[H].algebra)
+            c = lcm(*(chain.denominator for chain in self._chains.values()))
+            # each block: the columns of c d^T, as {s a: entry}, dim A(G/H),
+            # and the ambient indices of degree n + 1, one int object each
+            # for all the images to share
+            blocks = []
+            for (H, h, a, _), (_, _, _, off1) in zip(lay, self.layout(n + 1)):
+                chain = self._chains[H]
+                r = c // chain.denominator
+                columns = [{} for _ in range(h ** n)]
+                for s, row in enumerate(chain.at(n + 1)):
+                    for t, x in row.items():
+                        columns[t][s * a] = r * x
+                blocks.append((columns, a,
+                               list(range(off1, off1 + h ** (n + 1) * a))))
+            images = []
+            for v in self.invariant_space(n).vectors:
+                e = lcm(*(x.denominator for x in v.values()))
+                acc = {}
+                for i, x in v.items():
+                    y = x.numerator * (e // x.denominator)
+                    j = bisect_right(starts, i) - 1       # skips empty blocks
+                    columns, a, index = blocks[j]
+                    t, al = divmod(i - starts[j], a)
+                    for sa, z in columns[t].items():
+                        k = index[sa + al]
+                        acc[k] = acc.get(k, 0) + z * y
+                if p:
+                    images.append({k: y for k, x in acc.items()
+                                   if (y := x % p)})
+                else:
+                    d = c * e
+                    images.append({k: Fraction(x, d) for k, x in acc.items()
+                                   if x})
+            self._images[n] = images
         return self._images[n]
 
     def _delta_reduction(self, n):

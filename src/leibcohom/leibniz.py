@@ -71,19 +71,33 @@ def check_leibniz_identity(alg):
     """Verify [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] - [[e_i,e_k],e_j] on all triples.
 
     The identity is quadratic in the structure constants, so it is checked
-    in ints on the constants times their common denominator d.
+    in ints on the constants times their common denominator d.  Only the
+    nonzero constants are visited: each term holds one of [e_j,e_k],
+    [e_i,e_j] and [e_i,e_k], so a triple where all three vanish holds, and
+    only the other triples are checked, in lexicographic order.
     """
     f = alg.field
     n = alg.dim
     s, d = _integral(alg.structure)
     unscale = f.inv(f.coerce(d * d))
+    br = [[[(l, x) for l, x in enumerate(v) if x] for v in row] for row in s]
+    triples = set()
+    for a, b in product(range(n), repeat=2):
+        if br[a][b]:
+            for c in range(n):
+                triples.update(((c, a, b), (a, b, c), (a, c, b)))
     violations = []
-    for i, j, k in product(range(n), repeat=3):
+    for i, j, k in sorted(triples):
         res = [0] * n
-        for l in range(n):
-            a, b, c = s[j][k][l], s[i][j][l], s[i][k][l]
-            for m in range(n):
-                res[m] += a * s[i][l][m] - b * s[l][k][m] + c * s[l][j][m]
+        for l, x in br[j][k]:
+            for m, y in br[i][l]:
+                res[m] += x * y
+        for l, x in br[i][j]:
+            for m, y in br[l][k]:
+                res[m] -= x * y
+        for l, x in br[i][k]:
+            for m, y in br[l][j]:
+                res[m] += x * y
         if any(res) and any(map(f.coerce, res)):
             violations.append(((i, j, k), [f.mul(f.coerce(x), unscale)
                                            for x in res]))

@@ -367,16 +367,6 @@ class Matrix:
         entries = [row for m in mats for row in m.entries]
         return cls.from_entries(field, len(entries), cols, entries)
 
-    @classmethod
-    def block_diag(cls, field, mats):
-        entries = []
-        c = 0
-        for m in mats:
-            entries.extend({c + j: x for j, x in row.items()}
-                           for row in m.entries)
-            c += m.cols
-        return cls.from_entries(field, len(entries), c, entries)
-
     # -- elimination -----------------------------------------------------
 
     def rref(self):

@@ -21,6 +21,26 @@ def trivial_setup(algebra, coefficients="constant"):
     return L.EquivariantSetup(action, category, cs)
 
 
+def block_diag(field, mats):
+    """The block-diagonal matrix with the given blocks, in order."""
+    entries = []
+    c = 0
+    for m in mats:
+        entries.extend({c + j: x for j, x in row.items()} for row in m.entries)
+        c += m.cols
+    return Matrix.from_entries(field, len(entries), c, entries)
+
+
+def ambient_coboundary(setup, n):
+    """(+)_H delta_H on the ambient cochains, degree n -> n + 1: the
+    coboundary matrix of each fixed subalgebra, by the field-entry route of
+    ``complexes.coboundary_matrix``."""
+    return block_diag(setup.field, [
+        L.coboundary_matrix(setup.fixed[H].algebra,
+                            setup.coefficients.algebras[H], n)
+        for H in setup.category.subgroups])
+
+
 def catalog_setup(name, coefficients="constant"):
     entry = L.catalog(name)
     assert entry.action is not None

@@ -23,7 +23,7 @@ from leibcohom.shuffles import (shuffles, rho_sum, rho_explicit_word,
                                 check_zinbiel_axiom)
 from leibcohom.cli import main
 
-from conftest import trivial_setup, catalog_setup
+from conftest import ambient_coboundary, trivial_setup, catalog_setup
 
 
 SMALL_CATALOG = ["lambda6", "abelian_1", "abelian_2", "abelian_3",
@@ -129,7 +129,7 @@ def test_criterion_06_invariance_lemma():
             for coeffs in ("constant", "coset-functions"):
                 setup = catalog_setup(name, coefficients=coeffs)
                 for n in range(0, 4):
-                    D = setup.ambient_coboundary(n)
+                    D = ambient_coboundary(setup, n)
                     for v in setup.invariant_space(n).basis:
                         img = EquivariantCochain.from_ambient(
                             setup, n + 1, D.apply(v))
@@ -160,7 +160,7 @@ def test_criterion_08_rho_identity():
 
 def _equivariant_delta(setup, cochain):
     n = cochain.degree
-    img = setup.ambient_coboundary(n).apply(cochain.to_ambient(setup))
+    img = ambient_coboundary(setup, n).apply(cochain.to_ambient(setup))
     return EquivariantCochain.from_ambient(setup, n + 1, img)
 
 

@@ -552,3 +552,74 @@ def test_size_budget_admits_plain_lambda6_to_degree_8():
     cli.check_size(9, lambda n: 3 ** n)
     with pytest.raises(cli.ProblemSizeError):
         cli.check_size(10, lambda n: 3 ** n)
+
+
+# -- catalog names and the dimension bound ------------------------------------
+
+@pytest.mark.parametrize("name", ["nosuch", "abelian_0", "free_leib(0,2)_perm",
+                                  "free_leib(2,0)_perm"])
+def test_unknown_or_degenerate_catalog_name_is_a_parse_error(capsys, name):
+    code, out, err = run(capsys, ["--catalog", name, "validate"])
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["free_leib(6,6)_perm", "abelian_99999999",
+                                  "free_leib(1,99999999999)_perm",
+                                  f"abelian_{cli.MAX_ALGEBRA_DIM + 1}"])
+def test_oversized_catalog_entry_is_refused_before_it_is_built(
+        capsys, monkeypatch, name):
+    def forbidden(name):
+        raise AssertionError(f"{name} was built")
+
+    monkeypatch.setattr(cli, "catalog", forbidden)
+    code, out, err = run(capsys, ["--catalog", name, "cohomology"])
+    assert code == 2 and out == ""
+    assert err.startswith("size error: ") and len(err.splitlines()) == 1
+
+
+# the names the tests, scripts, README and benchmark use
+CATALOG_IN_USE = ["lambda6", "lambda6_z2", "derived2_f2_z2", "abelian_1",
+                  "abelian_2", "abelian_3", "free_leib(2,1)_perm",
+                  "free_leib(3,1)_perm", "free_leib(2,2)_perm",
+                  "free_leib(2,3)_perm"]
+
+
+@pytest.mark.parametrize("name", CATALOG_IN_USE + [
+    f"abelian_{cli.MAX_ALGEBRA_DIM}", "free_leib(1,24)_perm",
+    "free_leib(4,2)_perm"])
+def test_catalog_dimension_is_read_off_the_name(name):
+    dim = catalog(name).algebra.dim
+    assert dim <= cli.MAX_ALGEBRA_DIM
+    assert cli.catalog_dimension(name, cli.MAX_ALGEBRA_DIM) == dim
+    assert cli.catalog_dimension(name, dim - 1) is None
+
+
+def test_dimension_bound_refuses_before_the_table_is_built(tmp_path, capsys):
+    # a 3000^3 table would exhaust memory; the bound is checked first
+    for dim in (3000, cli.MAX_ALGEBRA_DIM + 1):
+        path = write(tmp_path, {"algebra": {"dim": dim}})
+        for argv in (["validate", path], ["cohomology", path]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == ""
+            assert err.startswith("size error: ")
+
+
+def test_dimension_bound_edge_validates_quickly(tmp_path, capsys):
+    # at the bound, an empty table and a dense one (not Leibniz: every
+    # triple is checked and reported) are both answered; the dense table
+    # is the Leibniz check's worst case
+    m = cli.MAX_ALGEBRA_DIM
+    empty = write(tmp_path, {"algebra": {"dim": m}}, "empty.json")
+    dense = write(tmp_path, {"algebra": {"dim": m, "brackets": [
+        {"i": i, "j": j, "value": [(i * j + k) % 5 - 2 for k in range(m)]}
+        for i in range(1, m + 1) for j in range(1, m + 1)]}}, "dense.json")
+    start = time.monotonic()
+    code, out, _ = run(capsys, ["validate", empty])
+    assert code == 0 and "leibniz_identity: ok" in out
+    code, out, _ = run(capsys, ["cohomology", empty, "--max-degree", "1"])
+    assert code == 0 and f"betti_1: {m}" in out
+    code, out, _ = run(capsys, ["validate", dense])
+    assert code == 2 and "leibniz_identity: violations" in out
+    assert time.monotonic() - start < 30
+

@@ -1,12 +1,15 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
+from leibcohom.catalog import lambda6 as lambda6_over
+from leibcohom.leibniz import free_leibniz_truncated
 from leibcohom.linalg import QQ, GF, Matrix, rank, vec_is_zero
-from leibcohom.complexes import (TensorSpace, boundary_matrix,
+from leibcohom.complexes import (BoundaryChain, TensorSpace, boundary_matrix,
                                  coboundary_matrix, CoefficientAlgebra,
                                  homology, cohomology)
 
@@ -275,3 +278,80 @@ def test_coboundary_is_transpose_kron_identity(name, a):
             boundary_matrix(alg, n + 1).matrix.transpose().kron(
                 Matrix.identity(f, a))
     assert coboundary_matrix(alg, A, 0) == Matrix.zero(f, alg.dim * a, a)
+
+
+# ---------------------------------------------------------------------------
+# The boundary rows come from a one-degree step.  Reference: the defining
+# double sum over i < j, written out here on int rows over the common
+# denominator of the structure constants, sharing no code with the step.
+# The step needs no Leibniz identity, so random brackets are fair game.
+# ---------------------------------------------------------------------------
+
+def double_loop_boundary_ints(alg, n):
+    """d_n^T for n >= 2 as int rows and their common denominator c, one
+    row per source word, each bracket term summed in ints (mod p over F_p,
+    where c = 1)."""
+    m = alg.dim
+    p = alg.field.characteristic
+    c = 1
+    for row in alg.structure:
+        for v in row:
+            for x in v:
+                c = c * x.denominator // gcd(c, x.denominator)
+    s = [[[x.numerator * (c // x.denominator) for x in v] for v in row]
+         for row in alg.structure]
+    targets = {w: t for t, w in enumerate(product(range(m), repeat=n - 1))}
+    rows = []
+    for word in product(range(m), repeat=n):
+        acc = {}
+        for j in range(1, n):          # 0-based; the sign is (-1)^(j+1)
+            sign = -1 if j % 2 == 0 else 1
+            for i in range(j):
+                rest = word[:j] + word[j + 1:]
+                for k, x in enumerate(s[word[i]][word[j]]):
+                    if x:
+                        t = targets[rest[:i] + (k,) + rest[i + 1:]]
+                        acc[t] = acc.get(t, 0) + sign * x
+        if p:
+            rows.append({t: y for t, x in acc.items() if (y := x % p)})
+        else:
+            rows.append({t: x for t, x in acc.items() if x})
+    return rows, c
+
+
+def _step_algebras():
+    """The catalog algebras over Q, and algebras over F_2 and F_3."""
+    names = ["lambda6", "abelian_3", "derived2_f2_z2", "free_leib(2,2)_perm"]
+    return [(name, L.catalog(name).algebra, 5) for name in names] + [
+        ("lambda6-gf2", lambda6_over(GF(2)), 6),
+        ("lambda6-gf3", lambda6_over(GF(3)), 6),
+        ("free_leib(2,2)-gf3", free_leibniz_truncated(2, 2, GF(3))[0], 3)]
+
+
+@pytest.mark.parametrize("name, alg, top", _step_algebras(),
+                         ids=[name for name, _, _ in _step_algebras()])
+def test_boundary_step_matches_the_double_loop(name, alg, top):
+    chain = BoundaryChain(alg)
+    for n in range(2, top + 1):
+        rows, c = double_loop_boundary_ints(alg, n)
+        assert chain.at(n) == rows, n
+        assert chain.denominator == c
+    # a lower degree is built again from d_1
+    assert chain.at(2) == double_loop_boundary_ints(alg, 2)[0]
+    assert chain.degree == 2
+
+
+@st.composite
+def bilinear_brackets(draw):
+    """Any structure constants over Q (with denominators), F_2 or F_3."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    structure = draw(structure_constants(fractional=field == QQ))
+    return L.LeibnizAlgebra(field, len(structure), structure)
+
+
+@given(bilinear_brackets(), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_boundary_step_matches_the_double_loop_on_random_brackets(alg, n):
+    chain = BoundaryChain(alg)
+    rows = chain.at(n)
+    assert (rows, chain.denominator) == double_loop_boundary_ints(alg, n)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -5,7 +6,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
-from leibcohom.complexes import _quotient_data, image_basis
+from leibcohom.catalog import _letter_permutation_action
+from leibcohom.complexes import BoundaryChain, _quotient_data, image_basis
+from leibcohom.leibniz import free_leibniz_truncated
 from leibcohom.linalg import (QQ, GF, Matrix, dense_vector, kernel_basis,
                               vec_is_zero)
 from leibcohom.equivariant import (constant_coefficients,
@@ -13,7 +16,8 @@ from leibcohom.equivariant import (constant_coefficients,
                                    check_coefficient_system,
                                    CoefficientSystem, EquivariantCochain)
 
-from conftest import trivial_setup, catalog_setup, rebased_action
+from conftest import (ambient_coboundary, block_diag, trivial_setup,
+                      catalog_setup, rebased_action)
 
 
 def test_constant_coefficients_validate():
@@ -127,7 +131,7 @@ def test_delta_preserves_invariance(lambda6_z2_setup):
     # an invariant cochain of degree n + 1
     setup = lambda6_z2_setup
     for n in range(3):
-        D = setup.ambient_coboundary(n)
+        D = ambient_coboundary(setup, n)
         for v in setup.invariant_space(n).basis:
             img = D.apply(v)
             c = EquivariantCochain.from_ambient(setup, n + 1, img)
@@ -311,8 +315,8 @@ def abelian_actions(draw):
         if m + size <= 3:
             blocks.append(kind)
             m += size
-    matrices = [Matrix.block_diag(QQ, [Matrix.from_rows(QQ, _block(kind, g))
-                                       for kind in blocks])
+    matrices = [block_diag(QQ, [Matrix.from_rows(QQ, _block(kind, g))
+                                for kind in blocks])
                 for g in range(group.order)]
     return L.GroupAction(group, L.LeibnizAlgebra.zero_bracket(QQ, m), matrices)
 
@@ -475,6 +479,106 @@ def test_a_tower_leaves_the_next_space_unbuilt(name, coefficients):
     # the coboundary matrix of the top degree still needs S^4_G
     setup.equivariant_coboundary(3)
     assert max(degrees) == 4
+
+
+# ---------------------------------------------------------------------------
+# The delta images are summed in ints over each subgroup's d^T.  They must
+# be B (+)_H delta_H^T for B the basis of S^n_G as rows, with each delta_H
+# the field-entry coboundary matrix, built here.
+# ---------------------------------------------------------------------------
+
+def _fraction_route_images(setup, n):
+    sn = setup.invariant_space(n)
+    B = Matrix.from_entries(setup.field, sn.dim, sn.ambient_dim, sn.vectors)
+    return B.mul(ambient_coboundary(setup, n).transpose()).entries
+
+
+@st.composite
+def f2_actions(draw):
+    """An action over F_2 with a nonzero bracket, or a permutation action
+    on abelian_m over F_2, possibly re-based."""
+    kind = draw(st.sampled_from(["derived2", "free_leib", "abelian"]))
+    if kind == "derived2":
+        action = L.catalog("derived2_f2_z2").action
+    elif kind == "free_leib":
+        alg, words = free_leibniz_truncated(2, 2, GF(2))
+        action = _letter_permutation_action(alg, words, 2)
+    else:
+        q = draw(abelian_actions())
+        f2 = GF(2)
+        action = L.GroupAction(
+            q.group, L.LeibnizAlgebra.zero_bracket(f2, q.algebra.dim),
+            [Matrix.from_rows(f2, psi.data) for psi in q.matrices])
+    seed = draw(st.sampled_from([None, 1, 2]))
+    if seed is not None:
+        action = rebased_action(action, seed)
+    assert L.validate_action(action).ok
+    return action
+
+
+def scaled(action, s):
+    """The action on the algebra with every bracket multiplied by s, which
+    keeps the Leibniz identity and the automorphisms: over Q, s = 1/2
+    gives d^T a common denominator other than 1."""
+    alg = action.algebra
+    f = alg.field
+    c = f.coerce(s)
+    structure = [[[f.mul(c, x) for x in v] for v in row]
+                 for row in alg.structure]
+    return L.GroupAction(action.group, L.LeibnizAlgebra(f, alg.dim, structure),
+                         action.matrices)
+
+
+@given(st.one_of(actions(), f2_actions()),
+       st.sampled_from([constant_coefficients, coset_function_coefficients]),
+       st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_delta_images_equal_the_fraction_route(action, coefficients, s):
+    if action.algebra.field == QQ:
+        action = scaled(action, s)
+    setup = _setup(action, coefficients)
+    for n in range(4):
+        assert setup._delta_images(n) == _fraction_route_images(setup, n)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
+def test_catalog_delta_images_equal_the_fraction_route(name, coefficients,
+                                                       seed):
+    # re-based, the fixed subalgebras of free_leib(2,2)_perm have
+    # structure constants with different denominators (1 and 49)
+    setup = catalog_setup(name, coefficients=coefficients)
+    action = setup.action if seed is None else rebased_action(setup.action,
+                                                              seed)
+    if setup.field == QQ:
+        action = scaled(action, Fraction(1, 2))
+    setup = L.EquivariantSetup(action, setup.category, setup.coefficients)
+    top = 2 if name == "free_leib(2,2)_perm" else 4
+    # the top degree first: the lower ones build each d^T again from d_2
+    for n in [top] + list(range(top)):
+        assert setup._delta_images(n) == _fraction_route_images(setup, n)
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
+def test_a_tower_builds_each_boundary_once(monkeypatch, name, coefficients):
+    built = []
+    step = BoundaryChain.step
+
+    def spy(chain):
+        step(chain)
+        built.append((id(chain), chain.degree))
+
+    monkeypatch.setattr(BoundaryChain, "step", spy)
+    setup = catalog_setup(name, coefficients=coefficients)
+    top = 3 if name == "free_leib(2,2)_perm" else 5
+    for n in range(top + 1):
+        setup.cohomology(n)
+    chains = [setup._chains[H] for H in setup.category.subgroups]
+    assert len({id(c) for c in chains}) == len(chains)
+    assert sorted(built) == sorted((id(c), k) for c in chains
+                                   for k in range(2, top + 2))
 
 
 # ---------------------------------------------------------------------------

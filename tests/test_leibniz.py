@@ -215,3 +215,33 @@ def test_checks_match_bracket_arithmetic(data):
         if any(r):
             expected.append(((i, j), r))
     assert check_morphism(phi).violations == expected
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_leibniz_check_matches_bracket_arithmetic_on_sparse_tables(data):
+    # the check visits only the nonzero structure constants: a few nonzero
+    # brackets in an algebra of up to 5 dimensions, over Q, F_2 and F_3,
+    # must give the violations that every triple gives
+    f = data.draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    n = data.draw(st.integers(1, 5))
+    entries = small_fractions if f == QQ else st.integers(-2, 2)
+    structure = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        structure[i][j] = data.draw(st.lists(entries, min_size=n, max_size=n))
+    alg = L.LeibnizAlgebra(f, n, structure)
+    e = alg.basis_vector
+
+    def minus(u, v):
+        return [f.sub(a, b) for a, b in zip(u, v)]
+
+    expected = []
+    for i, j, k in product(range(n), repeat=3):
+        r = minus(alg.bracket(e(i), alg.bracket(e(j), e(k))),
+                  minus(alg.bracket(alg.bracket(e(i), e(j)), e(k)),
+                        alg.bracket(alg.bracket(e(i), e(k)), e(j))))
+        if any(r):
+            expected.append(((i, j, k), r))
+    assert check_leibniz_identity(alg).violations == expected

@@ -411,9 +411,6 @@ def test_every_constructor_and_kernel_returns_canonical_rows(field, data):
 
     kron = sympy.Matrix(r * k, k * c,
                         lambda i, j: A[i // k, j // c] * B[i % k, j % c])
-    diag = sympy.Matrix(r + k, k + c, lambda i, j:
-                        A[i, j] if i < r and j < k else
-                        B[i - r, j - k] if i >= r and j >= k else 0)
     if field == QQ:
         rref = A.rref()[0]
     else:
@@ -428,7 +425,6 @@ def test_every_constructor_and_kernel_returns_canonical_rows(field, data):
         (a.sub(a2), reduce(A - A2)),
         (a.sub(a), sympy.zeros(r, k)),
         (Matrix.vstack(field, [a, a2]), sympy.Matrix.vstack(A, A2)),
-        (Matrix.block_diag(field, [a, b]), diag),
         (a.rref()[0], rref),
     ]
     for m, expected in cases:
