@@ -204,6 +204,10 @@ def build_coefficient_system(problem, category):
             for s in spec["systems"]:
                 H = frozenset(int(x) for x in s["subgroup"])
                 d = int(s["dim"])
+                if d > MAX_ALGEBRA_DIM:
+                    raise ProblemSizeError(
+                        f"coefficients: dimension {d} of subgroup {sorted(H)} "
+                        f"is over the bound of {MAX_ALGEBRA_DIM}")
                 z = field.zero()
                 prod = [[[z] * d for _ in range(d)] for _ in range(d)]
                 for ent in s.get("products", []):

@@ -9,8 +9,8 @@ Cochains take values in a commutative associative algebra A used as a
 trivial module: delta(c) = c o d, so the coboundary matrix is the
 transpose of d tensored with the identity on A-coordinates.
 
-d_n is built as the rows of d_n^T, one per source word, in ints on the
-structure constants cleared of denominators, one degree at a time:
+d_n is built as the rows of d_n^T, one per source word, as int rows (the
+convention in the ``linalg`` module docstring), one degree at a time:
 ``BoundaryChain`` steps from d_{n-1}^T to d_n^T by the recursion
 d_n(w x) = d_{n-1}(w) x + (-1)^n sum_{i<n} (w_1,...,[w_i,x],...,w_{n-1}),
 and keeps only the latest degree.  Each nonzero entry becomes a field
@@ -28,7 +28,6 @@ each d_k^T is reduced in place once d_{k+1}^T has been built from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .leibniz import _integral
@@ -64,10 +63,10 @@ class BoundaryChain:
     """d_k^T of one algebra as int rows, built one degree at a time.
 
     ``rows`` is d_k^T for k = ``degree``: one {target word: entry} row per
-    source word of degree k, in ints to be divided by ``denominator``, the
-    common denominator c of the structure constants (over F_p the entries
-    are residues and c = 1).  The chain starts at d_1 = 0, one empty row
-    per letter.  ``step`` builds d_{k+1}^T from d_k^T by the recursion
+    source word of degree k, as int rows over ``denominator``, the common
+    denominator of the structure constants.  The chain starts at d_1 = 0,
+    one empty row per letter.  ``step`` builds d_{k+1}^T from d_k^T by the
+    recursion
 
         d_k(w x) = d_{k-1}(w) x
                    + (-1)^k sum_{i<k} (w_1,...,[w_i,x],...,w_{k-1})
@@ -80,26 +79,27 @@ class BoundaryChain:
 
     def __init__(self, alg):
         m = self.m = alg.dim
-        self.characteristic = alg.field.characteristic
+        self.field = alg.field
         s, self.denominator = _integral(alg.structure)
         # letter a -> [(x, [(k, entry)])] over the nonzero [e_a, e_x], once
         # with each sign (-1)^k, indexed by k % 2
-        self._right = [[[(x, [(k, sign * y)
-                               for k, y in enumerate(s[a][x]) if y])
-                          for x in range(m) if any(s[a][x])]
+        self._right = [[[(x, [(k, sign * y) for k, y in s[a][x].items()])
+                          for x in range(m) if s[a][x]]
                          for a in range(m)]
                         for sign in (1, -1)]
         self.degree = 1
         self.rows = [{} for _ in range(m)]
 
     def step(self):
-        """Replace d_k^T by d_{k+1}^T."""
-        m, p = self.m, self.characteristic
+        """Replace d_k^T by d_{k+1}^T; the rows that took bracket terms
+        are reduced at the end, in one call."""
+        m = self.m
         k = self.degree + 1
         right = self._right[k % 2]
         place = [m ** e for e in range(k - 2, -1, -1)]  # of slot i, degree k-1
         words = list(range(m ** (k - 1)))   # one int object per target word
         rows = []
+        sums = []                   # indices of the rows with bracket terms
         for w, (prev, word) in enumerate(zip(self.rows,
                                              product(range(m), repeat=k - 1))):
             block = [{words[t * m + x]: y for t, y in prev.items()}
@@ -113,13 +113,13 @@ class BoundaryChain:
                     for c, y in terms:
                         u = words[base + c * shift]
                         acc[u] = acc.get(u, 0) + y
+            wm = w * m
             for x in touched:
-                if p:
-                    block[x] = {u: z for u, y in block[x].items()
-                                if (z := y % p)}
-                else:
-                    block[x] = {u: y for u, y in block[x].items() if y}
+                sums.append(wm + x)
             rows.extend(block)
+        reduced = self.field.reduce_ints([rows[i] for i in sums])
+        for i, row in zip(sums, reduced):
+            rows[i] = row
         self.degree, self.rows = k, rows
 
     def at(self, n):
@@ -134,11 +134,9 @@ class BoundaryChain:
 
 def _boundary_transpose(alg, n):
     """d_n^T for n >= 2 as a matrix: each nonzero int sum becomes a field
-    element once, over Q divided by the common denominator."""
+    element once."""
     chain = BoundaryChain(alg)
-    rows, c = chain.at(n), chain.denominator
-    if not alg.field.characteristic:
-        rows = [{t: Fraction(x, c) for t, x in row.items()} for row in rows]
+    rows = alg.field.divide_ints(chain.at(n), chain.denominator)
     return Matrix.from_entries(alg.field, len(rows), alg.dim ** (n - 1), rows)
 
 

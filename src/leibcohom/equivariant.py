@@ -8,13 +8,14 @@ these form the complex whose cohomology is the equivariant Leibniz
 cohomology.
 
 The per-degree data is built on demand and kept on the
-``EquivariantSetup``, except the constraint rows, which are streamed:
+``EquivariantSetup``, except the constraint rows, which are streamed
+(int rows follow the convention in the ``linalg`` module docstring):
 
 * ``invariant_space(n)`` is S^n_G, the null space of the invariance
-  constraints.  R^(x)n is built once per (morphism, n) as int columns over
-  a common denominator (residues over F_p); the constraint rows are built
-  from it as int rows and go straight to the elimination loop, and the
-  basis is read off the pivot rows with one field element per entry.
+  constraints.  R^(x)n is built once per (morphism, n) as int columns;
+  the constraint rows are built from it as int rows and go straight to
+  the elimination loop, and the basis is read off the pivot rows with one
+  field element per entry.
   Only the binding constraints are built: a morphism (H, H, g) whose
   restriction map and coefficient map are both identity matrices asks
   c_H = c_H at every degree, so it adds no row.  The test is on the maps,
@@ -23,8 +24,8 @@ The per-degree data is built on demand and kept on the
   ``check_invariance`` still evaluates every morphism, on
   ``restriction_power``, the one conversion of R^(x)n to field entries.
 * ``cohomology(n)`` needs S^n_G only.  The images delta(b_i) of the basis
-  of S^n_G are summed in ints, on the block of each subgroup H over the
-  int rows of d_{n+1}^T of g^H: each H keeps a ``BoundaryChain`` with its
+  of S^n_G are summed as int rows, on the block of each subgroup H over
+  the int rows of d_{n+1}^T of g^H: each H keeps a ``BoundaryChain`` with its
   latest d^T, stepped up one degree as a tower climbs (and built again
   from d_2 when a lower degree is asked for).  Each nonzero entry becomes
   one field element.  The images are kept as ambient vectors, and one
@@ -46,11 +47,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from .linalg import (Matrix, combination, dense_vector, free_coordinates,
-                     int_kernel_basis, kernel_basis, sparse_vector)
+from .linalg import (Matrix, clear_denominators, combination, dense_vector,
+                     free_coordinates, int_kernel_basis, kernel_basis,
+                     sparse_vector)
 from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
                         _quotient_data)
 from .groups import fixed_subalgebra, restriction_map
@@ -127,22 +128,12 @@ def _is_identity(mat):
     return mat == Matrix.identity(mat.field, mat.rows)
 
 
-def _integral_rows(rows):
-    """Sparse rows of field elements times their common denominator d, as
-    ints, and d (1 over F_p)."""
-    d = lcm(*(x.denominator for row in rows for x in row.values()))
-    return [{i: x.numerator * (d // x.denominator) for i, x in row.items()}
-            for row in rows], d
-
-
 @dataclass
 class InvariantCochainSpace:
     field: object
-    degree: int
     ambient_dim: int
     vectors: list          # sparse basis vectors in ambient coordinates
     free: list             # the free column of each basis vector
-    layout: list           # (subgroup, fixed_dim, coeff_dim, offset)
 
     @property
     def dim(self):
@@ -243,30 +234,24 @@ class EquivariantSetup:
     def _restriction_ints(self, morphism, n):
         """R^{(x)n} for the restriction map of one orbit-category morphism,
         as int columns over a common denominator: (columns, d) with
-        R^{(x)n}[tH][tK] = columns[tK].get(tH, 0) / d.  Over F_p the
-        entries are residues and d = 1.  Built once per (morphism, n), as
-        R^{(x)(n-1)} (x) R."""
+        R^{(x)n}[tH][tK] = columns[tK].get(tH, 0) / d.  Built once per
+        (morphism, n), as R^{(x)(n-1)} (x) R."""
         key = (morphism, n)
         if key not in self._int_powers:
             if n == 0:
                 self._int_powers[key] = [{0: 1}], 1
             elif n == 1:
-                self._int_powers[key] = _integral_rows(
+                self._int_powers[key] = clear_denominators(
                     self.restrictions[morphism].matrix.transpose().entries)
             else:
                 prev, d = self._restriction_ints(morphism, n - 1)
                 base, e = self._restriction_ints(morphism, 1)
                 h = self.restrictions[morphism].matrix.rows
-                p = self.field.characteristic
-                if p:
-                    columns = [{i * h + j: x * y % p for i, x in u.items()
-                                for j, y in v.items()}
-                               for u in prev for v in base]
-                else:
-                    columns = [{i * h + j: x * y for i, x in u.items()
-                                for j, y in v.items()}
-                               for u in prev for v in base]
-                self._int_powers[key] = columns, d * e
+                mul = self.field.mul
+                self._int_powers[key] = [
+                    {i * h + j: mul(x, y) for i, x in u.items()
+                     for j, y in v.items()}
+                    for u in prev for v in base], d * e
         return self._int_powers[key]
 
     def restriction_power(self, morphism, n):
@@ -275,11 +260,8 @@ class EquivariantSetup:
         entries."""
         key = (morphism, n)
         if key not in self._restriction_powers:
-            columns, d = self._restriction_ints(morphism, n)
             f = self.field
-            if not f.characteristic:
-                columns = [{i: Fraction(x, d) for i, x in col.items()}
-                           for col in columns]
+            columns = f.divide_ints(*self._restriction_ints(morphism, n))
             nrows = self.restrictions[morphism].matrix.rows ** n
             self._restriction_powers[key] = Matrix.from_entries(
                 f, len(columns), nrows, columns).transpose()
@@ -295,11 +277,10 @@ class EquivariantSetup:
     def _constraint_rows(self, n):
         """The invariance constraints of degree n as int rows in ambient
         indices: row (tK, al) of c_H R^{(x)n} - A(g-hat) c_K for each
-        binding morphism (H, K, g), times a common denominator of R^{(x)n}
-        and A(g-hat) (residues over F_p), yielded one by one and kept
-        nowhere."""
+        binding morphism (H, K, g), as int rows over a common denominator
+        of R^{(x)n} and A(g-hat), yielded one by one and kept nowhere."""
         offsets = {H: (a, off) for (H, _, a, off) in self.layout(n)}
-        p = self.field.characteristic
+        add, mul = self.field.add, self.field.mul
         for m in self.category.morphisms:
             H, K, g = m
             if H == K and _is_identity(self.restrictions[m].matrix) \
@@ -308,20 +289,17 @@ class EquivariantSetup:
             aH, offH = offsets[H]
             aK, offK = offsets[K]
             Rn_columns, d = self._restriction_ints(m, n)
-            A, e = _integral_rows(self.coefficients.maps[m].entries)
+            A, e = clear_denominators(self.coefficients.maps[m].entries)
             s = lcm(d, e)
-            r, a = s // d, -(s // e)
-            minus_A = [{aj: a * x % p if p else a * x for aj, x in row.items()}
-                       for row in A]
+            r, a = s // d, -(s // e)        # r is 1 over F_p, where d = 1
+            minus_A = [{aj: mul(a, x) for aj, x in row.items()} for row in A]
             for tK, column in enumerate(Rn_columns):
                 for al in range(aH):
                     row = {offH + tH * aH + al: r * x
                            for tH, x in column.items()}
                     for aj, c in minus_A[al].items():
                         k = offK + tK * aK + aj      # may meet row when H == K
-                        x = row[k] + c if k in row else c
-                        if p:
-                            x %= p
+                        x = add(row[k], c) if k in row else c
                         if x:
                             row[k] = x
                         else:
@@ -335,20 +313,19 @@ class EquivariantSetup:
         with no elimination and no row kept."""
         if not vectors:
             return True
-        f = self.field
-        p = f.characteristic
         index = {}                  # ambient column -> (vector, int entry)
-        for i, w in enumerate(vectors):
-            for k, y in f.to_ints(w).items():
+        for i, w in enumerate(clear_denominators(vectors)[0]):
+            for k, y in w.items():
                 index.setdefault(k, []).append((i, y))
+        products = []
         for row in self._constraint_rows(n):
             acc = {}
             for k, x in row.items():
                 for i, y in index.get(k, ()):
                     acc[i] = acc.get(i, 0) + x * y
-            if any(v % p if p else v for v in acc.values()):
-                return False
-        return True
+            if acc:
+                products.append(acc)
+        return not any(self.field.reduce_ints(products))
 
     def invariant_space(self, n):
         if n in self._spaces:
@@ -356,8 +333,7 @@ class EquivariantSetup:
         total = self.ambient_dim(n)
         basis, free = int_kernel_basis(self.field, self._constraint_rows(n),
                                        total)
-        space = InvariantCochainSpace(self.field, n, total, basis, free,
-                                      self.layout(n))
+        space = InvariantCochainSpace(self.field, total, basis, free)
         self._spaces[n] = space
         return space
 
@@ -368,13 +344,12 @@ class EquivariantSetup:
             delta(b)[s a + al] = sum_t d_{n+1}^T[s][t] b[t a + al]
 
         over the int rows of d_{n+1}^T of g^H, brought to the lcm c of the
-        subgroups' denominators, and b times the lcm e of its denominators.
-        Each entry of b is visited once, through the columns of d_{n+1}^T,
-        and each nonzero sum x becomes one field element, x / (c e) (x mod
-        p over F_p).  Each subgroup keeps only its latest d^T, stepped up
-        one degree as the tower climbs."""
+        subgroups' denominators, and the basis as int rows over their
+        common denominator e.  Each entry of b is visited once, through the
+        columns of d_{n+1}^T, and each nonzero sum becomes one field
+        element over c e.  Each subgroup keeps only its latest d^T, stepped
+        up one degree as the tower climbs."""
         if n not in self._images:
-            p = self.field.characteristic
             lay = self.layout(n)
             starts = [off for (_, _, _, off) in lay]
             for H in self.category.subgroups:
@@ -394,26 +369,19 @@ class EquivariantSetup:
                         columns[t][s * a] = r * x
                 blocks.append((columns, a,
                                list(range(off1, off1 + h ** (n + 1) * a))))
-            images = []
-            for v in self.invariant_space(n).vectors:
-                e = lcm(*(x.denominator for x in v.values()))
+            sums = []
+            basis, e = clear_denominators(self.invariant_space(n).vectors)
+            for v in basis:
                 acc = {}
-                for i, x in v.items():
-                    y = x.numerator * (e // x.denominator)
+                for i, y in v.items():
                     j = bisect_right(starts, i) - 1       # skips empty blocks
                     columns, a, index = blocks[j]
                     t, al = divmod(i - starts[j], a)
                     for sa, z in columns[t].items():
                         k = index[sa + al]
                         acc[k] = acc.get(k, 0) + z * y
-                if p:
-                    images.append({k: y for k, x in acc.items()
-                                   if (y := x % p)})
-                else:
-                    d = c * e
-                    images.append({k: Fraction(x, d) for k, x in acc.items()
-                                   if x})
-            self._images[n] = images
+                sums.append(acc)
+            self._images[n] = self.field.divide_ints(sums, c * e)
         return self._images[n]
 
     def _delta_reduction(self, n):

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 
-from .linalg import Matrix, dense_vector, vec_is_zero, vec_add
+from .linalg import (Matrix, clear_denominators, dense_vector, sparse_vector,
+                     vec_is_zero, vec_add)
 from .verdict import Verdict
 
 
@@ -60,11 +60,12 @@ class LeibnizAlgebra:
 
 
 def _integral(structure):
-    """Rows of vectors of field elements times their common denominator d
-    (1 over F_p), as ints, and d."""
-    d = lcm(*(x.denominator for row in structure for v in row for x in v))
-    return [[[x.numerator * (d // x.denominator) for x in v] for v in row]
-            for row in structure], d
+    """The structure constants as int rows over their common denominator
+    d: (s, d) with s[i][j] the sparse int vector of d [e_i, e_j]."""
+    m = len(structure)
+    rows, d = clear_denominators([sparse_vector(v) for row in structure
+                                  for v in row])
+    return [rows[i * m:(i + 1) * m] for i in range(m)], d
 
 
 def check_leibniz_identity(alg):
@@ -80,23 +81,22 @@ def check_leibniz_identity(alg):
     n = alg.dim
     s, d = _integral(alg.structure)
     unscale = f.inv(f.coerce(d * d))
-    br = [[[(l, x) for l, x in enumerate(v) if x] for v in row] for row in s]
     triples = set()
     for a, b in product(range(n), repeat=2):
-        if br[a][b]:
+        if s[a][b]:
             for c in range(n):
                 triples.update(((c, a, b), (a, b, c), (a, c, b)))
     violations = []
     for i, j, k in sorted(triples):
         res = [0] * n
-        for l, x in br[j][k]:
-            for m, y in br[i][l]:
+        for l, x in s[j][k].items():
+            for m, y in s[i][l].items():
                 res[m] += x * y
-        for l, x in br[i][j]:
-            for m, y in br[l][k]:
+        for l, x in s[i][j].items():
+            for m, y in s[l][k].items():
                 res[m] -= x * y
-        for l, x in br[i][k]:
-            for m, y in br[l][j]:
+        for l, x in s[i][k].items():
+            for m, y in s[l][j].items():
                 res[m] += x * y
         if any(res) and any(map(f.coerce, res)):
             violations.append(((i, j, k), [f.mul(f.coerce(x), unscale)
@@ -133,24 +133,22 @@ def check_morphism(phi):
         raise ValueError("matrix shape does not match algebra dimensions")
     f = tgt.field
     n, m = src.dim, tgt.dim
-    rows = phi.matrix.entries
-    p = lcm(*(x.denominator for row in rows for x in row.values()))
-    P = [{l: x.numerator * (p // x.denominator) for l, x in row.items()}
-         for row in rows]
-    Pcols = [{a: row[l] for a, row in enumerate(P) if l in row}
-             for l in range(n)]
+    P, p = clear_denominators(phi.matrix.transpose().entries)  # columns
     S, s = _integral(src.structure)
     T, t = _integral(tgt.structure)
     unscale = f.inv(f.coerce(p * p * s * t))
+    pt = p * t
     violations = []
     for i, j in product(range(n), repeat=2):
-        res = [p * t * sum(x * S[i][j][l] for l, x in P[r].items())
-               for r in range(m)]
-        for a, x in Pcols[i].items():
-            for b, y in Pcols[j].items():
+        res = [0] * m
+        for l, x in S[i][j].items():
+            for r, y in P[l].items():
+                res[r] += pt * x * y
+        for a, x in P[i].items():
+            for b, y in P[j].items():
                 c = s * x * y
-                for r in range(m):
-                    res[r] -= c * T[a][b][r]
+                for r, z in T[a][b].items():
+                    res[r] -= c * z
         if any(res) and any(map(f.coerce, res)):
             violations.append(((i, j), [f.mul(f.coerce(x), unscale)
                                         for x in res]))
@@ -213,7 +211,6 @@ def _word_index_map(dimV, N):
     """Basis words of length 1..N in length-lexicographic order."""
     words = []
     for n in range(1, N + 1):
-        stack = [()]
         level = [()]
         for _ in range(n):
             level = [w + (a,) for w in level for a in range(dimV)]

@@ -4,22 +4,27 @@ Boundary maps, invariant-cochain systems and cup products are matrices
 over an exact field (``fractions.Fraction`` or residues mod p), and
 mostly zero.  A ``Matrix`` stores one {column: entry} dict of nonzero
 entries per row, a sparse vector is one such dict, and every kernel
-works on them.  There is one elimination loop, ``reduce_int_rows``, on
-sparse rows of Python ints: over Q fraction-free on rows cleared of
-denominators, over F_p on plain residues.  ``Matrix.rref`` feeds it a
-matrix's rows and turns each pivot row into field elements once, at
-exit; the plain Betti numbers feed it the integral boundary rows
-directly, and so do callers that build a system in ints, through
-``int_kernel_basis``.  The loop takes the rows sparsest first and keeps
-a column index (which pivot rows may hold each free column), so
-back-substitution visits only the pivot rows that meet the new pivot
-column, not all of them: its cost follows the entries it changes, not
-the square of the rank.  Bases of subspaces come from ``kernel_basis``
-in reduced-echelon form, read straight off the int pivot rows, so
-``free_coordinates`` reads coordinates off the free columns instead of
-eliminating again.  Dense lists appear only at the edges: the dense
-constructor, ``data``, ``column``, ``apply`` and the ``solve``
-family.  Field elements are falsy exactly when they are zero.
+works on them.  Dense lists appear only at the edges: the dense
+constructor, ``data``, ``column``, ``apply`` and the ``solve`` family.
+Field elements are falsy exactly when they are zero.
+
+Int rows.  The hot loops of every layer run on sparse rows of Python
+ints, which only this module converts.  Over Q a set of int rows stands
+for the rows divided by one common denominator d, which
+``clear_denominators`` finds; over F_p the ints are residues and d = 1.
+Single entries may be combined with the field's ``add`` and ``mul``,
+which keep ints ints over Q and residues residues over F_p; sums of many
+terms are taken in plain ints and brought back by the field's
+``reduce_ints`` (zeros dropped; over F_p, reduced mod p), or turned into
+field elements over d by its ``divide_ints``, one call per list of rows.
+
+The one elimination loop, ``reduce_int_rows``, runs on int rows:
+``Matrix.rref`` feeds it a matrix's rows, each cleared by ``to_ints``,
+and callers that build a system in ints feed it theirs directly or
+through ``int_kernel_basis``.  Bases of subspaces come from
+``kernel_basis`` in reduced-echelon form, read straight off the int
+pivot rows, so ``free_coordinates`` reads coordinates off the free
+columns instead of eliminating again.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
-    # how a sparse row enters, is kept in and leaves ``Matrix.rref``
+    # int rows (module docstring); the first four serve the elimination
 
     def to_ints(self, row):
         """The row times the lcm of its denominators, as ints."""
@@ -124,6 +129,15 @@ class RationalField:
     def neg_quotient(self, x, d):
         """-x/d for ints x and d > 0."""
         return Fraction(-x, d)
+
+    def reduce_ints(self, rows):
+        """Int rows without their zero entries."""
+        return [{j: x for j, x in row.items() if x} for row in rows]
+
+    def divide_ints(self, rows, d):
+        """Int rows divided by d, as rows of nonzero field elements."""
+        return [{j: Fraction(x, d) for j, x in row.items() if x}
+                for row in rows]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -179,7 +193,7 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    # how a sparse row enters, is kept in and leaves ``Matrix.rref``
+    # int rows (module docstring); the first four serve the elimination
 
     def to_ints(self, row):
         """A copy of the row; residues are ints already."""
@@ -202,6 +216,16 @@ class PrimeField:
     def neg_quotient(self, x, d):
         """-x/d for an entry x of a monic row, whose lead d is 1."""
         return -x % self.p
+
+    def reduce_ints(self, rows):
+        """Int rows reduced to residues, zeros dropped."""
+        p = self.p
+        return [{j: y for j, x in row.items() if (y := x % p)}
+                for row in rows]
+
+    def divide_ints(self, rows, d):
+        """Int rows as rows of nonzero residues; d is 1 over F_p."""
+        return self.reduce_ints(rows)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -372,15 +396,11 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list).
 
-        The rows enter as ints through the field's ``to_ints`` (over Q,
-        times the lcm of their denominators; over F_p, their residues),
+        The rows enter as ints through the field's ``to_ints``,
         ``reduce_int_rows`` eliminates them, and each pivot row leaves
-        through ``from_ints``, divided by its lead: the one conversion back
-        to field elements.  The loop takes the rows sparsest first and
-        back-substitutes each new pivot only into the pivot rows its column
-        index names.  The pivot rows in pivot order and then empty rows are
-        the unique RREF, so neither the row order nor the index can change
-        the result.
+        through ``from_ints``, divided by its lead.  The pivot rows in pivot
+        order and then empty rows are the unique RREF, so neither the row
+        order nor the loop's column index can change the result.
         """
         f = self.field
         pivot_rows = reduce_int_rows(
@@ -472,6 +492,16 @@ def _eliminate(row, c, other, mod):
             row[k] = x
         else:
             del row[k]
+
+
+def clear_denominators(rows):
+    """Sparse rows of field elements as int rows over their common
+    denominator d: (int rows, d); over F_p a copy of the rows, and 1."""
+    d = lcm(*(x.denominator for row in rows for x in row.values()))
+    if d == 1:
+        return [{j: x.numerator for j, x in row.items()} for row in rows], 1
+    return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+            for row in rows], d
 
 
 def sparse_vector(v):

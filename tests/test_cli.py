@@ -605,6 +605,19 @@ def test_dimension_bound_refuses_before_the_table_is_built(tmp_path, capsys):
             assert err.startswith("size error: ")
 
 
+def test_coefficient_dimension_bound_refuses_before_the_table_is_built(
+        tmp_path, capsys):
+    # an explicit coefficient algebra's product table has dim^3 entries too
+    for dim in (3000, cli.MAX_ALGEBRA_DIM + 1):
+        doc = explicit_constant_doc()
+        doc["coefficients"]["systems"][0]["dim"] = dim
+        path = write(tmp_path, doc)
+        for argv in (["validate", path], ["cohomology", path, "--equivariant"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == ""
+            assert err.startswith("size error: coefficients: dimension")
+
+
 def test_dimension_bound_edge_validates_quickly(tmp_path, capsys):
     # at the bound, an empty table and a dense one (not Leibniz: every
     # triple is checked and reported) are both answered; the dense table

@@ -652,3 +652,78 @@ def test_lambda6_z2_cohomology_is_the_invariant_part_of_the_plain_one(seed):
     assert expected == [1, 0, 1, 0]     # HL^n(lambda6) = 1 in every degree
     setup = _setup(action, constant_coefficients)
     assert [setup.cohomology(n).betti for n in range(4)] == expected
+
+
+# ---------------------------------------------------------------------------
+# Over a large prime every int row of the equivariant path (R^(x)n, the
+# constraint rows, the boundaries and the images of delta) must be reduced
+# mod p, or its entries grow past p and the residues go wrong.  On these
+# problems no denominator or pivot is divisible by 2^61 - 1, so the
+# reduced-echelon bases over F_p are those over Q read mod p.
+# ---------------------------------------------------------------------------
+
+LARGE_PRIME = GF(2 ** 61 - 1)
+
+
+def action_over(action, field):
+    """The same action with its structure constants and matrices read
+    into another field."""
+    alg = action.algebra
+    structure = [[[field.coerce(x) for x in v] for v in row]
+                 for row in alg.structure]
+    return L.GroupAction(action.group,
+                         L.LeibnizAlgebra(field, alg.dim, structure),
+                         [Matrix.from_rows(field, psi.data)
+                          for psi in action.matrices])
+
+
+def read_mod(field, vectors):
+    return [{j: field.coerce(x) for j, x in v.items()} for v in vectors]
+
+
+@pytest.mark.parametrize("name, coefficients, betti", [
+    ("lambda6_z2", "constant", [1, 0, 1, 0, 1]),
+    ("lambda6_z2", "coset-functions", [1, 1, 1, 1, 1]),
+    ("free_leib(2,1)_perm", "constant", [1, 1, 2, 4, 8]),
+    ("free_leib(2,1)_perm", "coset-functions", [1, 2, 4, 8, 16]),
+])
+def test_large_prime_towers_equal_the_rational_ones(name, coefficients,
+                                                    betti):
+    rational = catalog_setup(name, coefficients)
+    action = action_over(rational.action, LARGE_PRIME)
+    category = L.orbit_category(action.group)
+    make = (constant_coefficients if coefficients == "constant"
+            else coset_function_coefficients)
+    setup = L.EquivariantSetup(action, category,
+                               make(category, LARGE_PRIME))
+    assert [setup.cohomology(n).betti for n in range(5)] == betti
+    for n in range(5):
+        q, fp = rational.cohomology(n), setup.cohomology(n)
+        assert q.betti == betti[n]
+        assert setup.invariant_space(n).vectors == read_mod(
+            LARGE_PRIME, rational.invariant_space(n).vectors)
+        for part in ("cocycles", "coboundaries", "classes"):
+            assert getattr(fp, part) == read_mod(LARGE_PRIME,
+                                                 getattr(q, part)), (n, part)
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", ["lambda6_z2", "free_leib(2,1)_perm"])
+def test_large_prime_int_rows_hold_residues(name, coefficients):
+    # left unreduced, R^(x)n and the constraint rows would still give the
+    # right towers, since the elimination reduces; they must not grow
+    rational = catalog_setup(name, coefficients)
+    action = action_over(rational.action, LARGE_PRIME)
+    category = L.orbit_category(action.group)
+    make = (constant_coefficients if coefficients == "constant"
+            else coset_function_coefficients)
+    setup = L.EquivariantSetup(action, category,
+                               make(category, LARGE_PRIME))
+    p = LARGE_PRIME.p
+    for n in range(5):
+        rows = list(setup._constraint_rows(n))
+        for m in category.morphisms:
+            columns, d = setup._restriction_ints(m, n)
+            assert d == 1
+            rows += columns
+        assert all(0 < x < p for row in rows for x in row.values()), n

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -9,7 +10,7 @@ from leibcohom.complexes import image_basis
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
                               free_coordinates, solve, solve_matrix, vec_add,
                               vec_is_zero, dense_vector, sparse_vector,
-                              is_prime, PRIME_TEST_BOUND)
+                              clear_denominators, is_prime, PRIME_TEST_BOUND)
 
 
 def qmat(rows):
@@ -564,3 +565,71 @@ def test_rref_of_a_sparse_high_rank_matrix_matches_textbook(p, data):
     red, pivots = m.rref()
     assert (red.data, pivots) == textbook_rref(m)
     assert len(pivots) > 100
+
+
+# ---------------------------------------------------------------------------
+# The int-row convention: over Q int rows over a common denominator, over
+# F_p residues over 1.  Checked against Fraction and % arithmetic written
+# out here, on rows with large denominators and the prime 2^61 - 1.
+# ---------------------------------------------------------------------------
+
+CONVENTION_FIELDS = [QQ, GF(2), GF(3), GF(2 ** 61 - 1)]
+
+
+def field_elements(field):
+    """Nonzero field elements: fractions with denominators over Q,
+    residues, the largest included, over F_p."""
+    if field == QQ:
+        return st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                            max_denominator=10 ** 4).filter(bool)
+    return st.integers(1, field.p - 1)
+
+
+def sparse_rows(entries):
+    return st.lists(st.dictionaries(st.integers(0, 40), entries, max_size=6),
+                    max_size=6)
+
+
+@pytest.mark.parametrize("field", CONVENTION_FIELDS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cleared_rows_divide_back_to_the_rows(field, data):
+    rows = data.draw(sparse_rows(field_elements(field)))
+    ints, d = clear_denominators(rows)
+    assert all(type(x) is int for row in ints for x in row.values())
+    assert [list(r) for r in ints] == [list(r) for r in rows]
+    if field == QQ:
+        lcm = 1                 # of the denominators, written out
+        for row in rows:
+            for x in row.values():
+                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+        assert d == lcm
+        assert all(Fraction(y, d) == x for row, irow in zip(rows, ints)
+                   for x, y in zip(row.values(), irow.values()))
+    else:
+        assert (ints, d) == (rows, 1)
+    assert field.divide_ints(ints, d) == rows
+
+
+@pytest.mark.parametrize("field", CONVENTION_FIELDS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reducing_int_rows_drops_exactly_the_zeros(field, data):
+    p = field.characteristic
+    big = 3 * p if p else 10 ** 30
+    ints = st.one_of(st.just(0), st.just(p), st.just(-p),
+                     st.integers(-big, big))
+    rows = data.draw(sparse_rows(ints))
+    reduced = field.reduce_ints(rows)
+    for row, out in zip(rows, reduced):
+        if p:
+            assert out == {j: x % p for j, x in row.items() if x % p}
+            assert all(0 < x < p for x in out.values())
+        else:
+            assert out == {j: x for j, x in row.items() if x}
+    d = data.draw(st.integers(1, 10 ** 6)) if field == QQ else 1
+    divided = field.divide_ints(rows, d)
+    assert divided == [{j: y for j, x in row.items()
+                        if (y := field.coerce(Fraction(x, d)))}
+                       for row in rows]
+
