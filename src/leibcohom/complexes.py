@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .leibniz import _integral
 from .linalg import Matrix, dense_vector, kernel_basis, reduce_int_rows
 from .verdict import Verdict
 
@@ -80,7 +79,7 @@ class BoundaryChain:
     def __init__(self, alg):
         m = self.m = alg.dim
         self.field = alg.field
-        s, self.denominator = _integral(alg.structure)
+        s, self.denominator = alg.integral
         # letter a -> [(x, [(k, entry)])] over the nonzero [e_a, e_x], once
         # with each sign (-1)^k, indexed by k % 2
         self._right = [[[(x, [(k, sign * y) for k, y in s[a][x].items()])
@@ -323,12 +322,23 @@ def _quotient_data(field, cocycles, coboundaries, dim):
 
     A cocycle is kept when it is independent of the vectors before it,
     that is when it sits at a pivot of the columns coboundaries + cocycles.
+    This is read off in cocycle coordinates, with no vector of length dim.
+    The cocycles are a reduced-echelon kernel basis: each is 1 at its free
+    column, its largest index, and 0 at the others' free columns, so a
+    coboundary's coordinates are its entries at the free columns.  Cocycle
+    j is dependent exactly when some combination of coboundaries has its
+    last nonzero coordinate at j, so the dropped cocycles are the pivots
+    of the coboundaries' coordinate rows with the columns reversed.
     """
-    nb = len(coboundaries)
-    vectors = coboundaries + cocycles
-    _, pivots = Matrix.from_entries(field, len(vectors), dim,
-                                    vectors).transpose().rref()
-    return [cocycles[j - nb] for j in pivots if j >= nb]
+    if not coboundaries:
+        return list(cocycles)
+    last = len(cocycles) - 1
+    free = [max(z) for z in cocycles]
+    rows = [field.to_ints({last - j: b[c] for j, c in enumerate(free)
+                           if c in b})
+            for b in coboundaries]
+    dropped = reduce_int_rows(field, rows, len(cocycles))
+    return [z for j, z in enumerate(cocycles) if last - j not in dropped]
 
 
 def homology(alg, n):

@@ -23,24 +23,35 @@ The per-degree data is built on demand and kept on the
   not sent to the identity is still constrained by it.
   ``check_invariance`` still evaluates every morphism, on
   ``restriction_power``, the one conversion of R^(x)n to field entries.
-* ``cohomology(n)`` needs S^n_G only.  The images delta(b_i) of the basis
-  of S^n_G are summed as int rows, on the block of each subgroup H over
-  the int rows of d_{n+1}^T of g^H: each H keeps a ``BoundaryChain`` with its
-  latest d^T, stepped up one degree as a tower climbs (and built again
-  from d_2 when a lower degree is asked for).  Each nonzero entry becomes
-  one field element.  The images are kept as ambient vectors, and one
-  elimination of their columns per degree gives both the cocycles (its
-  null space, the same reduced basis the coboundary matrix X_n would
-  give) and the pivot columns.  The coboundaries of degree n + 1 are the
-  S^(n+1)_G coordinates of the pivot images, which are the columns
-  ``image_basis`` would pick from X_n.  So a tower up to N never builds
-  S^(N+1)_G, and no coboundary is eliminated twice.  The pivot images
-  are checked against the constraint rows of degree n + 1 by a sparse
-  product, so an image that leaves the invariant subspace is refused in
-  its own degree.
+* ``cohomology(n)`` needs S^n_G only, and takes each degree through one
+  pass of int rows; field elements are made only for what the
+  ``CohomologyResult`` holds.
+  - The images delta(b_i) of the basis of S^n_G are summed as int rows
+    over one denominator, on the block of each subgroup H over the int
+    rows of d_{n+1}^T of g^H: each H keeps a ``BoundaryChain`` with its
+    latest d^T, stepped up one degree as a tower climbs (and built again
+    from d_2 when a lower degree is asked for).  The sums are kept.
+  - One elimination of their columns, fed the sums directly, gives both
+    the cocycles (its null space, the same reduced basis the coboundary
+    matrix X_n would give) and the pivot columns.
+  - The guard: each pivot image is checked against every binding
+    constraint of degree n + 1, exactly.  The products are summed from
+    the int columns of R^(x)(n+1) and the coefficient maps, with no
+    constraint row built, so an image that leaves the invariant subspace
+    is refused in its own degree.  The constraint rows of each degree
+    are streamed once, by ``invariant_space`` alone.
+  - The coboundaries of degree n + 1 are the pivot images' entries at
+    the free columns of S^(n+1)_G, the columns ``image_basis`` would pick
+    from X_n, read and checked in ints.  So a tower up to N never builds
+    S^(N+1)_G, and no coboundary is eliminated twice.
+  - The class representatives are chosen in cocycle coordinates by
+    ``complexes._quotient_data``, with no elimination when there are no
+    coboundaries.
 * ``equivariant_coboundary(n)`` (X_n, which needs S^(n+1)_G) and
-  ``coboundary_image(n)`` serve the zinbiel span test; they read the kept
-  images and do not take the reduction above.
+  ``coboundary_image(n)`` serve the zinbiel span test; they read the
+  coordinates of all the kept sums as the coboundaries are read, and do
+  not take the reduction above.  ``_delta_images(n)`` is the field view
+  of the sums.
 """
 
 from __future__ import annotations
@@ -50,8 +61,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (Matrix, clear_denominators, combination, dense_vector,
-                     free_coordinates, int_kernel_basis, kernel_basis,
-                     sparse_vector)
+                     int_free_coordinates, int_kernel_basis, sparse_vector)
 from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
                         _quotient_data)
 from .groups import fixed_subalgebra, restriction_map
@@ -208,7 +218,7 @@ class EquivariantSetup:
                              for m in category.morphisms}
         self._spaces = {}
         self._chains = {}
-        self._images = {}
+        self._sums = {}
         self._reductions = {}
         self._coboundaries = {}
         self._echelon_images = {}
@@ -274,26 +284,36 @@ class EquivariantSetup:
             self._rho_matrices[key] = rho_sum(p, q).matrix(h, self.field)
         return self._rho_matrices[key]
 
-    def _constraint_rows(self, n):
-        """The invariance constraints of degree n as int rows in ambient
-        indices: row (tK, al) of c_H R^{(x)n} - A(g-hat) c_K for each
-        binding morphism (H, K, g), as int rows over a common denominator
-        of R^{(x)n} and A(g-hat), yielded one by one and kept nowhere."""
+    def _binding_constraints(self, n):
+        """The binding morphisms (H, K, g) of degree n, as the parts of
+        their constraint rows c_H R^{(x)n} - A(g-hat) c_K over a common
+        denominator of R^{(x)n} and A(g-hat): (aH, offH, aK, offK, columns,
+        r, minus_A), with R^{(x)n}'s int columns times r at the H block and
+        the rows of minus_A at the K block.  Row (tK, al) is r times
+        column tK at the indices offH + tH aH + al, plus minus_A[al] at the
+        indices offK + tK aK + aj."""
         offsets = {H: (a, off) for (H, _, a, off) in self.layout(n)}
-        add, mul = self.field.add, self.field.mul
+        mul = self.field.mul
         for m in self.category.morphisms:
             H, K, g = m
             if H == K and _is_identity(self.restrictions[m].matrix) \
                     and _is_identity(self.coefficients.maps[m]):
                 continue                    # c_H = c_H at every degree
-            aH, offH = offsets[H]
-            aK, offK = offsets[K]
-            Rn_columns, d = self._restriction_ints(m, n)
+            columns, d = self._restriction_ints(m, n)
             A, e = clear_denominators(self.coefficients.maps[m].entries)
             s = lcm(d, e)
             r, a = s // d, -(s // e)        # r is 1 over F_p, where d = 1
             minus_A = [{aj: mul(a, x) for aj, x in row.items()} for row in A]
-            for tK, column in enumerate(Rn_columns):
+            yield (*offsets[H], *offsets[K], columns, r, minus_A)
+
+    def _constraint_rows(self, n):
+        """The invariance constraints of degree n as int rows in ambient
+        indices, one per row (tK, al) of each binding morphism, yielded one
+        by one and kept nowhere."""
+        add = self.field.add
+        for aH, offH, aK, offK, columns, r, minus_A in \
+                self._binding_constraints(n):
+            for tK, column in enumerate(columns):
                 for al in range(aH):
                     row = {offH + tH * aH + al: r * x
                            for tH, x in column.items()}
@@ -307,25 +327,38 @@ class EquivariantSetup:
                     yield row
 
     def _satisfy_constraints(self, n, vectors):
-        """Whether the sparse ambient vectors of degree n satisfy every
-        constraint row of degree n: one sparse product in ints, each row
-        meeting the vectors through an index of their entries by column,
-        with no elimination and no row kept."""
+        """Whether the int rows ``vectors``, ambient vectors of degree n
+        each over some denominator, satisfy every constraint of degree n.
+        The product of each constraint row with the vectors is summed
+        exactly from the parts of ``_binding_constraints``, meeting the
+        vectors through an index of their entries by column, without
+        building the row."""
         if not vectors:
             return True
-        index = {}                  # ambient column -> (vector, int entry)
-        for i, w in enumerate(clear_denominators(vectors)[0]):
+        mod = self.field.characteristic
+        index = [[] for _ in range(self.ambient_dim(n))]
+        for i, w in enumerate(vectors):     # column -> [(vector, int entry)]
             for k, y in w.items():
-                index.setdefault(k, []).append((i, y))
-        products = []
-        for row in self._constraint_rows(n):
-            acc = {}
-            for k, x in row.items():
-                for i, y in index.get(k, ()):
-                    acc[i] = acc.get(i, 0) + x * y
-            if acc:
-                products.append(acc)
-        return not any(self.field.reduce_ints(products))
+                index[k].append((i, y))
+        for aH, offH, aK, offK, columns, r, minus_A in \
+                self._binding_constraints(n):
+            for tK, column in enumerate(columns):
+                at_K = offK + tK * aK
+                for al in range(aH):
+                    acc = {}
+                    at_H = offH + al
+                    for tH, x in column.items():
+                        for i, y in index[at_H + tH * aH]:
+                            acc[i] = acc.get(i, 0) + x * y
+                    if r != 1:
+                        acc = {i: r * x for i, x in acc.items()}
+                    for aj, c in minus_A[al].items():
+                        for i, y in index[at_K + aj]:
+                            acc[i] = acc.get(i, 0) + c * y
+                    for x in acc.values():
+                        if x % mod if mod else x:
+                            return False
+        return True
 
     def invariant_space(self, n):
         if n in self._spaces:
@@ -337,19 +370,19 @@ class EquivariantSetup:
         self._spaces[n] = space
         return space
 
-    def _delta_images(self, n):
-        """delta of each basis vector b of S^n_G, as sparse ambient vectors
-        of degree n + 1, summed in ints: on the block of H,
+    def _delta_sums(self, n):
+        """delta of each basis vector b of S^n_G, as int rows in ambient
+        indices of degree n + 1 over one denominator: (sums, D).  On the
+        block of H,
 
             delta(b)[s a + al] = sum_t d_{n+1}^T[s][t] b[t a + al]
 
         over the int rows of d_{n+1}^T of g^H, brought to the lcm c of the
         subgroups' denominators, and the basis as int rows over their
-        common denominator e.  Each entry of b is visited once, through the
-        columns of d_{n+1}^T, and each nonzero sum becomes one field
-        element over c e.  Each subgroup keeps only its latest d^T, stepped
-        up one degree as the tower climbs."""
-        if n not in self._images:
+        common denominator e, so D = c e.  Each entry of b is visited once,
+        through the columns of d_{n+1}^T.  Each subgroup keeps only its
+        latest d^T, stepped up one degree as the tower climbs."""
+        if n not in self._sums:
             lay = self.layout(n)
             starts = [off for (_, _, _, off) in lay]
             for H in self.category.subgroups:
@@ -381,27 +414,37 @@ class EquivariantSetup:
                         k = index[sa + al]
                         acc[k] = acc.get(k, 0) + z * y
                 sums.append(acc)
-            self._images[n] = self.field.divide_ints(sums, c * e)
-        return self._images[n]
+            self._sums[n] = self.field.reduce_ints(sums), c * e
+        return self._sums[n]
+
+    def _delta_images(self, n):
+        """The ``_delta_sums`` of degree n as sparse ambient vectors, one
+        field element per entry, built on each call."""
+        return self.field.divide_ints(*self._delta_sums(n))
 
     def _delta_reduction(self, n):
         """(cocycles, pivots) of delta on S^n_G, from one elimination of the
-        columns of its ambient images: the reduced-echelon basis of their
-        null space, the cocycles in invariant coordinates, and the pivot
+        columns of its int images: the reduced-echelon basis of their null
+        space, the cocycles in invariant coordinates, and the pivot
         columns, the basis vectors whose images span the coboundaries of
         degree n + 1.  Before it is kept, each pivot image is checked
-        against the constraint rows of degree n + 1; the other images are
+        against the constraints of degree n + 1; the other images are
         combinations of them."""
         if n not in self._reductions:
-            f = self.field
-            images = self._delta_images(n)
-            columns = Matrix.from_entries(f, len(images),
-                                          self.ambient_dim(n + 1), images)
-            cocycles, free = kernel_basis(columns.transpose())
+            sums, _ = self._delta_sums(n)
+            rows = {}               # ambient column -> {image: int entry}
+            for j, w in enumerate(sums):
+                for k, x in w.items():
+                    row = rows.get(k)
+                    if row is None:
+                        rows[k] = {j: x}
+                    else:
+                        row[j] = x
+            cocycles, free = int_kernel_basis(self.field, rows.values(),
+                                              len(sums))
             free = set(free)
-            pivots = [j for j in range(len(images)) if j not in free]
-            if not self._satisfy_constraints(n + 1,
-                                             [images[j] for j in pivots]):
+            pivots = [j for j in range(len(sums)) if j not in free]
+            if not self._satisfy_constraints(n + 1, [sums[j] for j in pivots]):
                 raise AssertionError(
                     f"delta image leaves the invariant subspace in degree {n}")
             self._reductions[n] = cocycles, pivots
@@ -413,12 +456,13 @@ class EquivariantSetup:
             return self._coboundaries[n]
         f = self.field
         sn1 = self.invariant_space(n + 1)
-        columns = [free_coordinates(f, sn1.vectors, sn1.free, w)
-                   for w in self._delta_images(n)]
-        if None in columns:
+        sums, d = self._delta_sums(n)
+        columns = int_free_coordinates(f, sn1.vectors, sn1.free, sums)
+        if columns is None:
             raise AssertionError(
                 f"delta image leaves the invariant subspace in degree {n}")
-        X = Matrix.from_entries(f, len(columns), sn1.dim, columns).transpose()
+        X = Matrix.from_entries(f, len(columns), sn1.dim,
+                                f.divide_ints(columns, d)).transpose()
         self._coboundaries[n] = X
         return X
 
@@ -446,7 +490,8 @@ class EquivariantSetup:
     def cohomology(self, n):
         """HL^n_G in invariant coordinates of degree n, from S^n_G alone:
         the cocycles from the reduction of delta's images in degree n, the
-        coboundaries from the pivot images of degree n - 1."""
+        coboundaries from the pivot images of degree n - 1, read off at the
+        free columns of S^n_G in ints."""
         if n < 0:
             raise ValueError("degree must be >= 0")
         f = self.field
@@ -454,13 +499,14 @@ class EquivariantSetup:
         cocycles, _ = self._delta_reduction(n)
         coboundaries = []
         if n > 0:
-            images = self._delta_images(n - 1)
-            for j in self._delta_reduction(n - 1)[1]:
-                c = free_coordinates(f, sn.vectors, sn.free, images[j])
-                if c is None:
-                    raise AssertionError(f"delta image leaves the invariant "
-                                         f"subspace in degree {n - 1}")
-                coboundaries.append(c)
+            sums, d = self._delta_sums(n - 1)
+            coords = int_free_coordinates(
+                f, sn.vectors, sn.free,
+                [sums[j] for j in self._delta_reduction(n - 1)[1]])
+            if coords is None:
+                raise AssertionError(f"delta image leaves the invariant "
+                                     f"subspace in degree {n - 1}")
+            coboundaries = f.divide_ints(coords, d)
         reps = _quotient_data(f, cocycles, coboundaries, sn.dim)
         return CohomologyResult(f, n, sn.dim, cocycles, coboundaries,
                                 len(cocycles) - len(coboundaries), reps)

@@ -17,7 +17,10 @@ from .verdict import Verdict
 class LeibnizAlgebra:
     """Finite-dimensional algebra over an exact field.
 
-    ``structure[i][j]`` is the coordinate vector of [e_i, e_j].
+    ``structure[i][j]`` is the coordinate vector of [e_i, e_j], and
+    ``integral`` is (s, d), the constants as int rows s[i][j] over their
+    common denominator d (the convention in the ``linalg`` module
+    docstring), cleared once here for every integral check and boundary.
     """
 
     def __init__(self, field, dim, structure):
@@ -27,6 +30,7 @@ class LeibnizAlgebra:
         self.dim = dim
         self.structure = [[[field.coerce(x) for x in structure[i][j]]
                            for j in range(dim)] for i in range(dim)]
+        self.integral = _integral(self.structure)
 
     @classmethod
     def zero_bracket(cls, field, dim):
@@ -79,7 +83,7 @@ def check_leibniz_identity(alg):
     """
     f = alg.field
     n = alg.dim
-    s, d = _integral(alg.structure)
+    s, d = alg.integral
     unscale = f.inv(f.coerce(d * d))
     triples = set()
     for a, b in product(range(n), repeat=2):
@@ -134,8 +138,8 @@ def check_morphism(phi):
     f = tgt.field
     n, m = src.dim, tgt.dim
     P, p = clear_denominators(phi.matrix.transpose().entries)  # columns
-    S, s = _integral(src.structure)
-    T, t = _integral(tgt.structure)
+    S, s = src.integral
+    T, t = tgt.integral
     unscale = f.inv(f.coerce(p * p * s * t))
     pt = p * t
     violations = []

@@ -24,7 +24,8 @@ and callers that build a system in ints feed it theirs directly or
 through ``int_kernel_basis``.  Bases of subspaces come from
 ``kernel_basis`` in reduced-echelon form, read straight off the int
 pivot rows, so ``free_coordinates`` reads coordinates off the free
-columns instead of eliminating again.
+columns instead of eliminating again (``int_free_coordinates`` on int
+rows).
 """
 
 from __future__ import annotations
@@ -581,6 +582,26 @@ def free_coordinates(field, basis, free, v):
     coords = {i: v[c] for i, c in enumerate(free) if c in v}
     rebuilt = combination(field, ((c, basis[i]) for i, c in coords.items()))
     return coords if rebuilt == v else None
+
+
+def int_free_coordinates(field, basis, free, rows):
+    """``free_coordinates`` of int rows over one denominator, in ints: the
+    rows' entries at the free columns, as int rows over the same
+    denominator, if each row is rebuilt by its combination of the basis
+    (cleared to ints over its own denominator e, against e times the row),
+    else None."""
+    ints, e = clear_denominators(basis)
+    coords = [{i: w[c] for i, c in enumerate(free) if c in w} for w in rows]
+    for w, x in zip(rows, coords):
+        acc = {}
+        for i, y in x.items():
+            for k, z in ints[i].items():
+                acc[k] = acc.get(k, 0) + y * z
+        if e != 1:
+            w = {k: e * y for k, y in w.items()}
+        if field.reduce_ints([acc])[0] != w:
+            return None
+    return coords
 
 
 def in_span(v, basis_vectors, field=QQ):

@@ -3,15 +3,19 @@ from itertools import product
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
 from leibcohom.catalog import lambda6 as lambda6_over
 from leibcohom.leibniz import free_leibniz_truncated
-from leibcohom.linalg import QQ, GF, Matrix, rank, vec_is_zero
+from leibcohom.linalg import (QQ, GF, Matrix, combination, dense_vector,
+                              kernel_basis, rank, vec_is_zero)
 from leibcohom.complexes import (BoundaryChain, TensorSpace, boundary_matrix,
                                  coboundary_matrix, CoefficientAlgebra,
-                                 homology, cohomology)
+                                 homology, cohomology, _quotient_data)
+
+from test_linalg import textbook_rref
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +359,47 @@ def test_boundary_step_matches_the_double_loop_on_random_brackets(alg, n):
     chain = BoundaryChain(alg)
     rows = chain.at(n)
     assert (rows, chain.denominator) == double_loop_boundary_ints(alg, n)
+
+
+# ---------------------------------------------------------------------------
+# Class representatives.  _quotient_data keeps the cocycles that sit at a
+# pivot of the columns [coboundaries | cocycles].  The oracle eliminates
+# those columns outright: over Q with sympy's rref, over F_p with the
+# textbook elimination.  The cocycles are a reduced-echelon kernel basis,
+# as every caller passes them, and the coboundaries any vectors of their
+# span, none (nb = 0) and as many as the cocycles (nb = nc) included.
+# ---------------------------------------------------------------------------
+
+def _pivot_columns(field, columns, dim):
+    dense = [dense_vector(field, v, dim) for v in columns]
+    rows = [[v[i] for v in dense] for i in range(dim)]
+    if field == QQ:
+        return list(sympy.Matrix(dim, len(columns),
+                                 lambda i, j: sympy.Rational(
+                                     rows[i][j].numerator,
+                                     rows[i][j].denominator)).rref()[1])
+    return textbook_rref(Matrix(field, dim, len(columns), rows))[1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_class_representatives_are_the_pivot_cocycles(field, data):
+    entries = (st.integers(-2, 2) if field == QQ
+               else st.integers(0, field.p - 1))
+    dim = data.draw(st.integers(1, 7))
+    r = data.draw(st.integers(0, dim))
+    rows = data.draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                              min_size=r, max_size=r))
+    cocycles, _ = kernel_basis(
+        Matrix(field, r, dim, [[field.coerce(x) for x in row] for row in rows]))
+    nc = len(cocycles)
+    nb = data.draw(st.one_of(st.just(0), st.just(nc), st.integers(0, nc)))
+    coboundaries = [
+        combination(field, zip(map(field.coerce, coeffs), cocycles))
+        for coeffs in data.draw(st.lists(
+            st.lists(entries, min_size=nc, max_size=nc),
+            min_size=nb, max_size=nb))]
+    pivots = _pivot_columns(field, coboundaries + cocycles, dim)
+    assert _quotient_data(field, cocycles, coboundaries, dim) == \
+        [cocycles[j - nb] for j in pivots if j >= nb]

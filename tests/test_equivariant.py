@@ -727,3 +727,241 @@ def test_large_prime_int_rows_hold_residues(name, coefficients):
             assert d == 1
             rows += columns
         assert all(0 < x < p for row in rows for x in row.values()), n
+
+
+# ---------------------------------------------------------------------------
+# The guard on delta's images: _delta_reduction(n) must refuse exactly when
+# some image of degree n + 1 breaks an invariance constraint of degree
+# n + 1.  The oracle writes every constraint row out from the restriction
+# and coefficient matrices and takes its sympy product with the images.  It
+# multiplies all the images, not only the pivot images the guard reads:
+# the others are combinations of those, so both products vanish together.
+# ---------------------------------------------------------------------------
+
+def _rational(x):
+    """A field element as a sympy rational; residues are ints."""
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _all_constraint_rows(setup, n):
+    """Row (tK, al) of c_H R^(x)n - A(g-hat) c_K for every morphism, as a
+    dense list on the ambient coordinates of degree n, with R^(x)n[tH][tK]
+    the product of R's entries at the digits of tH and tK."""
+    total = setup.ambient_dim(n)
+    blocks = {H: (h, a, off) for H, h, a, off in setup.layout(n)}
+    rows = []
+    for m in setup.category.morphisms:
+        H, K, _ = m
+        R = setup.restrictions[m].matrix.data
+        A = setup.coefficients.maps[m].data
+        (hH, aH, offH), (hK, aK, offK) = blocks[H], blocks[K]
+        words_H = list(product(range(hH), repeat=n))
+        for tK, wK in enumerate(product(range(hK), repeat=n)):
+            for al in range(aH):
+                row = [0] * total
+                for tH, wH in enumerate(words_H):
+                    entry = sympy.Integer(1)
+                    for i, j in zip(wH, wK):
+                        entry *= _rational(R[i][j])
+                    row[offH + tH * aH + al] += entry
+                for aj in range(aK):
+                    row[offK + tK * aK + aj] -= _rational(A[al][aj])
+                rows.append(row)
+    return rows
+
+
+def _guard_matches_the_sympy_product(setup, top):
+    """Asserts that the guard refuses degree n exactly when the product is
+    nonzero, for n <= top; returns whether it refused any degree."""
+    p = setup.field.characteristic
+    refused_any = False
+    for n in range(top + 1):
+        images = setup._delta_images(n)
+        broken = False
+        if any(images):
+            C = sympy.Matrix(_all_constraint_rows(setup, n + 1))
+            V = sympy.Matrix(setup.ambient_dim(n + 1), len(images),
+                             lambda k, j: _rational(images[j].get(k, 0)))
+            broken = any(x % p if p else x for x in C * V)
+        try:
+            setup._delta_reduction(n)
+            refused = False
+        except AssertionError as e:
+            assert "leaves the invariant subspace" in str(e)
+            refused = True
+        assert refused == broken, n
+        refused_any |= refused
+    return refused_any
+
+
+def _tamper(setup, morphism, matrix):
+    src = setup.restrictions[morphism]
+    setup.restrictions[morphism] = L.AlgebraMorphism(src.source, src.target,
+                                                     matrix)
+
+
+@st.composite
+def nilpotent_actions(draw):
+    """Z/2 x Z/2 or S_3 acting on a two-step nilpotent Leibniz algebra
+    V + Z with [V, V] <= Z and every other bracket 0, which satisfies the
+    Leibniz identity for any bracket on V.  V and Z are sums of characters
+    (each Klein character; the trivial and sign characters of S_3), or V
+    is S_3's permutation representation with an invariant form into the
+    trivial Z.  A bracket only pairs characters whose product is the
+    target's, so each psi_g is an automorphism."""
+    name = draw(st.sampled_from(sorted(BLOCKS)))
+    group, kinds = BLOCKS[name]
+    characters = [k for k in kinds if len(_block(k, 0)) == 1]
+    label = {("trivial", None): 0, ("sign", None): 1,
+             **{("character", k): k for k in range(4)}}
+    nonzero = st.sampled_from([1, -1, 2, -2])
+    if name == "s3" and draw(st.booleans()):
+        V, Z = [("permutation", None)], [("trivial", None)]
+    else:
+        V = draw(st.lists(st.sampled_from(characters), min_size=1,
+                          max_size=2))
+        # [v_0, v_last] is allowed to hit Z
+        Z = [next(k for k in characters
+                  if label[k] == label[V[0]] ^ label[V[-1]])]
+    v = sum(len(_block(kind, 0)) for kind in V)
+    m = v + 1
+    structure = [[[0] * m for _ in range(m)] for _ in range(m)]
+    if V[0][0] == "permutation":        # B = t I + u J, invariant under S_3
+        t, u = draw(nonzero), draw(st.integers(-2, 2))
+        for i in range(3):
+            for j in range(3):
+                structure[i][j][v] = t * (i == j) + u
+    else:
+        for i, a in enumerate(V):
+            for j, b in enumerate(V):
+                if label[a] ^ label[b] == label[Z[0]]:
+                    structure[i][j][v] = draw(nonzero)
+    matrices = [block_diag(QQ, [Matrix.from_rows(QQ, _block(kind, g))
+                                for kind in V + Z])
+                for g in range(group.order)]
+    action = L.GroupAction(group, L.LeibnizAlgebra(QQ, m, structure),
+                           matrices)
+    assert L.validate_action(action).ok
+    return action
+
+
+def _rescale_coefficients(setup, H0, c):
+    """The same coefficient system with the first basis vector of A(G/H0)
+    scaled by c: delta still keeps invariance, and over Q c = 2 or 1/2
+    gives the maps a denominator that R^(x)n does not have."""
+    f = setup.field
+    scale = {H: f.one() for H in setup.category.subgroups}
+    scale[H0] = f.coerce(c)
+    setup.coefficients.maps = {
+        (H, K, g): Matrix.from_entries(f, A.rows, A.cols, [
+            {j: f.mul(x, f.mul(f.inv(scale[H]) if i == 0 else f.one(),
+                               scale[K] if j == 0 else f.one()))
+             for j, x in row.items()}
+            for i, row in enumerate(A.entries)])
+        for (H, K, g), A in setup.coefficients.maps.items()}
+
+
+@given(st.one_of(nilpotent_actions(), actions()),
+       st.sampled_from([constant_coefficients, coset_function_coefficients]),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_guard_refuses_exactly_the_images_that_break_a_constraint(
+        action, coefficients, data):
+    setup = _setup(action, coefficients)
+    f = setup.field
+    kind = data.draw(st.sampled_from([None, "restriction", "coefficients"]))
+    if kind == "restriction":
+        # any matrix of the right shape, a morphism or not
+        m = data.draw(st.sampled_from(setup.category.morphisms))
+        R = setup.restrictions[m].matrix
+        entries = data.draw(st.lists(st.integers(-1, 1),
+                                     min_size=R.rows * R.cols,
+                                     max_size=R.rows * R.cols))
+        _tamper(setup, m, Matrix(f, R.rows, R.cols, [
+            [f.coerce(x) for x in entries[i * R.cols:(i + 1) * R.cols]]
+            for i in range(R.rows)]))
+    elif kind == "coefficients":
+        H0 = data.draw(st.sampled_from(setup.category.subgroups))
+        c = data.draw(st.sampled_from([-1, 2, Fraction(1, 2)] if f == QQ
+                                      else [-1]))
+        _rescale_coefficients(setup, H0, c)
+    # the oracle writes out dense rows: degree 3 only while they are short
+    _guard_matches_the_sympy_product(setup,
+                                     2 if setup.ambient_dim(3) <= 200 else 1)
+
+
+def _non_morphism(alg):
+    """An endomorphism matrix of alg that is not an algebra map: the
+    identity with one more entry, or with one entry doubled."""
+    f, m = alg.field, alg.dim
+    for i, j, x in [(0, m - 1, 1), (m - 1, 0, 1), (m - 1, m - 1, 1)]:
+        rows = [{k: f.one()} for k in range(m)]
+        rows[i][j] = f.add(rows[i].get(j, f.zero()), f.coerce(x))
+        mat = Matrix.from_entries(f, m, m, [{k: y for k, y in r.items() if y}
+                                            for r in rows])
+        if not L.check_morphism(L.AlgebraMorphism(alg, alg, mat)).ok:
+            return mat
+    raise AssertionError("no candidate breaks the bracket")
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", ["lambda6_z2", "derived2_f2_z2",
+                                  "free_leib(2,2)_perm"])
+def test_the_guard_refuses_a_catalog_restriction_that_is_no_morphism(
+        name, coefficients):
+    setup = catalog_setup(name, coefficients=coefficients)
+    e = frozenset({0})
+    _tamper(setup, (e, e, 1), _non_morphism(setup.fixed[e].algebra))
+    top = 1 if name == "free_leib(2,2)_perm" else 2
+    assert _guard_matches_the_sympy_product(setup, top)
+
+
+@pytest.mark.parametrize("name, coefficients", [
+    ("lambda6_z2", "coset-functions"), ("free_leib(2,2)_perm", "constant")])
+@pytest.mark.parametrize("c", [2, Fraction(1, 2)])
+def test_the_guard_keeps_a_rescaled_coefficient_system(name, coefficients, c):
+    # the constraint rows of (e, G, 0) take a factor that the restriction
+    # part alone must be multiplied by
+    setup = catalog_setup(name, coefficients)
+    _rescale_coefficients(setup, frozenset({0}), c)
+    assert not _guard_matches_the_sympy_product(setup, 2)
+
+
+def test_the_guard_reads_every_pivot_image():
+    # on free_leib(2,2)_perm, g^G -> g with one entry doubled breaks the
+    # bracket; in degree 1 only the middle one of three pivot images then
+    # breaks a constraint of degree 2
+    setup = catalog_setup("free_leib(2,2)_perm", "coset-functions")
+    f = setup.field
+    e, G = frozenset({0}), frozenset({0, 1})
+    R = setup.restrictions[(e, G, 0)]
+    assert R.matrix.entries[3] == {1: f.one()}
+    bad = Matrix.from_entries(f, R.matrix.rows, R.matrix.cols,
+                              [{1: f.coerce(2)} if i == 3 else row
+                               for i, row in enumerate(R.matrix.entries)])
+    assert not L.check_morphism(L.AlgebraMorphism(R.source, R.target, bad)).ok
+    _tamper(setup, (e, G, 0), bad)
+    assert _guard_matches_the_sympy_product(setup, 1)
+    images = setup._delta_images(1)
+    V = sympy.Matrix(setup.ambient_dim(2), len(images),
+                     lambda k, j: _rational(images[j].get(k, 0)))
+    C = sympy.Matrix(_all_constraint_rows(setup, 2))
+    assert [any(C * V[:, j]) for j in V.rref()[1]] == [False, True, False]
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
+def test_a_tower_streams_each_constraint_system_once(name, coefficients):
+    setup = catalog_setup(name, coefficients=coefficients)
+    streamed = []
+    rows = setup._constraint_rows
+
+    def spy(n):
+        streamed.append(n)
+        return rows(n)
+    setup._constraint_rows = spy
+    top = 3 if name == "free_leib(2,2)_perm" else 5
+    for n in range(top + 1):
+        setup.invariant_space(n)
+        setup.cohomology(n)
+    assert streamed == list(range(top + 1))
