@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import Matrix, dense_vector, kernel_basis, reduce_int_rows
+from .linalg import (Matrix, dense_vector, kernel_basis, last_pivot_echelon,
+                     reduce_int_rows)
 from .verdict import Verdict
 
 
@@ -322,23 +323,19 @@ def _quotient_data(field, cocycles, coboundaries, dim):
 
     A cocycle is kept when it is independent of the vectors before it,
     that is when it sits at a pivot of the columns coboundaries + cocycles.
-    This is read off in cocycle coordinates, with no vector of length dim.
     The cocycles are a reduced-echelon kernel basis: each is 1 at its free
-    column, its largest index, and 0 at the others' free columns, so a
-    coboundary's coordinates are its entries at the free columns.  Cocycle
-    j is dependent exactly when some combination of coboundaries has its
-    last nonzero coordinate at j, so the dropped cocycles are the pivots
-    of the coboundaries' coordinate rows with the columns reversed.
+    column, its largest index, and 0 at the others' free columns.  So
+    cocycle j is dependent exactly when some combination of coboundaries
+    has its last nonzero entry at j's free column, a pivot of their
+    ``last_pivot_echelon`` (``_representatives``).
     """
-    if not coboundaries:
-        return list(cocycles)
-    last = len(cocycles) - 1
-    free = [max(z) for z in cocycles]
-    rows = [field.to_ints({last - j: b[c] for j, c in enumerate(free)
-                           if c in b})
-            for b in coboundaries]
-    dropped = reduce_int_rows(field, rows, len(cocycles))
-    return [z for j, z in enumerate(cocycles) if last - j not in dropped]
+    return _representatives(cocycles, last_pivot_echelon(
+        field, [field.to_ints(b) for b in coboundaries], dim))
+
+
+def _representatives(cocycles, echelon):
+    """The cocycles whose free column is no pivot of the echelon."""
+    return [z for z in cocycles if max(z) not in echelon]
 
 
 def homology(alg, n):

@@ -40,30 +40,30 @@ The per-degree data is built on demand and kept on the
     constraint row built, so an image that leaves the invariant subspace
     is refused in its own degree.  The constraint rows of each degree
     are streamed once, by ``invariant_space`` alone.
-  - The coboundaries of degree n + 1 are the pivot images' entries at
-    the free columns of S^(n+1)_G, the columns ``image_basis`` would pick
-    from X_n, read and checked in ints.  So a tower up to N never builds
-    S^(N+1)_G, and no coboundary is eliminated twice.
-  - The class representatives are chosen in cocycle coordinates by
-    ``complexes._quotient_data``, with no elimination when there are no
-    coboundaries.
-* ``equivariant_coboundary(n)`` (X_n, which needs S^(n+1)_G) and
-  ``coboundary_image(n)`` serve the zinbiel span test; they read the
-  coordinates of all the kept sums as the coboundaries are read, and do
-  not take the reduction above.  ``_delta_images(n)`` is the field view
-  of the sums.
+  - The coboundaries of degree n are the pivot images of degree n - 1
+    (the columns ``image_basis`` would pick from X_(n-1)), read in ints at
+    the free columns of S^n_G, whose basis ``invariant_space`` clears to
+    ints once.  So a tower up to N never builds S^(N+1)_G.
+  - Their one elimination per degree, each row's pivot at its largest
+    column (``last_pivot_echelon``), picks the classes, the cocycles whose
+    free column is no pivot, and is the basis that ``coboundary_image(n)``
+    gives the zinbiel span test in field elements.
+* ``equivariant_coboundary(n)`` builds X_n, which needs S^(n+1)_G; only
+  the tests read it, as the reference route.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (Matrix, clear_denominators, combination, dense_vector,
-                     int_free_coordinates, int_kernel_basis, sparse_vector)
+                     int_free_coordinates, int_kernel_basis,
+                     last_pivot_echelon, sparse_vector)
 from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
-                        _quotient_data)
+                        _representatives)
 from .groups import fixed_subalgebra, restriction_map
 from .shuffles import rho_sum
 from .verdict import Verdict
@@ -144,6 +144,7 @@ class InvariantCochainSpace:
     ambient_dim: int
     vectors: list          # sparse basis vectors in ambient coordinates
     free: list             # the free column of each basis vector
+    ints: tuple            # the vectors as int rows over one denominator
 
     @property
     def dim(self):
@@ -220,7 +221,7 @@ class EquivariantSetup:
         self._chains = {}
         self._sums = {}
         self._reductions = {}
-        self._coboundaries = {}
+        self._echelons = {}
         self._echelon_images = {}
         self._int_powers = {}
         self._restriction_powers = {}
@@ -366,7 +367,8 @@ class EquivariantSetup:
         total = self.ambient_dim(n)
         basis, free = int_kernel_basis(self.field, self._constraint_rows(n),
                                        total)
-        space = InvariantCochainSpace(self.field, total, basis, free)
+        space = InvariantCochainSpace(self.field, total, basis, free,
+                                      clear_denominators(basis))
         self._spaces[n] = space
         return space
 
@@ -403,7 +405,7 @@ class EquivariantSetup:
                 blocks.append((columns, a,
                                list(range(off1, off1 + h ** (n + 1) * a))))
             sums = []
-            basis, e = clear_denominators(self.invariant_space(n).vectors)
+            basis, e = self.invariant_space(n).ints
             for v in basis:
                 acc = {}
                 for i, y in v.items():
@@ -417,62 +419,73 @@ class EquivariantSetup:
             self._sums[n] = self.field.reduce_ints(sums), c * e
         return self._sums[n]
 
-    def _delta_images(self, n):
-        """The ``_delta_sums`` of degree n as sparse ambient vectors, one
-        field element per entry, built on each call."""
-        return self.field.divide_ints(*self._delta_sums(n))
-
     def _delta_reduction(self, n):
-        """(cocycles, pivots) of delta on S^n_G, from one elimination of the
+        """(cocycles, images) of delta on S^n_G, from one elimination of the
         columns of its int images: the reduced-echelon basis of their null
-        space, the cocycles in invariant coordinates, and the pivot
-        columns, the basis vectors whose images span the coboundaries of
-        degree n + 1.  Before it is kept, each pivot image is checked
-        against the constraints of degree n + 1; the other images are
-        combinations of them."""
+        space, the cocycles in invariant coordinates, and the images at its
+        pivot columns, which span the coboundaries of degree n + 1.  Before
+        they are kept, those images are checked against the constraints of
+        degree n + 1; the other images are combinations of them."""
         if n not in self._reductions:
             sums, _ = self._delta_sums(n)
-            rows = {}               # ambient column -> {image: int entry}
+            rows = defaultdict(dict)    # ambient column -> {image: int entry}
             for j, w in enumerate(sums):
                 for k, x in w.items():
-                    row = rows.get(k)
-                    if row is None:
-                        rows[k] = {j: x}
-                    else:
-                        row[j] = x
+                    rows[k][j] = x
             cocycles, free = int_kernel_basis(self.field, rows.values(),
                                               len(sums))
             free = set(free)
-            pivots = [j for j in range(len(sums)) if j not in free]
-            if not self._satisfy_constraints(n + 1, [sums[j] for j in pivots]):
+            images = [w for j, w in enumerate(sums) if j not in free]
+            if not self._satisfy_constraints(n + 1, images):
                 raise AssertionError(
                     f"delta image leaves the invariant subspace in degree {n}")
-            self._reductions[n] = cocycles, pivots
+            self._reductions[n] = cocycles, images
         return self._reductions[n]
 
+    def _coordinates(self, n, images):
+        """The coordinates in S^n_G of delta images of degree n - 1, int
+        rows over one denominator: their entries at its free columns, read
+        and checked in ints."""
+        sn = self.invariant_space(n)
+        coords = int_free_coordinates(self.field, sn.ints, sn.free, images)
+        if coords is None:
+            raise AssertionError(f"delta image leaves the invariant "
+                                 f"subspace in degree {n - 1}")
+        return coords
+
+    def _coboundary_echelon(self, n):
+        """B^n_G from degree-n data alone: (coords, d, echelon), the
+        ``_coordinates`` of the pivot images of degree n - 1 as int rows
+        over d, and their ``last_pivot_echelon``.  B^0_G = 0."""
+        if n == 0:
+            return [], 1, {}
+        if n not in self._echelons:
+            coords = self._coordinates(n, self._delta_reduction(n - 1)[1])
+            echelon = last_pivot_echelon(self.field, coords,
+                                         self.invariant_space(n).dim)
+            self._echelons[n] = coords, self._delta_sums(n - 1)[1], echelon
+        return self._echelons[n]
+
     def equivariant_coboundary(self, n):
-        """delta on invariant coordinates S^n_G -> S^{n+1}_G."""
-        if n in self._coboundaries:
-            return self._coboundaries[n]
+        """X_n, delta on invariant coordinates S^n_G -> S^{n+1}_G, built on
+        each call: the reference route for the reduction of ``cohomology``."""
         f = self.field
-        sn1 = self.invariant_space(n + 1)
         sums, d = self._delta_sums(n)
-        columns = int_free_coordinates(f, sn1.vectors, sn1.free, sums)
-        if columns is None:
-            raise AssertionError(
-                f"delta image leaves the invariant subspace in degree {n}")
-        X = Matrix.from_entries(f, len(columns), sn1.dim,
-                                f.divide_ints(columns, d)).transpose()
-        self._coboundaries[n] = X
-        return X
+        return Matrix.from_entries(
+            f, len(sums), self.invariant_space(n + 1).dim,
+            f.divide_ints(self._coordinates(n + 1, sums), d)).transpose()
 
     def coboundary_image(self, n):
-        """Reduced-echelon basis of the image of delta: S^{n-1}_G -> S^n_G
-        for n >= 1, as sparse rows in invariant coordinates, and its pivot
-        columns."""
+        """Reduced-echelon basis of B^n_G, the image of delta:
+        S^{n-1}_G -> S^n_G, as sparse rows in invariant coordinates, and
+        its pivot columns: each row is 1 at its pivot, its largest column,
+        and 0 at the other pivots; the echelon of ``cohomology(n)``."""
         if n not in self._echelon_images:
-            red, pivots = self.equivariant_coboundary(n - 1).transpose().rref()
-            self._echelon_images[n] = (red.entries[:len(pivots)], pivots)
+            echelon = self._coboundary_echelon(n)[2]
+            pivots = sorted(echelon)
+            self._echelon_images[n] = (
+                [self.field.from_ints(echelon[pc], pc) for pc in pivots],
+                pivots)
         return self._echelon_images[n]
 
     def check_invariance(self, cochain):
@@ -490,26 +503,16 @@ class EquivariantSetup:
     def cohomology(self, n):
         """HL^n_G in invariant coordinates of degree n, from S^n_G alone:
         the cocycles from the reduction of delta's images in degree n, the
-        coboundaries from the pivot images of degree n - 1, read off at the
-        free columns of S^n_G in ints."""
+        coboundaries and the classes from the echelon of degree n."""
         if n < 0:
             raise ValueError("degree must be >= 0")
         f = self.field
-        sn = self.invariant_space(n)
         cocycles, _ = self._delta_reduction(n)
-        coboundaries = []
-        if n > 0:
-            sums, d = self._delta_sums(n - 1)
-            coords = int_free_coordinates(
-                f, sn.vectors, sn.free,
-                [sums[j] for j in self._delta_reduction(n - 1)[1]])
-            if coords is None:
-                raise AssertionError(f"delta image leaves the invariant "
-                                     f"subspace in degree {n - 1}")
-            coboundaries = f.divide_ints(coords, d)
-        reps = _quotient_data(f, cocycles, coboundaries, sn.dim)
-        return CohomologyResult(f, n, sn.dim, cocycles, coboundaries,
-                                len(cocycles) - len(coboundaries), reps)
+        coords, d, echelon = self._coboundary_echelon(n)
+        return CohomologyResult(f, n, self.invariant_space(n).dim, cocycles,
+                                f.divide_ints(coords, d),
+                                len(cocycles) - len(coords),
+                                _representatives(cocycles, echelon))
 
     def invariant_to_ambient(self, n, coords):
         """Expand a list of invariant-basis coordinates into a sparse

@@ -21,11 +21,11 @@ field elements over d by its ``divide_ints``, one call per list of rows.
 The one elimination loop, ``reduce_int_rows``, runs on int rows:
 ``Matrix.rref`` feeds it a matrix's rows, each cleared by ``to_ints``,
 and callers that build a system in ints feed it theirs directly or
-through ``int_kernel_basis``.  Bases of subspaces come from
-``kernel_basis`` in reduced-echelon form, read straight off the int
-pivot rows, so ``free_coordinates`` reads coordinates off the free
-columns instead of eliminating again (``int_free_coordinates`` on int
-rows).
+through ``int_kernel_basis`` and ``last_pivot_echelon``.  Bases of
+subspaces come from ``kernel_basis`` in reduced-echelon form, read
+straight off the int pivot rows, so ``free_coordinates`` reads
+coordinates off the free columns instead of eliminating again
+(``int_free_coordinates`` on int rows).
 """
 
 from __future__ import annotations
@@ -542,6 +542,17 @@ def rank(m):
     return len(pivots)
 
 
+def last_pivot_echelon(field, rows, ncols):
+    """``reduce_int_rows`` with each row's pivot at its largest column, run
+    on the columns reversed: {pivot column: reduced int row}.  The pivots
+    are the columns at which the nonzero vectors of the rows' span end."""
+    last = ncols - 1
+    pivot_rows = reduce_int_rows(
+        field, [{last - j: x for j, x in row.items()} for row in rows], ncols)
+    return {last - pc: {last - j: x for j, x in row.items()}
+            for pc, row in pivot_rows.items()}
+
+
 def kernel_basis(m):
     """Reduced-echelon basis of the null space, and its free columns: one
     sparse vector per free column, 1 there and 0 at the other free columns.
@@ -587,10 +598,10 @@ def free_coordinates(field, basis, free, v):
 def int_free_coordinates(field, basis, free, rows):
     """``free_coordinates`` of int rows over one denominator, in ints: the
     rows' entries at the free columns, as int rows over the same
-    denominator, if each row is rebuilt by its combination of the basis
-    (cleared to ints over its own denominator e, against e times the row),
-    else None."""
-    ints, e = clear_denominators(basis)
+    denominator, if each row is rebuilt by its combination of the basis,
+    else None.  The basis is given as ``clear_denominators`` makes it,
+    (int rows, e), and is checked against e times each row."""
+    ints, e = basis
     coords = [{i: w[c] for i, c in enumerate(free) if c in w} for w in rows]
     for w, x in zip(rows, coords):
         acc = {}

@@ -232,10 +232,8 @@ def cup_component(cH, dH, mu_matrix, rho_matrix):
 def cup_nonequivariant(c, d, alg, A):
     """Cup product of plain cochains c: a x m^p, d: a x m^q over one algebra."""
     m = alg.dim
-    p_len = c.cols
-    q_len = d.cols
-    p = _log_dim(p_len, m)
-    q = _log_dim(q_len, m)
+    p = _log_dim(c.cols, m)
+    q = _log_dim(d.cols, m)
     if p < 1 or q < 1:
         raise ValueError("cup product requires strictly positive degrees")
     rho_mat = rho_sum(p, q).matrix(m, alg.field)
@@ -243,6 +241,9 @@ def cup_nonequivariant(c, d, alg, A):
 
 
 def _log_dim(dim, m):
+    if m < 2:       # m^n = m for every n >= 1, so dim names no degree
+        raise ValueError(f"the degree of a cochain on a {m}-dimensional "
+                         f"algebra cannot be read off its {dim} columns")
     n = 0
     x = 1
     while x < dim:
@@ -353,30 +354,27 @@ class FreeZinbielElement:
         return f"FreeZinbielElement({self.coeffs})"
 
 
-def _word_half_shuffle(u, w):
-    """Half-shuffle of words: first letter of u stays put, the rest shuffles with w."""
-    p = len(u) - 1
-    q = len(w)
-    tail = u[1:] + w
-    out = {}
-    for sigma in shuffles(p, q):
-        inv = perm_inverse(sigma)
-        new = (u[0],) + tuple(tail[inv[i] - 1] for i in range(p + q))
-        out[new] = out.get(new, Fraction(0)) + 1
-    return out
-
-
 def free_zinbiel_product(x, y, N=None):
     """Bilinear extension of the half-shuffle product, truncated past N."""
-    if N is None:
-        N = x.max_degree
+    return _half_shuffle_product(x, y, x.max_degree if N is None else N,
+                                 shuffles)
+
+
+def _half_shuffle_product(x, y, N, shuffle_set):
+    """Bilinear extension, truncated past N, of the product of words u, w
+    that keeps the first letter of u and moves the rest of u and w by
+    every shuffle of ``shuffle_set(len(u) - 1, len(w))``."""
     out = {}
     for u, cu in x.coeffs.items():
         for w, cw in y.coeffs.items():
             if len(u) + len(w) > N:
                 continue
-            for new, c in _word_half_shuffle(u, w).items():
-                out[new] = out.get(new, Fraction(0)) + cu * cw * c
+            p, q = len(u) - 1, len(w)
+            tail = u[1:] + w
+            for sigma in shuffle_set(p, q):
+                inv = perm_inverse(sigma)
+                new = (u[0],) + tuple(tail[inv[i] - 1] for i in range(p + q))
+                out[new] = out.get(new, Fraction(0)) + cu * cw
     return FreeZinbielElement(x.alphabet, N, out)
 
 
@@ -388,22 +386,10 @@ def check_zinbiel_axiom(alphabet, N, swap_shuffle=False):
     """
     if N < 3:
         raise ValueError("need N >= 3 to see the axiom")
+    shuffle_set = (lambda p, q: shuffles(q, p)) if swap_shuffle else shuffles
 
     def prod(x, y):
-        if not swap_shuffle:
-            return free_zinbiel_product(x, y, N)
-        out = {}
-        for u, cu in x.coeffs.items():
-            for w, cw in y.coeffs.items():
-                if len(u) + len(w) > N:
-                    continue
-                p, q = len(u) - 1, len(w)
-                tail = u[1:] + w
-                for sigma in shuffles(q, p):
-                    inv = perm_inverse(sigma)
-                    new = (u[0],) + tuple(tail[inv[i] - 1] for i in range(p + q))
-                    out[new] = out.get(new, Fraction(0)) + cu * cw
-        return FreeZinbielElement(x.alphabet, N, out)
+        return _half_shuffle_product(x, y, N, shuffle_set)
 
     words = []
     for n in range(1, N - 1):

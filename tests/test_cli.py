@@ -10,8 +10,8 @@ import pytest
 from leibcohom import cli
 from leibcohom.catalog import catalog, lambda6
 from leibcohom.cli import main, parse_problem, ProblemParseError
-from leibcohom.complexes import (CoefficientAlgebra, betti_numbers,
-                                 cohomology, homology)
+from leibcohom.complexes import (BoundaryChain, CoefficientAlgebra,
+                                 betti_numbers, cohomology, homology)
 from leibcohom.equivariant import EquivariantSetup
 from leibcohom.leibniz import check_leibniz_identity, free_leibniz_truncated
 from leibcohom.linalg import GF, Matrix
@@ -245,6 +245,50 @@ def test_zinbiel_check_reports_a_failing_triple_with_its_defect(
     assert "triple_0_0_0: FAIL defect_not_a_coboundary nonzero at " \
         "[({0}, 0, 3), ({0,1}, 0, 0)]" in out
     assert "triples_checked: 1" in out and "failures: 1" in out
+
+
+@pytest.mark.parametrize("name, degrees", [
+    ("derived2_f2_z2", [1, 1, 1]), ("derived2_f2_z2", [1, 2, 1]),
+    ("lambda6_z2", [2, 2, 2])])
+def test_zinbiel_check_reads_one_echelon_of_its_own_degree(
+        capsys, monkeypatch, name, degrees):
+    # the classes and the span test read the echelon of each degree's
+    # coboundaries: no coboundary matrix X_n and no Matrix.rref, and a
+    # check of total degree n builds nothing above degree n
+    def refused(*args):
+        raise AssertionError("a second elimination of the coboundaries")
+
+    make_setup = cli.make_setup
+
+    def make_then_refuse(problem):
+        setup = make_setup(problem)         # validation takes its ranks
+        monkeypatch.setattr(Matrix, "rref", refused)
+        return setup
+
+    monkeypatch.setattr(cli, "make_setup", make_then_refuse)
+    monkeypatch.setattr(EquivariantSetup, "equivariant_coboundary", refused)
+    built = {"invariant_space": [], "_delta_sums": []}
+    for method, degrees_built in built.items():
+        original = getattr(EquivariantSetup, method)
+
+        def spy(setup, n, original=original, degrees_built=degrees_built):
+            degrees_built.append(n)
+            return original(setup, n)
+        monkeypatch.setattr(EquivariantSetup, method, spy)
+    steps = []
+    step = BoundaryChain.step
+
+    def step_spy(chain):
+        step(chain)
+        steps.append(chain.degree)
+    monkeypatch.setattr(BoundaryChain, "step", step_spy)
+    code, out, _ = run(capsys, ["--catalog", name, "zinbiel-check",
+                                "--degrees", *map(str, degrees)])
+    assert code == 0 and "failures: 0" in out
+    n = sum(degrees)
+    assert max(built["invariant_space"]) == n
+    assert max(built["_delta_sums"]) == n - 1     # delta images in degree n
+    assert max(steps) == n
 
 
 def test_zinbiel_check_bad_degrees(capsys):

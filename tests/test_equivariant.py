@@ -3,13 +3,14 @@ from itertools import product
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
 from leibcohom.catalog import _letter_permutation_action
 from leibcohom.complexes import BoundaryChain, _quotient_data, image_basis
 from leibcohom.leibniz import free_leibniz_truncated
-from leibcohom.linalg import (QQ, GF, Matrix, dense_vector, kernel_basis,
+from leibcohom.linalg import (QQ, GF, Matrix, free_coordinates, kernel_basis,
                               vec_is_zero)
 from leibcohom.equivariant import (constant_coefficients,
                                    coset_function_coefficients,
@@ -207,22 +208,6 @@ def test_fresh_setup_degree_two(lambda6_z2_setup):
     fresh = L.EquivariantSetup(setup.action, setup.category, setup.coefficients)
     assert fresh.invariant_space(2).dim == 5
     assert fresh.cohomology(2).betti == 1
-
-
-def test_coboundary_image_is_the_rref_of_the_coboundary_columns(
-        lambda6_z2_setup):
-    setup = lambda6_z2_setup
-    for n in range(1, 4):
-        rows, pivots = setup.coboundary_image(n)
-        assert setup.coboundary_image(n) is setup.coboundary_image(n)
-        delta_t = setup.equivariant_coboundary(n - 1).transpose()
-        expected, expected_pivots = sympy.Matrix(
-            delta_t.rows, delta_t.cols,
-            [sympy.Rational(x.numerator, x.denominator)
-             for row in delta_t.data for x in row]).rref()
-        assert pivots == list(expected_pivots)
-        assert [dense_vector(QQ, r, delta_t.cols) for r in rows] == \
-            expected.tolist()[:len(pivots)]
 
 
 def _spy_on_spaces(setup):
@@ -467,6 +452,70 @@ def test_catalog_cohomology_equals_the_coboundary_matrix_route(name,
         catalog_setup(name, coefficients=coefficients), top)
 
 
+# ---------------------------------------------------------------------------
+# coboundary_image(n) is the echelon that cohomology(n) chooses its classes
+# with, in field elements, and the zinbiel span test reads it.  Its rows
+# must span the column space of X_{n-1} (ranks taken in sympy, over Q or
+# in GF(p)), be 1 at their pivot, their largest column, and 0 at the other
+# pivots, accept every delta image of S^{n-1}_G and refuse every class
+# representative.
+# ---------------------------------------------------------------------------
+
+def _sympy_rank(field, vectors, dim):
+    if not vectors:
+        return 0
+    if field == QQ:
+        return sympy.Matrix(len(vectors), dim, lambda i, k: _rational(
+            vectors[i].get(k, field.zero()))).rank()
+    return DomainMatrix.from_list(
+        [[v.get(k, 0) for k in range(dim)] for v in vectors],
+        sympy.GF(field.p)).rank()
+
+
+def _check_coboundary_image(setup, top):
+    """Checks degrees 1..top; returns the number of echelon rows seen."""
+    f = setup.field
+    seen = 0
+    for n in range(1, top + 1):
+        rows, pivots = setup.coboundary_image(n)
+        assert setup.coboundary_image(n) is setup.coboundary_image(n)
+        dim = setup.invariant_space(n).dim
+        images = setup.equivariant_coboundary(n - 1).transpose().entries
+        rank = _sympy_rank(f, images, dim)
+        assert len(rows) == _sympy_rank(f, rows, dim) == rank
+        assert _sympy_rank(f, rows + images, dim) == rank
+        assert pivots == sorted(pivots)
+        for row, pc in zip(rows, pivots):
+            assert max(row) == pc and row[pc] == f.one()
+            assert not any(q in row for q in pivots if q != pc)
+        for w in images:
+            assert free_coordinates(f, rows, pivots, w) is not None
+        for z in setup.cohomology(n).classes:
+            assert free_coordinates(f, rows, pivots, z) is None
+        seen += len(rows)
+    return seen
+
+
+@given(actions(), st.sampled_from([constant_coefficients,
+                                   coset_function_coefficients]))
+@settings(max_examples=30, deadline=None)
+def test_coboundary_image_is_the_last_pivot_echelon_of_the_coboundaries(
+        action, coefficients):
+    _check_coboundary_image(_setup(action, coefficients), 3)
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
+def test_catalog_coboundary_image_is_the_last_pivot_echelon(name,
+                                                            coefficients):
+    # every echelon is empty exactly on the abelian free_leib(m,1)_perm
+    setup = catalog_setup(name, coefficients=coefficients)
+    top = 2 if name == "free_leib(2,2)_perm" else 3
+    abelian = not any(x for row in setup.action.algebra.structure
+                      for v in row for x in v)
+    assert (_check_coboundary_image(setup, top) > 0) != abelian
+
+
 @pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
 @pytest.mark.parametrize("name", CATALOG_ACTIONS)
 def test_a_tower_leaves_the_next_space_unbuilt(name, coefficients):
@@ -538,7 +587,8 @@ def test_delta_images_equal_the_fraction_route(action, coefficients, s):
         action = scaled(action, s)
     setup = _setup(action, coefficients)
     for n in range(4):
-        assert setup._delta_images(n) == _fraction_route_images(setup, n)
+        assert setup.field.divide_ints(*setup._delta_sums(n)) == \
+            _fraction_route_images(setup, n)
 
 
 @pytest.mark.parametrize("seed", [None, 1])
@@ -557,7 +607,8 @@ def test_catalog_delta_images_equal_the_fraction_route(name, coefficients,
     top = 2 if name == "free_leib(2,2)_perm" else 4
     # the top degree first: the lower ones build each d^T again from d_2
     for n in [top] + list(range(top)):
-        assert setup._delta_images(n) == _fraction_route_images(setup, n)
+        assert setup.field.divide_ints(*setup._delta_sums(n)) == \
+            _fraction_route_images(setup, n)
 
 
 @pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
@@ -776,7 +827,7 @@ def _guard_matches_the_sympy_product(setup, top):
     p = setup.field.characteristic
     refused_any = False
     for n in range(top + 1):
-        images = setup._delta_images(n)
+        images = setup.field.divide_ints(*setup._delta_sums(n))
         broken = False
         if any(images):
             C = sympy.Matrix(_all_constraint_rows(setup, n + 1))
@@ -942,7 +993,7 @@ def test_the_guard_reads_every_pivot_image():
     assert not L.check_morphism(L.AlgebraMorphism(R.source, R.target, bad)).ok
     _tamper(setup, (e, G, 0), bad)
     assert _guard_matches_the_sympy_product(setup, 1)
-    images = setup._delta_images(1)
+    images = setup.field.divide_ints(*setup._delta_sums(1))
     V = sympy.Matrix(setup.ambient_dim(2), len(images),
                      lambda k, j: _rational(images[j].get(k, 0)))
     C = sympy.Matrix(_all_constraint_rows(setup, 2))

@@ -168,6 +168,16 @@ def test_cup_pinned_example(lambda6):
     assert out.data == [expected]
 
 
+@pytest.mark.parametrize("columns", [1, 2])
+def test_cup_refuses_cochains_on_a_one_dimensional_algebra(columns):
+    # every degree has 1^n = 1 column, so one column names no degree, and
+    # the search for a power of 1 equal to two columns would never end
+    alg = L.LeibnizAlgebra.zero_bracket(QQ, 1)
+    c = Matrix.from_rows(QQ, [[1] * columns])
+    with pytest.raises(ValueError, match="1-dimensional"):
+        cup_nonequivariant(c, c, alg, CoefficientAlgebra.scalar(QQ))
+
+
 def test_cup_degree_one_bilinear(lambda6):
     A = CoefficientAlgebra.scalar(QQ)
     c = scalar_cochain(lambda6, 1, [1, 2, 3])
