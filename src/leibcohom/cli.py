@@ -90,10 +90,34 @@ class Problem:
 
 
 def _scalar(field, x):
+    """A JSON integer, or a string that ``Fraction`` reads whose decimal
+    exponent is within the digit limit that the JSON reader puts on
+    integers, so that no longer power of ten is ever built."""
     try:
-        return field.coerce(Fraction(x) if isinstance(x, str) else x)
+        if isinstance(x, str):
+            _, e, exponent = x.lower().rpartition("e")
+            limit = sys.get_int_max_str_digits()
+            if e and limit and abs(int(exponent)) > limit:
+                raise ValueError(f"decimal exponent over {limit}")
+            x = Fraction(x)
+        return field.coerce(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ProblemParseError(f"bad scalar {x!r}: {exc}") from None
+
+
+def _integer(x, what, least=None):
+    """A count, index or degree of the document: a JSON integer, or a
+    string that spells one.  Floats and booleans are refused rather than
+    truncated, and so is a value below ``least``."""
+    try:
+        if isinstance(x, (bool, float)):
+            raise TypeError
+        n = int(x)
+    except (TypeError, ValueError):
+        raise ProblemParseError(f"{what}: {x!r} is not an integer") from None
+    if least is not None and n < least:
+        raise ProblemParseError(f"{what}: {n} is below {least}")
+    return n
 
 
 def parse_problem(doc):
@@ -112,23 +136,21 @@ def _parse_problem(doc):
     if fspec.get("type") == "rational":
         field = QQ
     elif fspec.get("type") == "prime":
-        field = GF(int(fspec["p"]))
+        field = GF(_integer(fspec["p"], "p"))
     else:
         raise ProblemParseError(f"field: unknown type {fspec.get('type')!r}")
 
     aspec = doc.get("algebra")
     if not isinstance(aspec, dict) or "dim" not in aspec:
         raise ProblemParseError("algebra: need an object with 'dim'")
-    dim = int(aspec["dim"])
-    if dim < 0:
-        raise ProblemParseError(f"algebra: negative dimension {dim}")
+    dim = _integer(aspec["dim"], "algebra: dim", 0)
     if dim > MAX_ALGEBRA_DIM:
         raise ProblemSizeError(f"algebra: dimension {dim} is over the bound "
                                f"of {MAX_ALGEBRA_DIM}")
     z = field.zero()
     structure = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
     for ent in aspec.get("brackets", []):
-        i, j = int(ent["i"]) - 1, int(ent["j"]) - 1
+        i, j = _integer(ent["i"], "i") - 1, _integer(ent["j"], "j") - 1
         value = [_scalar(field, x) for x in ent["value"]]
         if not (0 <= i < dim and 0 <= j < dim) or len(value) != dim:
             raise ProblemParseError(
@@ -139,8 +161,9 @@ def _parse_problem(doc):
     group = action = None
     if "group" in doc:
         gspec = doc["group"]
-        order = int(gspec["order"])
-        table = [[int(x) for x in row] for row in gspec["table"]]
+        order = _integer(gspec["order"], "group: order")
+        table = [[_integer(x, "group: table") for x in row]
+                 for row in gspec["table"]]
         if order < 1 or len(table) != order or \
            any(len(r) != order for r in table) or \
            any(x < 0 or x >= order for r in table for x in r):
@@ -161,7 +184,7 @@ def _parse_problem(doc):
         action = GroupAction(group, algebra, matrices)
 
     coefficients = doc.get("coefficients", "constant")
-    max_degree = int(doc.get("max_degree", 4))
+    max_degree = _integer(doc.get("max_degree", 4), "max_degree", 0)
     return Problem(field, algebra, group, action, coefficients, max_degree)
 
 
@@ -202,8 +225,8 @@ def build_coefficient_system(problem, category):
         try:
             algebras = {}
             for s in spec["systems"]:
-                H = frozenset(int(x) for x in s["subgroup"])
-                d = int(s["dim"])
+                H = frozenset(_integer(x, "subgroup") for x in s["subgroup"])
+                d = _integer(s["dim"], "coefficients: dim", 0)
                 if d > MAX_ALGEBRA_DIM:
                     raise ProblemSizeError(
                         f"coefficients: dimension {d} of subgroup {sorted(H)} "
@@ -211,7 +234,8 @@ def build_coefficient_system(problem, category):
                 z = field.zero()
                 prod = [[[z] * d for _ in range(d)] for _ in range(d)]
                 for ent in s.get("products", []):
-                    i, j = int(ent["i"]) - 1, int(ent["j"]) - 1
+                    i = _integer(ent["i"], "i") - 1
+                    j = _integer(ent["j"], "j") - 1
                     if not (0 <= i < d and 0 <= j < d):
                         raise ProblemParseError(
                             f"coefficients: product index out of range in "
@@ -225,8 +249,9 @@ def build_coefficient_system(problem, category):
                 algebras[H] = CoefficientAlgebra(field, d, prod, unit)
             maps = {}
             for ent in spec["maps"]:
-                key = (frozenset(int(x) for x in ent["H"]),
-                       frozenset(int(x) for x in ent["K"]), int(ent["g"]))
+                key = (frozenset(_integer(x, "H") for x in ent["H"]),
+                       frozenset(_integer(x, "K") for x in ent["K"]),
+                       _integer(ent["g"], "g"))
                 maps[key] = Matrix.from_rows(
                     field, [[_scalar(field, x) for x in r]
                             for r in ent["matrix"]])
@@ -345,7 +370,8 @@ def cmd_validate(args):
 
 def cmd_cohomology(args):
     problem = load_problem(args)
-    n_max = args.max_degree if args.max_degree is not None else problem.max_degree
+    n_max = problem.max_degree if args.max_degree is None else \
+        _integer(args.max_degree, "--max-degree", 0)
     report = Report("cohomology")
     if args.equivariant:
         setup = make_setup(problem)
@@ -367,7 +393,8 @@ def cmd_cohomology(args):
 
 def cmd_homology(args):
     problem = load_problem(args)
-    n_max = args.max_degree if args.max_degree is not None else problem.max_degree
+    n_max = problem.max_degree if args.max_degree is None else \
+        _integer(args.max_degree, "--max-degree", 0)
     check_problem(problem)
     check_size(n_max + 1, lambda n: problem.algebra.dim ** n)
     report = Report("homology")

@@ -30,10 +30,11 @@ The per-degree data is built on demand and kept on the
     over one denominator, on the block of each subgroup H over the int
     rows of d_{n+1}^T of g^H: each H keeps a ``BoundaryChain`` with its
     latest d^T, stepped up one degree as a tower climbs (and built again
-    from d_2 when a lower degree is asked for).  The sums are kept.
+    from d_2 when a lower degree is asked for).
   - One elimination of their columns, fed the sums directly, gives both
     the cocycles (its null space, the same reduced basis the coboundary
-    matrix X_n would give) and the pivot columns.
+    matrix X_n would give) and the pivot columns.  Only the cocycles, the
+    pivot images and their denominator are kept.
   - The guard: each pivot image is checked against every binding
     constraint of degree n + 1, exactly.  The products are summed from
     the int columns of R^(x)(n+1) and the coefficient maps, with no
@@ -46,10 +47,11 @@ The per-degree data is built on demand and kept on the
     ints once.  So a tower up to N never builds S^(N+1)_G.
   - Their one elimination per degree, each row's pivot at its largest
     column (``last_pivot_echelon``), picks the classes, the cocycles whose
-    free column is no pivot, and is the basis that ``coboundary_image(n)``
-    gives the zinbiel span test in field elements.
-* ``equivariant_coboundary(n)`` builds X_n, which needs S^(n+1)_G; only
-  the tests read it, as the reference route.
+    free column is no pivot, and is kept as int rows: ``is_coboundary(n,
+    row)``, the zinbiel span test, clears a row at its pivots.
+* ``equivariant_coboundary(n)`` builds X_n, which needs S^(n+1)_G, and
+  sums the delta images again on each call; only the tests read it, as
+  the reference route.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import (Matrix, clear_denominators, combination, dense_vector,
-                     int_free_coordinates, int_kernel_basis,
-                     last_pivot_echelon, sparse_vector)
+from .linalg import (Matrix, clear_at_pivots, clear_denominators,
+                     combination, dense_vector, int_free_coordinates,
+                     int_kernel_basis, last_pivot_echelon, sparse_vector)
 from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
                         _representatives)
 from .groups import fixed_subalgebra, restriction_map
@@ -219,10 +221,8 @@ class EquivariantSetup:
                              for m in category.morphisms}
         self._spaces = {}
         self._chains = {}
-        self._sums = {}
         self._reductions = {}
         self._echelons = {}
-        self._echelon_images = {}
         self._int_powers = {}
         self._restriction_powers = {}
         self._rho_matrices = {}
@@ -383,51 +383,51 @@ class EquivariantSetup:
         subgroups' denominators, and the basis as int rows over their
         common denominator e, so D = c e.  Each entry of b is visited once,
         through the columns of d_{n+1}^T.  Each subgroup keeps only its
-        latest d^T, stepped up one degree as the tower climbs."""
-        if n not in self._sums:
-            lay = self.layout(n)
-            starts = [off for (_, _, _, off) in lay]
-            for H in self.category.subgroups:
-                if H not in self._chains:
-                    self._chains[H] = BoundaryChain(self.fixed[H].algebra)
-            c = lcm(*(chain.denominator for chain in self._chains.values()))
-            # each block: the columns of c d^T, as {s a: entry}, dim A(G/H),
-            # and the ambient indices of degree n + 1, one int object each
-            # for all the images to share
-            blocks = []
-            for (H, h, a, _), (_, _, _, off1) in zip(lay, self.layout(n + 1)):
-                chain = self._chains[H]
-                r = c // chain.denominator
-                columns = [{} for _ in range(h ** n)]
-                for s, row in enumerate(chain.at(n + 1)):
-                    for t, x in row.items():
-                        columns[t][s * a] = r * x
-                blocks.append((columns, a,
-                               list(range(off1, off1 + h ** (n + 1) * a))))
-            sums = []
-            basis, e = self.invariant_space(n).ints
-            for v in basis:
-                acc = {}
-                for i, y in v.items():
-                    j = bisect_right(starts, i) - 1       # skips empty blocks
-                    columns, a, index = blocks[j]
-                    t, al = divmod(i - starts[j], a)
-                    for sa, z in columns[t].items():
-                        k = index[sa + al]
-                        acc[k] = acc.get(k, 0) + z * y
-                sums.append(acc)
-            self._sums[n] = self.field.reduce_ints(sums), c * e
-        return self._sums[n]
+        latest d^T, stepped up one degree as the tower climbs; the sums
+        are built on each call."""
+        lay = self.layout(n)
+        starts = [off for (_, _, _, off) in lay]
+        for H in self.category.subgroups:
+            if H not in self._chains:
+                self._chains[H] = BoundaryChain(self.fixed[H].algebra)
+        c = lcm(*(chain.denominator for chain in self._chains.values()))
+        # each block: the columns of c d^T, as {s a: entry}, dim A(G/H),
+        # and the ambient indices of degree n + 1, one int object each
+        # for all the images to share
+        blocks = []
+        for (H, h, a, _), (_, _, _, off1) in zip(lay, self.layout(n + 1)):
+            chain = self._chains[H]
+            r = c // chain.denominator
+            columns = [{} for _ in range(h ** n)]
+            for s, row in enumerate(chain.at(n + 1)):
+                for t, x in row.items():
+                    columns[t][s * a] = r * x
+            blocks.append((columns, a,
+                           list(range(off1, off1 + h ** (n + 1) * a))))
+        sums = []
+        basis, e = self.invariant_space(n).ints
+        for v in basis:
+            acc = {}
+            for i, y in v.items():
+                j = bisect_right(starts, i) - 1       # skips empty blocks
+                columns, a, index = blocks[j]
+                t, al = divmod(i - starts[j], a)
+                for sa, z in columns[t].items():
+                    k = index[sa + al]
+                    acc[k] = acc.get(k, 0) + z * y
+            sums.append(acc)
+        return self.field.reduce_ints(sums), c * e
 
     def _delta_reduction(self, n):
-        """(cocycles, images) of delta on S^n_G, from one elimination of the
-        columns of its int images: the reduced-echelon basis of their null
-        space, the cocycles in invariant coordinates, and the images at its
-        pivot columns, which span the coboundaries of degree n + 1.  Before
-        they are kept, those images are checked against the constraints of
-        degree n + 1; the other images are combinations of them."""
+        """(cocycles, images, D) of delta on S^n_G, from one elimination of
+        the columns of its int images: the reduced-echelon basis of their
+        null space, the cocycles in invariant coordinates, and the images at
+        its pivot columns, which span the coboundaries of degree n + 1, as
+        int rows over D.  Before they are kept, those images are checked
+        against the constraints of degree n + 1; the other images are
+        combinations of them."""
         if n not in self._reductions:
-            sums, _ = self._delta_sums(n)
+            sums, d = self._delta_sums(n)
             rows = defaultdict(dict)    # ambient column -> {image: int entry}
             for j, w in enumerate(sums):
                 for k, x in w.items():
@@ -439,7 +439,7 @@ class EquivariantSetup:
             if not self._satisfy_constraints(n + 1, images):
                 raise AssertionError(
                     f"delta image leaves the invariant subspace in degree {n}")
-            self._reductions[n] = cocycles, images
+            self._reductions[n] = cocycles, images, d
         return self._reductions[n]
 
     def _coordinates(self, n, images):
@@ -460,33 +460,29 @@ class EquivariantSetup:
         if n == 0:
             return [], 1, {}
         if n not in self._echelons:
-            coords = self._coordinates(n, self._delta_reduction(n - 1)[1])
+            _, images, d = self._delta_reduction(n - 1)
+            coords = self._coordinates(n, images)
             echelon = last_pivot_echelon(self.field, coords,
                                          self.invariant_space(n).dim)
-            self._echelons[n] = coords, self._delta_sums(n - 1)[1], echelon
+            self._echelons[n] = coords, d, echelon
         return self._echelons[n]
 
     def equivariant_coboundary(self, n):
-        """X_n, delta on invariant coordinates S^n_G -> S^{n+1}_G, built on
-        each call: the reference route for the reduction of ``cohomology``."""
+        """X_n, delta on invariant coordinates S^n_G -> S^{n+1}_G, built from
+        delta sums of its own on each call: the reference route for the
+        reduction of ``cohomology``."""
         f = self.field
         sums, d = self._delta_sums(n)
         return Matrix.from_entries(
             f, len(sums), self.invariant_space(n + 1).dim,
             f.divide_ints(self._coordinates(n + 1, sums), d)).transpose()
 
-    def coboundary_image(self, n):
-        """Reduced-echelon basis of B^n_G, the image of delta:
-        S^{n-1}_G -> S^n_G, as sparse rows in invariant coordinates, and
-        its pivot columns: each row is 1 at its pivot, its largest column,
-        and 0 at the other pivots; the echelon of ``cohomology(n)``."""
-        if n not in self._echelon_images:
-            echelon = self._coboundary_echelon(n)[2]
-            pivots = sorted(echelon)
-            self._echelon_images[n] = (
-                [self.field.from_ints(echelon[pc], pc) for pc in pivots],
-                pivots)
-        return self._echelon_images[n]
+    def is_coboundary(self, n, row):
+        """Whether an int row in coordinates of S^n_G, over any denominator
+        (residues over F_p), lies in B^n_G: whether nothing is left of it
+        once it is cleared at the pivots of the echelon of degree n."""
+        return not clear_at_pivots(dict(row), self._coboundary_echelon(n)[2],
+                                   self.field.characteristic)
 
     def check_invariance(self, cochain):
         """Residuals of all invariance constraints for a cochain family."""
@@ -507,7 +503,7 @@ class EquivariantSetup:
         if n < 0:
             raise ValueError("degree must be >= 0")
         f = self.field
-        cocycles, _ = self._delta_reduction(n)
+        cocycles = self._delta_reduction(n)[0]
         coords, d, echelon = self._coboundary_echelon(n)
         return CohomologyResult(f, n, self.invariant_space(n).dim, cocycles,
                                 f.divide_ints(coords, d),

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .linalg import (Matrix, dense_vector, free_coordinates, kernel_basis,
-                     rank, sparse_vector)
+from .linalg import (Matrix, clear_denominators, dense_vector,
+                     int_free_coordinates, kernel_basis, rank, sparse_vector)
 from .leibniz import LeibnizAlgebra, AlgebraMorphism, check_morphism
 from .verdict import Verdict
 
@@ -215,19 +215,19 @@ def fixed_subalgebra(action, H):
     # induced structure constants: brackets of basis columns, expressed in
     # the basis; closure failure would contradict a validated action
     vectors = [dense_vector(f, b, m) for b in basis]
-    structure = []
-    for u in vectors:
-        row = []
-        for v in vectors:
-            w = alg.bracket(u, v)
-            x = free_coordinates(f, basis, free, sparse_vector(w))
-            if x is None:
-                raise AssertionError(
-                    f"fixed-point set not closed under bracket, witness {w}")
-            row.append(dense_vector(f, x, len(basis)))
-        structure.append(row)
-    return FixedSubalgebra(H, inclusion, free,
-                           LeibnizAlgebra(f, len(basis), structure))
+    brackets = [alg.bracket(u, v) for u in vectors for v in vectors]
+    rows, d = clear_denominators([sparse_vector(w) for w in brackets])
+    ints = clear_denominators(basis)
+    coords = int_free_coordinates(f, ints, free, rows)
+    if coords is None:
+        w = next(w for w, row in zip(brackets, rows)
+                 if int_free_coordinates(f, ints, free, [row]) is None)
+        raise AssertionError(
+            f"fixed-point set not closed under bracket, witness {w}")
+    k = len(basis)
+    coords = [dense_vector(f, x, k) for x in f.divide_ints(coords, d)]
+    structure = [coords[i * k:(i + 1) * k] for i in range(k)]
+    return FixedSubalgebra(H, inclusion, free, LeibnizAlgebra(f, k, structure))
 
 
 def restriction_map(action, morphism, fixed):
@@ -239,14 +239,16 @@ def restriction_map(action, morphism, fixed):
     H, K, g = morphism
     fH, fK = fixed[H], fixed[K]
     f = action.algebra.field
-    basis = fH.inclusion.transpose().entries
-    columns = [free_coordinates(f, basis, fH.free, w)
-               for w in action.psi(g).mul(fK.inclusion).transpose().entries]
-    if None in columns:
+    images, d = clear_denominators(
+        action.psi(g).mul(fK.inclusion).transpose().entries)
+    basis = clear_denominators(fH.inclusion.transpose().entries)
+    columns = int_free_coordinates(f, basis, fH.free, images)
+    if columns is None:
         raise AssertionError(
             f"psi_{g} does not map the {sorted(K)}-fixed set into the "
             f"{sorted(H)}-fixed set; invalid morphism triple")
-    mat = Matrix.from_entries(f, fK.dim, fH.dim, columns).transpose()
+    mat = Matrix.from_entries(f, fK.dim, fH.dim,
+                              f.divide_ints(columns, d)).transpose()
     phi = AlgebraMorphism(fK.algebra, fH.algebra, mat)
     verdict = check_morphism(phi)
     if not verdict.ok:

@@ -21,11 +21,12 @@ field elements over d by its ``divide_ints``, one call per list of rows.
 The one elimination loop, ``reduce_int_rows``, runs on int rows:
 ``Matrix.rref`` feeds it a matrix's rows, each cleared by ``to_ints``,
 and callers that build a system in ints feed it theirs directly or
-through ``int_kernel_basis`` and ``last_pivot_echelon``.  Bases of
-subspaces come from ``kernel_basis`` in reduced-echelon form, read
-straight off the int pivot rows, so ``free_coordinates`` reads
-coordinates off the free columns instead of eliminating again
-(``int_free_coordinates`` on int rows).
+through ``int_kernel_basis`` and ``last_pivot_echelon``.  Its step that
+clears a row at the pivot columns found so far, ``clear_at_pivots``, is
+also the span test against a kept echelon.  Bases of subspaces come from
+``kernel_basis`` in reduced-echelon form, read straight off the int
+pivot rows, so ``int_free_coordinates`` reads coordinates of int rows
+off the free columns instead of eliminating again.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ class RationalField:
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
@@ -167,8 +166,6 @@ class PrimeField:
             return x % self.p
         if isinstance(x, Fraction):
             return self.coerce(x.numerator) * self.inv(self.coerce(x.denominator)) % self.p
-        if isinstance(x, str):
-            return self.coerce(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def zero(self):
@@ -422,14 +419,11 @@ def reduce_int_rows(field, rows, ncols):
     their own.
 
     Rows are taken sparsest first, which keeps the pivot rows short.  Each
-    row is cleared at the pivot columns found so far, all at once: scaled
-    by the lcm s of those columns' leads d, it loses (s x_j / d) times the
-    pivot row of each column j it meets.  One pass suffices, since each
-    pivot row is 0 at the other pivot columns.  What is left, normalised,
-    becomes a new pivot row with lead d at its first column pc, and pc is
-    cleared fraction-free from the earlier pivot rows that hold it: prow
-    <- (d/g) prow - (c/g) row for g = gcd(c, d), normalised again.  A
-    pivot row never gains an entry left of its pivot.
+    row is cleared at the pivot columns found so far (``clear_at_pivots``);
+    what is left, normalised, becomes a new pivot row with lead d at its
+    first column pc, and pc is cleared fraction-free from the earlier pivot
+    rows that hold it: prow <- (d/g) prow - (c/g) row for g = gcd(c, d),
+    normalised again.  A pivot row never gains an entry left of its pivot.
 
     ``holders`` maps each free column to the pivot columns whose rows may
     hold it: a column gains a holder when an entry is written there, and
@@ -444,15 +438,7 @@ def reduce_int_rows(field, rows, ncols):
     for row in sorted(rows, key=len):
         if len(pivot_rows) == ncols:
             break
-        hits = [j for j in row if j in pivot_rows]
-        if hits:
-            leads = [pivot_rows[j][j] for j in hits]
-            s = lcm(*leads)
-            if s != 1:
-                row = {k: s * x for k, x in row.items()}
-            for j, d in zip(hits, leads):
-                _eliminate(row, row[j] // d, pivot_rows[j], mod)
-        row = normalise(row)
+        row = normalise(clear_at_pivots(row, pivot_rows, mod))
         if not row:
             continue
         pc = min(row)
@@ -480,6 +466,24 @@ def reduce_int_rows(field, rows, ncols):
                     h.add(q)
         pivot_rows[pc] = row
     return pivot_rows
+
+
+def clear_at_pivots(row, pivot_rows, mod):
+    """The int row cleared at the pivot columns of ``pivot_rows``, all at
+    once: scaled by the lcm s of those columns' leads d, it loses
+    (s x_j / d) times the pivot row of each column j it meets.  One pass
+    suffices, since each pivot row is 0 at the other pivot columns; so the
+    row lies in their span exactly when nothing is left.  The row may be
+    changed in place."""
+    hits = [j for j in row if j in pivot_rows]
+    if hits:
+        leads = [pivot_rows[j][j] for j in hits]
+        s = lcm(*leads)
+        if s != 1:
+            row = {k: s * x for k, x in row.items()}
+        for j, d in zip(hits, leads):
+            _eliminate(row, row[j] // d, pivot_rows[j], mod)
+    return row
 
 
 def _eliminate(row, c, other, mod):
@@ -584,23 +588,14 @@ def int_kernel_basis(field, rows, ncols):
     return [basis[fc] for fc in free], free
 
 
-def free_coordinates(field, basis, free, v):
-    """Sparse coordinates of the sparse vector v in a basis whose vector i
-    is 1 at column free[i] and 0 at the other listed columns (a basis from
-    ``kernel_basis``, or the nonzero rows of an RREF with their pivots):
-    v's entries at those columns if their combination rebuilds v, else
-    None."""
-    coords = {i: v[c] for i, c in enumerate(free) if c in v}
-    rebuilt = combination(field, ((c, basis[i]) for i, c in coords.items()))
-    return coords if rebuilt == v else None
-
-
 def int_free_coordinates(field, basis, free, rows):
-    """``free_coordinates`` of int rows over one denominator, in ints: the
-    rows' entries at the free columns, as int rows over the same
-    denominator, if each row is rebuilt by its combination of the basis,
-    else None.  The basis is given as ``clear_denominators`` makes it,
-    (int rows, e), and is checked against e times each row."""
+    """Sparse coordinates of int rows over one denominator in a basis
+    whose vector i is 1 at column free[i] and 0 at the other listed
+    columns (a basis from ``kernel_basis``): the rows' entries at those
+    columns, as int rows over the same denominator, if each row is rebuilt
+    by its combination of the basis, else None.  The basis is given as
+    ``clear_denominators`` makes it, (int rows, e), and is checked against
+    e times each row."""
     ints, e = basis
     coords = [{i: w[c] for i, c in enumerate(free) if c in w} for w in rows]
     for w, x in zip(rows, coords):

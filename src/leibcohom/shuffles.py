@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .linalg import Matrix, combination, dense_vector, free_coordinates
+from .linalg import (Matrix, clear_denominators, combination, dense_vector,
+                     int_free_coordinates)
 from .complexes import TensorSpace
 from .verdict import Verdict, VerdictError
 
@@ -290,10 +291,10 @@ def zinbiel_check_on_cohomology(a, b, c, setup):
     """Check ([a][b])[c] = [a]([b][c]) + (-1)^{qr} [a]([c][b]) in cohomology.
 
     a, b, c are EquivariantCochain cocycle representatives of degrees
-    p, q, r.  The cochain-level defect, in coordinates of S^{p+q+r}_G, is
-    reduced against the setup's reduced-echelon basis of the image of the
-    equivariant coboundary from degree p+q+r-1; it is a coboundary when
-    its entries at the pivot columns rebuild it.
+    p, q, r.  The cochain-level defect is cleared to an int row, its
+    coordinates in S^{p+q+r}_G are read in ints, and the setup's span test
+    against the echelon of the coboundaries of that degree decides whether
+    it is a coboundary.
     """
     p, q, r = a.degree, b.degree, c.degree
     f = setup.field
@@ -311,11 +312,11 @@ def zinbiel_check_on_cohomology(a, b, c, setup):
                          rhs2.to_sparse(setup))])
     n = p + q + r
     sn = setup.invariant_space(n)
-    coords = free_coordinates(f, sn.vectors, sn.free, w)
+    coords = int_free_coordinates(f, sn.ints, sn.free,
+                                  clear_denominators([w])[0])
     if coords is None:
         raise AssertionError(f"zinbiel defect leaves S^{n}_G, witness {w}")
-    image, pivots = setup.coboundary_image(n)
-    if free_coordinates(f, image, pivots, coords) is not None:
+    if setup.is_coboundary(n, coords[0]):
         return Verdict.passed()
     return Verdict.failed([("defect_not_a_coboundary",
                              dense_vector(f, w, sn.ambient_dim))])

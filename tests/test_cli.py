@@ -486,6 +486,65 @@ def test_large_prime_is_a_quick_parse_error(tmp_path, capsys, p):
     assert "parse error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scalar", ["1e-99999999", "1e-3000000", "2.5E+4301"])
+def test_a_scalar_with_a_huge_exponent_is_a_quick_parse_error(tmp_path,
+                                                               scalar):
+    # Fraction would build 10 to the power of the exponent; the bound is the
+    # digit limit json puts on integers.  A subprocess, so that a stall
+    # fails the test instead of hanging it.
+    doc = lambda6_doc()
+    doc["algebra"]["brackets"][0]["value"] = [0, scalar, 0]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "leibcohom.cli",
+                           "cohomology", write(tmp_path, doc)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 5
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("parse error: bad scalar")
+
+
+@pytest.mark.parametrize("scalar, value", [
+    ("3/4", Fraction(3, 4)), ("-2.5", Fraction(-5, 2)), ("1e3", 1000),
+    (" 1E-4300 ", Fraction(1, 10 ** 4300)), ("-1_0e+1_0", -10 ** 11)])
+def test_scalar_strings_within_the_exponent_bound(scalar, value):
+    doc = lambda6_doc()
+    doc["algebra"]["brackets"][0]["value"] = [0, scalar, 0]
+    assert parse_problem(doc).algebra.structure[0][2][1] == value
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (lambda6_doc(field={"type": "prime", "p": 2.9}), []),
+    (lambda6_doc(field={"type": "prime", "p": 2.0}), []),
+    (lambda6_doc(algebra={"dim": 2.7}), []),
+    (lambda6_doc(algebra={"dim": True}), []),
+    (lambda6_doc(algebra={"dim": 2, "brackets": [
+        {"i": 1.9, "j": 1, "value": [0, 1]}]}), []),
+    (lambda6_doc(max_degree=-4), []),
+    (lambda6_doc(), ["--max-degree", "-1"]),
+    (lambda6_z2_doc(group={"order": 2, "table": [[0, 1], [1, False]]}), []),
+], ids=["p-float", "p-integral-float", "dim-float", "dim-boolean", "i-float",
+        "max-degree-negative", "argv-max-degree-negative", "table-boolean"])
+def test_counts_are_integers_and_degrees_nonnegative(tmp_path, capsys, doc,
+                                                     argv):
+    code, out, err = run(capsys, ["cohomology", write(tmp_path, doc)] + argv)
+    assert code == 1 and out == ""
+    assert err.startswith("parse error") and "Traceback" not in err
+
+
+def test_counts_may_be_strings_that_spell_integers(tmp_path, capsys):
+    doc = lambda6_z2_doc(max_degree="2", group={"order": "2",
+                                                "table": [["0", 1], [1, 0]]})
+    doc["algebra"]["dim"] = " 3 "
+    doc["algebra"]["brackets"][0]["i"] = "1"
+    code, out, _ = run(capsys, ["cohomology", "--equivariant",
+                                write(tmp_path, doc)])
+    expected = run(capsys, ["cohomology", "--equivariant",
+                            write(tmp_path, lambda6_z2_doc(max_degree=2))])
+    assert code == 0 and strip_header(out) == strip_header(expected[1])
+
+
 def test_prime_field_near_1e18(tmp_path, capsys):
     doc = {"field": {"type": "prime", "p": 10 ** 18 + 3},
            "algebra": {"dim": 1, "brackets": []}}

@@ -1,0 +1,183 @@
+"""A fuzzer over JSON problem documents.
+
+Each example takes a small valid document, changes one count or scalar
+in it and runs the CLI in-process on the result.  Whatever the change,
+the run must end with exit code 0, 1 or 2, without an exception, within
+a fixed time.  Some changes have a known outcome:
+
+* a count or index (``p``, ``dim``, ``order``, table entries, ``i``,
+  ``j``, ``subgroup``, ``H``, ``K``, ``g``, ``max_degree``) replaced by a
+  float, a boolean, a string that spells no integer or a negative number
+  is a parse error;
+* a count replaced by the string that spells it gives the same report;
+* a scalar string whose decimal exponent is over the JSON reader's digit
+  limit is a parse error.
+"""
+
+import contextlib
+import copy
+import functools
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from leibcohom.cli import main
+
+SECONDS = 5         # per example; the documents take milliseconds
+
+Z2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+LAMBDA6_Z2 = {
+    "field": {"type": "rational"},
+    "algebra": {"dim": 3, "brackets": [{"i": 1, "j": 3, "value": [0, 1, 0]},
+                                       {"i": 3, "j": 3, "value": [1, 0, 0]}]},
+    "group": Z2,
+    "action": {"matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            [[1, 0, 0], [0, -1, 0], [0, 0, -1]]]},
+    "max_degree": 2,
+}
+
+
+def _maps(identity, swap, project, top):
+    """The four morphisms of the orbit category of Z/2 with their maps."""
+    return [{"H": [0], "K": [0], "g": 0, "matrix": identity},
+            {"H": [0], "K": [0], "g": 1, "matrix": swap},
+            {"H": [0], "K": [0, 1], "g": 0, "matrix": project},
+            {"H": [0, 1], "K": [0, 1], "g": 0, "matrix": top}]
+
+
+ONE = {"i": 1, "j": 1, "value": [1]}
+CONSTANT = {
+    "systems": [{"subgroup": [0], "dim": 1, "products": [ONE], "unit": [1]},
+                {"subgroup": [0, 1], "dim": 1, "products": [ONE],
+                 "unit": [1]}],
+    "maps": _maps([[1]], [[1]], [[1]], [[1]]),
+}
+# functions on the cosets of each subgroup, pointwise
+COSETS = {
+    "systems": [{"subgroup": [0], "dim": 2,
+                 "products": [{"i": 1, "j": 1, "value": [1, 0]},
+                              {"i": 2, "j": 2, "value": [0, 1]}],
+                 "unit": [1, 1]},
+                {"subgroup": [0, 1], "dim": 1, "products": [ONE],
+                 "unit": [1]}],
+    "maps": _maps([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1], [1]], [[1]]),
+}
+BASES = [
+    dict(LAMBDA6_Z2, coefficients=CONSTANT),
+    dict(LAMBDA6_Z2, coefficients=COSETS, max_degree=1),
+    # [e1, e1] = e2 over GF(3), the group negating e1
+    {"field": {"type": "prime", "p": 3},
+     "algebra": {"dim": 2, "brackets": [{"i": 1, "j": 1, "value": [0, 1]}]},
+     "group": Z2,
+     "action": {"matrices": [[[1, 0], [0, 1]], [["-1", 0], [0, "1/4"]]]},
+     "coefficients": CONSTANT, "max_degree": 2},
+]
+COMMANDS = [["validate"], ["cohomology", "--equivariant"]]
+
+COUNTS = {"p", "dim", "order", "i", "j", "g", "max_degree"}
+COUNT_LISTS = {"table", "subgroup", "H", "K"}
+SCALAR_LISTS = {"value", "unit", "matrix", "matrices"}
+
+
+def _entries(x, path):
+    """The paths of the entries of a (nested) list."""
+    if isinstance(x, list):
+        for k, y in enumerate(x):
+            yield from _entries(y, path + (k,))
+    else:
+        yield path
+
+
+def leaves(doc, path=()):
+    """(path, "count" or "scalar") for every count and scalar of a
+    document."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, x in items:
+        if k in COUNTS:
+            yield path + (k,), "count"
+        elif k in COUNT_LISTS or k in SCALAR_LISTS:
+            kind = "count" if k in COUNT_LISTS else "scalar"
+            yield from ((p, kind) for p in _entries(x, path + (k,)))
+        else:
+            yield from leaves(x, path + (k,))
+
+
+def replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return out
+
+
+def run(argv, doc):
+    """(exit code, stdout without its timestamp line, stderr, seconds)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], path] + argv[1:])
+        seconds = time.monotonic() - start
+    body = [line for line in out.getvalue().splitlines()
+            if not line.startswith("# generated ")]
+    return code, body, err.getvalue(), seconds
+
+
+@functools.cache
+def unchanged(base, command):
+    return run(COMMANDS[command], BASES[base])[:2]
+
+
+@st.composite
+def mutations(draw):
+    """(base index, command index, path, new value, expected outcome):
+    "refused" for a parse error, "same" for the base's report, or None."""
+    base = draw(st.integers(0, len(BASES) - 1))
+    command = draw(st.integers(0, len(COMMANDS) - 1))
+    path, kind = draw(st.sampled_from(list(leaves(BASES[base]))))
+    x = BASES[base]
+    for k in path:
+        x = x[k]
+    if kind == "count":
+        value = draw(st.sampled_from([
+            float(x), x + 0.5, x % 2 == 0, "x", "1.0", -x - 1, str(x)]))
+        return base, command, path, value, "same" if value == str(x) \
+            else "refused"
+    exponent = draw(st.integers(0, 10 ** 6))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    value = draw(st.sampled_from(["1", "-2.5", "3"])) + \
+        draw(st.sampled_from(["e", "E"])) + sign + str(exponent)
+    limit = sys.get_int_max_str_digits()
+    return base, command, path, value, \
+        "refused" if limit and exponent > limit else None
+
+
+@given(mutations())
+@settings(max_examples=60, deadline=None)
+def test_a_mutated_document_is_computed_or_refused(mutation):
+    base, command, path, value, expected = mutation
+    code, body, err, seconds = run(COMMANDS[command],
+                                   replaced(BASES[base], path, value))
+    assert seconds < SECONDS
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if expected == "refused":
+        assert code == 1 and err.startswith("parse error") and not body
+    elif expected == "same":
+        assert (code, body) == unchanged(base, command)
+
+
+def test_the_bases_compute():
+    for base in range(len(BASES)):
+        for command in range(len(COMMANDS)):
+            code, body = unchanged(base, command)
+            assert code == 0 and body

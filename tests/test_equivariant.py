@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 import sympy
@@ -10,8 +11,8 @@ import leibcohom as L
 from leibcohom.catalog import _letter_permutation_action
 from leibcohom.complexes import BoundaryChain, _quotient_data, image_basis
 from leibcohom.leibniz import free_leibniz_truncated
-from leibcohom.linalg import (QQ, GF, Matrix, free_coordinates, kernel_basis,
-                              vec_is_zero)
+from leibcohom.linalg import (QQ, GF, Matrix, clear_denominators, combination,
+                              kernel_basis, vec_is_zero)
 from leibcohom.equivariant import (constant_coefficients,
                                    coset_function_coefficients,
                                    check_coefficient_system,
@@ -453,11 +454,13 @@ def test_catalog_cohomology_equals_the_coboundary_matrix_route(name,
 
 
 # ---------------------------------------------------------------------------
-# coboundary_image(n) is the echelon that cohomology(n) chooses its classes
-# with, in field elements, and the zinbiel span test reads it.  Its rows
-# must span the column space of X_{n-1} (ranks taken in sympy, over Q or
-# in GF(p)), be 1 at their pivot, their largest column, and 0 at the other
-# pivots, accept every delta image of S^{n-1}_G and refuse every class
+# The int echelon of _coboundary_echelon(n) is the one that cohomology(n)
+# chooses its classes with, and is_coboundary(n, row), the zinbiel span
+# test, clears a row against it.  Its rows must span the column space of
+# X_{n-1} (ranks taken in sympy, over Q or in GF(p)); each row's pivot is
+# its largest column, with a primitive positive lead over Q and lead 1
+# over F_p, and each row is 0 at the other pivots.  is_coboundary must
+# accept every delta image of S^{n-1}_G and refuse every class
 # representative.
 # ---------------------------------------------------------------------------
 
@@ -472,26 +475,31 @@ def _sympy_rank(field, vectors, dim):
         sympy.GF(field.p)).rank()
 
 
-def _check_coboundary_image(setup, top):
+def _check_coboundary_echelon(setup, top):
     """Checks degrees 1..top; returns the number of echelon rows seen."""
     f = setup.field
     seen = 0
     for n in range(1, top + 1):
-        rows, pivots = setup.coboundary_image(n)
-        assert setup.coboundary_image(n) is setup.coboundary_image(n)
+        echelon = setup._coboundary_echelon(n)[2]
+        assert setup._coboundary_echelon(n)[2] is echelon
+        rows = list(echelon.values())
         dim = setup.invariant_space(n).dim
         images = setup.equivariant_coboundary(n - 1).transpose().entries
         rank = _sympy_rank(f, images, dim)
         assert len(rows) == _sympy_rank(f, rows, dim) == rank
         assert _sympy_rank(f, rows + images, dim) == rank
-        assert pivots == sorted(pivots)
-        for row, pc in zip(rows, pivots):
-            assert max(row) == pc and row[pc] == f.one()
-            assert not any(q in row for q in pivots if q != pc)
+        for pc, row in echelon.items():
+            assert max(row) == pc
+            assert not any(q in row for q in echelon if q != pc)
+            if f == QQ:
+                assert row[pc] > 0 and gcd(*row.values()) == 1
+            else:
+                assert row[pc] == 1
+                assert all(0 < x < f.p for x in row.values())
         for w in images:
-            assert free_coordinates(f, rows, pivots, w) is not None
+            assert setup.is_coboundary(n, clear_denominators([w])[0][0])
         for z in setup.cohomology(n).classes:
-            assert free_coordinates(f, rows, pivots, z) is None
+            assert not setup.is_coboundary(n, clear_denominators([z])[0][0])
         seen += len(rows)
     return seen
 
@@ -499,21 +507,21 @@ def _check_coboundary_image(setup, top):
 @given(actions(), st.sampled_from([constant_coefficients,
                                    coset_function_coefficients]))
 @settings(max_examples=30, deadline=None)
-def test_coboundary_image_is_the_last_pivot_echelon_of_the_coboundaries(
+def test_coboundary_echelon_is_the_last_pivot_echelon_of_the_coboundaries(
         action, coefficients):
-    _check_coboundary_image(_setup(action, coefficients), 3)
+    _check_coboundary_echelon(_setup(action, coefficients), 3)
 
 
 @pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
 @pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
-def test_catalog_coboundary_image_is_the_last_pivot_echelon(name,
-                                                            coefficients):
+def test_catalog_coboundary_echelon_is_the_last_pivot_echelon(name,
+                                                              coefficients):
     # every echelon is empty exactly on the abelian free_leib(m,1)_perm
     setup = catalog_setup(name, coefficients=coefficients)
     top = 2 if name == "free_leib(2,2)_perm" else 3
     abelian = not any(x for row in setup.action.algebra.structure
                       for v in row for x in v)
-    assert (_check_coboundary_image(setup, top) > 0) != abelian
+    assert (_check_coboundary_echelon(setup, top) > 0) != abelian
 
 
 @pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
@@ -609,6 +617,34 @@ def test_catalog_delta_images_equal_the_fraction_route(name, coefficients,
     for n in [top] + list(range(top)):
         assert setup.field.divide_ints(*setup._delta_sums(n)) == \
             _fraction_route_images(setup, n)
+
+
+@given(st.one_of(actions(), f2_actions()),
+       st.sampled_from([constant_coefficients, coset_function_coefficients]),
+       st.integers(1, 3), st.data())
+@settings(max_examples=30, deadline=None)
+def test_is_coboundary_agrees_with_a_sympy_rank_test(action, coefficients, n,
+                                                     data):
+    # the span test against sympy: a combination of delta images, maybe
+    # with a class representative added; over Q the brackets are halved,
+    # so the images have denominators
+    if action.algebra.field == QQ:
+        action = scaled(action, Fraction(1, 2))
+    setup = _setup(action, coefficients)
+    f = setup.field
+    images = setup.equivariant_coboundary(n - 1).transpose().entries
+    classes = setup.cohomology(n).classes
+    small = st.integers(-3, 3)
+    terms = [(f.coerce(data.draw(small)), w) for w in images]
+    if classes and data.draw(st.booleans()):
+        terms.append((f.coerce(data.draw(small)),
+                      classes[data.draw(st.integers(0, len(classes) - 1))]))
+    scale = f.coerce(data.draw(st.sampled_from([1, Fraction(-5, 6)]))
+                     if f == QQ else 1)
+    v = combination(f, [(f.mul(scale, c), w) for c, w in terms])
+    dim = setup.invariant_space(n).dim
+    expected = _sympy_rank(f, images + [v], dim) == _sympy_rank(f, images, dim)
+    assert setup.is_coboundary(n, clear_denominators([v])[0][0]) == expected
 
 
 @pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])

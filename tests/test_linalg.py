@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from leibcohom.complexes import image_basis
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
-                              free_coordinates, solve, solve_matrix, vec_add,
-                              vec_is_zero, dense_vector, sparse_vector,
-                              clear_denominators, is_prime, PRIME_TEST_BOUND)
+                              int_free_coordinates, solve, solve_matrix,
+                              vec_add, vec_is_zero, dense_vector,
+                              sparse_vector, clear_denominators, is_prime,
+                              PRIME_TEST_BOUND)
 
 
 def qmat(rows):
@@ -120,30 +121,52 @@ def test_kernel_vectors_annihilate(m):
         assert [v[c] for c in free] == [int(i == j) for j in range(len(free))]
 
 
+def coordinates(basis, free, v):
+    """The coordinates of the sparse vector v over Q in a reduced-echelon
+    basis, read by ``int_free_coordinates`` in ints and divided back, or
+    None."""
+    rows, d = clear_denominators([v])
+    coords = int_free_coordinates(QQ, clear_denominators(basis), free, rows)
+    return None if coords is None else QQ.divide_ints(coords, d)[0]
+
+
 @given(rational_matrices(), st.lists(small_entries, min_size=5, max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_free_coordinates_match_solve(m, coeffs):
+def test_int_free_coordinates_match_solve(m, coeffs):
     basis, free = kernel_basis(m)
     coeffs = coeffs[:len(basis)]
     inclusion = Matrix.from_columns(QQ, dense(basis, m.cols), nrows=m.cols)
     v = inclusion.apply([Fraction(c) for c in coeffs])
-    coords = free_coordinates(QQ, basis, free, sparse_vector(v))
+    coords = coordinates(basis, free, sparse_vector(v))
     assert dense_vector(QQ, coords, len(basis)) == solve(inclusion, v) == coeffs
     # a nonzero row r of m is off its null space, since r . r > 0 over Q
     for r in m.data:
         if any(r):
             off = vec_add(QQ, v, r)
-            assert free_coordinates(QQ, basis, free, sparse_vector(off)) is None
+            assert coordinates(basis, free, sparse_vector(off)) is None
             assert solve(inclusion, off) is None
 
 
-def test_free_coordinates_outside_span():
+def test_int_free_coordinates_outside_span():
     basis, free = kernel_basis(qmat([[1, 1, 0]]))
     assert free == [1, 2]
-    assert free_coordinates(QQ, basis, free, {0: -2, 1: 2, 2: 5}) == {0: 2, 1: 5}
-    assert free_coordinates(QQ, basis, free, {0: 1, 1: 2, 2: 5}) is None
-    assert free_coordinates(QQ, [], [], {}) == {}
-    assert free_coordinates(QQ, [], [], {1: 1}) is None
+    ints = clear_denominators(basis)
+    assert int_free_coordinates(QQ, ints, free, [{0: -2, 1: 2, 2: 5}]) == \
+        [{0: 2, 1: 5}]
+    assert int_free_coordinates(QQ, ints, free, [{0: 1, 1: 2, 2: 5}]) is None
+    # one row off the span refuses the whole list
+    assert int_free_coordinates(QQ, ints, free, [{1: 1, 0: -1},
+                                                 {1: 1}]) is None
+    assert int_free_coordinates(QQ, ([], 1), [], [{}]) == [{}]
+    assert int_free_coordinates(QQ, ([], 1), [], [{1: 1}]) is None
+    # a basis over a denominator: (1/2, 1/3) spans the same line
+    half, free = [{0: Fraction(1, 2), 1: Fraction(1)}], [1]
+    assert clear_denominators(half) == ([{0: 1, 1: 2}], 2)
+    assert coordinates(half, free, {0: Fraction(3, 4),
+                                         1: Fraction(3, 2)}) == \
+        {0: Fraction(3, 2)}
+    assert coordinates(half, free, {0: Fraction(1), 1: Fraction(1)}) \
+        is None
 
 
 @given(rational_matrices())
@@ -435,7 +458,8 @@ def test_every_constructor_and_kernel_returns_canonical_rows(field, data):
 @given(rational_matrices(), st.lists(small_entries, min_size=5, max_size=5),
        st.integers(0, 4), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
-def test_free_coordinates_rejects_a_change_at_a_pivot_column(m, coeffs, p, bump):
+def test_int_free_coordinates_rejects_a_change_at_a_pivot_column(m, coeffs, p,
+                                                                 bump):
     # v and v + bump e_p agree at every free column, so only the rebuild
     # of v from its free-column entries tells them apart
     _, pivots = m.rref()
@@ -447,12 +471,12 @@ def test_free_coordinates_rejects_a_change_at_a_pivot_column(m, coeffs, p, bump)
         for i, x in b.items():
             v[i] = v.get(i, 0) + c * x
     v = {i: Fraction(x) for i, x in v.items() if x}
-    assert free_coordinates(QQ, basis, free, v) is not None
+    assert coordinates(basis, free, v) is not None
     pc = pivots[p % len(pivots)]
     off = dict(v)
     off[pc] = off.get(pc, 0) + bump
     off = {i: x for i, x in off.items() if x}
-    assert free_coordinates(QQ, basis, free, off) is None
+    assert coordinates(basis, free, off) is None
 
 
 # -- the integer elimination kernel ---------------------------------------------
