@@ -90,10 +90,12 @@ class Problem:
 
 
 def _scalar(field, x):
-    """A JSON integer, or a string that ``Fraction`` reads whose decimal
-    exponent is within the digit limit that the JSON reader puts on
-    integers, so that no longer power of ten is ever built."""
+    """A JSON integer (not a boolean), or a string that ``Fraction`` reads
+    whose decimal exponent is within the digit limit that the JSON reader
+    puts on integers, so that no longer power of ten is ever built."""
     try:
+        if isinstance(x, bool):
+            raise TypeError("a boolean is not a scalar")
         if isinstance(x, str):
             _, e, exponent = x.lower().rpartition("e")
             limit = sys.get_int_max_str_digits()

@@ -13,16 +13,16 @@ d_n is built as the rows of d_n^T, one per source word, as int rows (the
 convention in the ``linalg`` module docstring), one degree at a time:
 ``BoundaryChain`` steps from d_{n-1}^T to d_n^T by the recursion
 d_n(w x) = d_{n-1}(w) x + (-1)^n sum_{i<n} (w_1,...,[w_i,x],...,w_{n-1}),
-and keeps only the latest degree.  Each nonzero entry becomes a field
-element once, in ``boundary_matrix``; the coboundary matrix is then index
-arithmetic on those rows.  Over a field the plain Betti numbers need no
-bases: ``betti_numbers`` reads dim HL^n = dim HL_n = m^n - rank d_n -
-rank d_{n+1} off one rank per boundary map, while ``homology`` and
-``cohomology`` also return cycles, cocycles and class representatives.
-Those ranks are taken on the int rows themselves, before any division by
-the common denominator, with the elimination loop that ``Matrix.rref``
-runs (``reduce_int_rows``), so no entry becomes a field element at all;
-each d_k^T is reduced in place once d_{k+1}^T has been built from it.
+and keeps only the latest degree.  ``betti_numbers`` reads dim HL^n =
+dim HL_n = m^n - rank d_n - rank d_{n+1} off one rank per boundary map,
+taken on the int rows (``reduce_int_rows``), each d_k^T reduced in place
+once d_{k+1}^T is built from it.  ``homology`` reads the cycles and the
+boundaries off one chain, eliminating the columns of d_n^T and of
+d_{n+1}^T once each.  ``cohomology`` is the equivariant cohomology of the
+trivial group, whose one morphism binds nothing, so each basis of
+Hom(g^n, A) is eliminated once.  ``boundary_matrix`` and
+``coboundary_matrix`` write d and delta out in field elements; only the
+tests read them, as the reference routes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import (Matrix, dense_vector, kernel_basis, last_pivot_echelon,
+from .linalg import (Matrix, dense_vector, int_column_reduction,
                      reduce_int_rows)
 from .verdict import Verdict
 
@@ -141,7 +141,8 @@ def _boundary_transpose(alg, n):
 
 
 def boundary_matrix(alg, n):
-    """Matrix of d on the lexicographic tensor basis, degree n >= 2."""
+    """Matrix of d on the lexicographic tensor basis, degree n >= 2: the
+    tests' reference route."""
     if n < 2:
         raise ValueError("boundary map needs degree >= 2")
     return BoundaryOperator(n, _boundary_transpose(alg, n).transpose())
@@ -240,7 +241,8 @@ class CoefficientAlgebra:
 
 
 def coboundary_matrix(alg, A, n):
-    """delta: Hom(g^n, A) -> Hom(g^{n+1}, A) as a matrix.
+    """delta: Hom(g^n, A) -> Hom(g^{n+1}, A) as a matrix: the tests'
+    reference route.
 
     Hom basis = elementary functionals ordered tensor-index major,
     A-index minor.  delta = d_{n+1}^T (x) Id_A, written out by index
@@ -309,62 +311,31 @@ def _dense(field, vectors, n):
     return [dense_vector(field, v, n) for v in vectors]
 
 
-def image_basis(mat):
-    """Independent columns of mat as sparse vectors, in column order
-    (deterministic): greedy independence picks exactly the RREF pivots.
-    """
-    _, pivots = mat.rref()
-    columns = mat.transpose().entries
-    return [columns[j] for j in pivots]
-
-
-def _quotient_data(field, cocycles, coboundaries, dim):
-    """Representatives completing the coboundaries to a basis of the cocycles.
-
-    A cocycle is kept when it is independent of the vectors before it,
-    that is when it sits at a pivot of the columns coboundaries + cocycles.
-    The cocycles are a reduced-echelon kernel basis: each is 1 at its free
-    column, its largest index, and 0 at the others' free columns.  So
-    cocycle j is dependent exactly when some combination of coboundaries
-    has its last nonzero entry at j's free column, a pivot of their
-    ``last_pivot_echelon`` (``_representatives``).
-    """
-    return _representatives(cocycles, last_pivot_echelon(
-        field, [field.to_ints(b) for b in coboundaries], dim))
-
-
 def _representatives(cocycles, echelon):
-    """The cocycles whose free column is no pivot of the echelon."""
+    """The cocycles whose free column is no pivot of the echelon: since a
+    reduced-echelon kernel vector is 1 at its free column, its largest
+    index, and 0 at the others', these are the cocycles independent of
+    the coboundaries and of the cocycles before them."""
     return [z for z in cocycles if max(z) not in echelon]
 
 
 def homology(alg, n):
-    """Betti number and cycle/boundary bases of HL_n; d_1 := 0."""
+    """Betti number and cycle/boundary bases of HL_n; d_1 := 0.  One
+    ``BoundaryChain`` gives the null space of d_n and the pivot columns of
+    d_{n+1}, each from one elimination of the columns of its int d^T."""
     if n < 1:
         raise ValueError("homology degrees start at 1")
     f = alg.field
-    m = alg.dim
-    dim_n = m ** n
-    if n == 1:
-        cycles = Matrix.identity(f, m).entries
-    else:
-        cycles, _ = kernel_basis(boundary_matrix(alg, n).matrix)
-    boundaries = image_basis(boundary_matrix(alg, n + 1).matrix)
-    return HomologyResult(f, n, dim_n, cycles, boundaries,
+    chain = BoundaryChain(alg)
+    cycles = int_column_reduction(f, chain.at(n))[0]
+    boundaries = f.divide_ints(int_column_reduction(f, chain.at(n + 1))[1],
+                               chain.denominator)
+    return HomologyResult(f, n, alg.dim ** n, cycles, boundaries,
                           len(cycles) - len(boundaries))
 
 
 def cohomology(alg, A, n):
-    """Betti number and class representatives of HL^n(g; A); delta^{-1} := 0."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    f = alg.field
-    dim_n = (alg.dim ** n) * A.dim
-    cocycles, _ = kernel_basis(coboundary_matrix(alg, A, n))
-    if n == 0:
-        coboundaries = []
-    else:
-        coboundaries = image_basis(coboundary_matrix(alg, A, n - 1))
-    reps = _quotient_data(f, cocycles, coboundaries, dim_n)
-    return CohomologyResult(f, n, dim_n, cocycles, coboundaries,
-                            len(cocycles) - len(coboundaries), reps)
+    """Betti number and class representatives of HL^n(g; A): the
+    equivariant cohomology of the trivial group acting on g."""
+    from .equivariant import EquivariantSetup
+    return EquivariantSetup.trivial(alg, A).cohomology(n)

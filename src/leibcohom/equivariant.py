@@ -42,7 +42,7 @@ The per-degree data is built on demand and kept on the
     is refused in its own degree.  The constraint rows of each degree
     are streamed once, by ``invariant_space`` alone.
   - The coboundaries of degree n are the pivot images of degree n - 1
-    (the columns ``image_basis`` would pick from X_(n-1)), read in ints at
+    (the columns greedy independence picks from X_(n-1)), read in ints at
     the free columns of S^n_G, whose basis ``invariant_space`` clears to
     ints once.  So a tower up to N never builds S^(N+1)_G.
   - Their one elimination per degree, each row's pivot at its largest
@@ -57,16 +57,17 @@ The per-degree data is built on demand and kept on the
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 
 from .linalg import (Matrix, clear_at_pivots, clear_denominators,
-                     combination, dense_vector, int_free_coordinates,
-                     int_kernel_basis, last_pivot_echelon, sparse_vector)
+                     combination, dense_vector, int_column_reduction,
+                     int_free_coordinates, int_kernel_basis,
+                     last_pivot_echelon, sparse_vector)
 from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
                         _representatives)
-from .groups import fixed_subalgebra, restriction_map
+from .groups import (FiniteGroup, GroupAction, fixed_subalgebra,
+                     orbit_category, restriction_map)
 from .shuffles import rho_sum
 from .verdict import Verdict
 
@@ -227,6 +228,19 @@ class EquivariantSetup:
         self._restriction_powers = {}
         self._rho_matrices = {}
 
+    @classmethod
+    def trivial(cls, algebra, A):
+        """The trivial group acting on ``algebra``, with coefficients A and
+        the identity on A: its cohomology is the plain HL^*(g; A)."""
+        f = algebra.field
+        group = FiniteGroup.trivial()
+        category = orbit_category(group)
+        coefficients = CoefficientSystem(
+            category, f, dict.fromkeys(category.subgroups, A),
+            dict.fromkeys(category.morphisms, Matrix.identity(f, A.dim)))
+        action = GroupAction(group, algebra, [Matrix.identity(f, algebra.dim)])
+        return cls(action, category, coefficients)
+
     def layout(self, n):
         out = []
         off = 0
@@ -333,16 +347,16 @@ class EquivariantSetup:
         The product of each constraint row with the vectors is summed
         exactly from the parts of ``_binding_constraints``, meeting the
         vectors through an index of their entries by column, without
-        building the row."""
-        if not vectors:
+        building the row, and without the index when nothing binds."""
+        constraints = list(self._binding_constraints(n)) if vectors else []
+        if not constraints:
             return True
         mod = self.field.characteristic
         index = [[] for _ in range(self.ambient_dim(n))]
         for i, w in enumerate(vectors):     # column -> [(vector, int entry)]
             for k, y in w.items():
                 index[k].append((i, y))
-        for aH, offH, aK, offK, columns, r, minus_A in \
-                self._binding_constraints(n):
+        for aH, offH, aK, offK, columns, r, minus_A in constraints:
             for tK, column in enumerate(columns):
                 at_K = offK + tK * aK
                 for al in range(aH):
@@ -428,14 +442,7 @@ class EquivariantSetup:
         combinations of them."""
         if n not in self._reductions:
             sums, d = self._delta_sums(n)
-            rows = defaultdict(dict)    # ambient column -> {image: int entry}
-            for j, w in enumerate(sums):
-                for k, x in w.items():
-                    rows[k][j] = x
-            cocycles, free = int_kernel_basis(self.field, rows.values(),
-                                              len(sums))
-            free = set(free)
-            images = [w for j, w in enumerate(sums) if j not in free]
+            cocycles, images = int_column_reduction(self.field, sums)
             if not self._satisfy_constraints(n + 1, images):
                 raise AssertionError(
                     f"delta image leaves the invariant subspace in degree {n}")
@@ -498,13 +505,14 @@ class EquivariantSetup:
 
     def cohomology(self, n):
         """HL^n_G in invariant coordinates of degree n, from S^n_G alone:
-        the cocycles from the reduction of delta's images in degree n, the
-        coboundaries and the classes from the echelon of degree n."""
+        the coboundaries and the classes from the echelon of degree n,
+        then the cocycles from the reduction of delta's images in degree
+        n, so that each chain steps on from d_n^T to d_{n+1}^T."""
         if n < 0:
             raise ValueError("degree must be >= 0")
         f = self.field
-        cocycles = self._delta_reduction(n)[0]
         coords, d, echelon = self._coboundary_echelon(n)
+        cocycles = self._delta_reduction(n)[0]
         return CohomologyResult(f, n, self.invariant_space(n).dim, cocycles,
                                 f.divide_ints(coords, d),
                                 len(cocycles) - len(coords),

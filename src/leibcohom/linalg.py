@@ -21,9 +21,9 @@ field elements over d by its ``divide_ints``, one call per list of rows.
 The one elimination loop, ``reduce_int_rows``, runs on int rows:
 ``Matrix.rref`` feeds it a matrix's rows, each cleared by ``to_ints``,
 and callers that build a system in ints feed it theirs directly or
-through ``int_kernel_basis`` and ``last_pivot_echelon``.  Its step that
-clears a row at the pivot columns found so far, ``clear_at_pivots``, is
-also the span test against a kept echelon.  Bases of subspaces come from
+through ``int_kernel_basis`` (or ``int_column_reduction``, on columns)
+and ``last_pivot_echelon``.  Its step that clears a row at the pivot
+columns found so far, ``clear_at_pivots``, is also the span test.  Bases of subspaces come from
 ``kernel_basis`` in reduced-echelon form, read straight off the int
 pivot rows, so ``int_free_coordinates`` reads coordinates of int rows
 off the free columns instead of eliminating again.
@@ -31,6 +31,7 @@ off the free columns instead of eliminating again.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -588,16 +589,31 @@ def int_kernel_basis(field, rows, ncols):
     return [basis[fc] for fc in free], free
 
 
+def int_column_reduction(field, columns):
+    """One elimination of the matrix whose columns are the given int rows:
+    its ``kernel_basis`` (the basis alone), and the columns at its pivots,
+    which greedy independence picks in column order."""
+    rows = defaultdict(dict)        # row index -> {column: int entry}
+    for j, w in enumerate(columns):
+        for k, x in w.items():
+            rows[k][j] = x
+    basis, free = int_kernel_basis(field, rows.values(), len(columns))
+    free = set(free)
+    return basis, [w for j, w in enumerate(columns) if j not in free]
+
+
 def int_free_coordinates(field, basis, free, rows):
     """Sparse coordinates of int rows over one denominator in a basis
     whose vector i is 1 at column free[i] and 0 at the other listed
     columns (a basis from ``kernel_basis``): the rows' entries at those
     columns, as int rows over the same denominator, if each row is rebuilt
-    by its combination of the basis, else None.  The basis is given as
-    ``clear_denominators`` makes it, (int rows, e), and is checked against
-    e times each row."""
+    by its combination of the basis, else None; a row costs its nonzeros.
+    The basis is given as ``clear_denominators`` makes it, (int rows, e),
+    and is checked against e times each row."""
     ints, e = basis
-    coords = [{i: w[c] for i, c in enumerate(free) if c in w} for w in rows]
+    position = {c: i for i, c in enumerate(free)}
+    coords = [{position[c]: x for c, x in w.items() if c in position}
+              for w in rows]
     for w, x in zip(rows, coords):
         acc = {}
         for i, y in x.items():

@@ -3,22 +3,98 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 import leibcohom as L
 from leibcohom.linalg import QQ, Matrix
 
 
-def trivial_setup(algebra, coefficients="constant"):
-    """Equivariant setup for the trivial group acting trivially."""
-    group = L.FiniteGroup.trivial()
-    action = L.GroupAction(group, algebra,
-                           [Matrix.identity(algebra.field, algebra.dim)])
-    category = L.orbit_category(group)
-    if coefficients == "constant":
-        cs = L.constant_coefficients(category, algebra.field)
+# ---------------------------------------------------------------------------
+# A reference for plain cohomology that shares no code with the program
+# beyond the coboundary matrices: ranks, reduced echelon forms and greedy
+# independence are taken in sympy, over QQ or GF(p).
+# ---------------------------------------------------------------------------
+
+def sympy_rref(field, vectors, dim):
+    """The reduced echelon form of the sparse vectors of length dim, as
+    rows of field elements, and its pivot columns."""
+    rows = [v for v in vectors if v]
+    if not rows:
+        return [], ()
+    if field == QQ:
+        domain, entry = sympy.QQ, lambda x: (x.numerator, x.denominator)
     else:
-        cs = L.coset_function_coefficients(category, algebra.field)
-    return L.EquivariantSetup(action, category, cs)
+        domain, entry = sympy.GF(field.p), int
+    red, pivots = DomainMatrix.from_list(
+        [[entry(v.get(k, field.zero())) for k in range(dim)] for v in rows],
+        domain).rref()
+    if field == QQ:
+        back = lambda x: Fraction(int(x.numerator), int(x.denominator))
+    else:
+        back = lambda x: int(x) % field.p
+    return [[back(x) for x in row] for row in red.to_list()], pivots
+
+
+def sympy_rank(field, vectors, dim):
+    return len(sympy_rref(field, vectors, dim)[1])
+
+
+def sympy_kernel(field, vectors, dim):
+    """The null space of the matrix with the sparse vectors as rows: one
+    vector per free column of its reduced echelon form, 1 there and 0 at
+    the other free columns."""
+    red, pivots = sympy_rref(field, vectors, dim)
+    basis = []
+    for fc in range(dim):
+        if fc not in pivots:
+            v = {fc: field.one()}
+            for row, pc in zip(red, pivots):
+                if row[fc]:
+                    v[pc] = field.neg(row[fc])
+            basis.append(v)
+    return basis
+
+
+def greedy_independent(field, vectors, dim):
+    """The indices of the vectors that raise the sympy rank of the ones
+    kept before them."""
+    kept = []
+    for j, v in enumerate(vectors):
+        before = [vectors[i] for i in kept]
+        if sympy_rank(field, before + [v], dim) > len(kept):
+            kept.append(j)
+    return kept
+
+
+def greedy_classes(field, cocycles, coboundaries, dim):
+    """The cocycles independent of the coboundaries and the cocycles
+    before them."""
+    nb = len(coboundaries)
+    return [cocycles[j - nb] for j in
+            greedy_independent(field, coboundaries + cocycles, dim) if j >= nb]
+
+
+def reference_cohomology(alg, A, n):
+    """(betti, cocycles, coboundaries, classes) of HL^n(g; A) from the
+    coboundary matrices and sympy alone: the Betti number from two ranks,
+    the cocycles the null space of delta^n, the coboundaries the columns
+    of delta^(n-1) that greedy independence keeps, and the classes
+    ``greedy_classes`` of the two."""
+    f = alg.field
+    dim = alg.dim ** n * A.dim
+    delta = L.coboundary_matrix(alg, A, n).entries
+    below = []                  # the columns of delta^(n-1)
+    if n:
+        mat = L.coboundary_matrix(alg, A, n - 1)
+        below = [{} for _ in range(mat.cols)]
+        for i, row in enumerate(mat.entries):
+            for j, x in row.items():
+                below[j][i] = x
+    cocycles = sympy_kernel(f, delta, dim)
+    coboundaries = [below[j] for j in greedy_independent(f, below, dim)]
+    betti = dim - sympy_rank(f, delta, dim) - sympy_rank(f, below, dim)
+    return (betti, cocycles, coboundaries,
+            greedy_classes(f, cocycles, coboundaries, dim))
 
 
 def block_diag(field, mats):

@@ -23,7 +23,7 @@ from leibcohom.shuffles import (shuffles, rho_sum, rho_explicit_word,
                                 check_zinbiel_axiom)
 from leibcohom.cli import main
 
-from conftest import ambient_coboundary, trivial_setup, catalog_setup
+from conftest import ambient_coboundary, catalog_setup, reference_cohomology
 
 
 SMALL_CATALOG = ["lambda6", "abelian_1", "abelian_2", "abelian_3",
@@ -91,7 +91,9 @@ def test_criterion_02_complex_suite():
 def test_criterion_03_dimension_law():
     with Budget(3, "dimension-law", 30):
         for m in (1, 2, 3):
-            setup = trivial_setup(L.catalog(f"abelian_{m}").algebra)
+            setup = L.EquivariantSetup.trivial(
+                L.catalog(f"abelian_{m}").algebra,
+                CoefficientAlgebra.scalar(QQ))
             for n in range(1, 5):
                 assert setup.cohomology(n).betti == m ** n, (m, n)
 
@@ -105,22 +107,23 @@ def test_criterion_04_lambda6_spot_values(lambda6):
 
 def test_criterion_05_equivariant_reduction():
     with Budget(5, "equivariant-reduction", 60):
+        # the trivial group's cohomology against the sympy reference on
+        # the plain coboundary matrices
         for name in SMALL_CATALOG:
             alg = L.catalog(name).algebra
-            setup = trivial_setup(alg)
             A = CoefficientAlgebra.scalar(alg.field)
+            setup = L.EquivariantSetup.trivial(alg, A)
             for n in range(0, 5):
                 eq = setup.cohomology(n)
-                plain = cohomology(alg, A, n)
-                assert eq.betti == plain.betti, (name, n)
-                assert len(eq.cocycle_basis) == len(plain.cocycle_basis)
-                assert len(eq.coboundary_basis) == len(plain.coboundary_basis)
+                assert (eq.betti, eq.cocycles, eq.coboundaries, eq.classes) \
+                    == reference_cohomology(alg, A, n), (name, n)
         # the 14-dimensional entry reduces identically at desk scale
         big = L.catalog("free_leib(2,3)_perm").algebra
-        setup = trivial_setup(big)
         A = CoefficientAlgebra.scalar(QQ)
+        setup = L.EquivariantSetup.trivial(big, A)
         for n in range(0, 2):
-            assert setup.cohomology(n).betti == cohomology(big, A, n).betti
+            assert setup.cohomology(n).betti == \
+                reference_cohomology(big, A, n)[0]
 
 
 def test_criterion_06_invariance_lemma():
@@ -201,7 +204,9 @@ def test_criterion_09_cup_leibniz_rule(lambda6_z2_setup):
 def test_criterion_10_zinbiel_relation():
     with Budget(10, "zinbiel-relation", 120):
         setups = [
-            ("abelian_2", trivial_setup(L.catalog("abelian_2").algebra)),
+            ("abelian_2", L.EquivariantSetup.trivial(
+                L.catalog("abelian_2").algebra,
+                CoefficientAlgebra.scalar(QQ))),
             ("lambda6_z2", catalog_setup("lambda6_z2")),
             ("derived2_f2_z2", catalog_setup("derived2_f2_z2")),
         ]

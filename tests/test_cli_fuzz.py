@@ -10,6 +10,7 @@ a fixed time.  Some changes have a known outcome:
   float, a boolean, a string that spells no integer or a negative number
   is a parse error;
 * a count replaced by the string that spells it gives the same report;
+* a scalar replaced by a boolean is a parse error;
 * a scalar string whose decimal exponent is over the JSON reader's digit
   limit is a parse error.
 """
@@ -153,6 +154,8 @@ def mutations(draw):
             float(x), x + 0.5, x % 2 == 0, "x", "1.0", -x - 1, str(x)]))
         return base, command, path, value, "same" if value == str(x) \
             else "refused"
+    if draw(st.booleans()):
+        return base, command, path, draw(st.booleans()), "refused"
     exponent = draw(st.integers(0, 10 ** 6))
     sign = draw(st.sampled_from(["", "-", "+"]))
     value = draw(st.sampled_from(["1", "-2.5", "3"])) + \

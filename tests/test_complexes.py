@@ -10,11 +10,13 @@ import leibcohom as L
 from leibcohom.catalog import lambda6 as lambda6_over
 from leibcohom.leibniz import free_leibniz_truncated
 from leibcohom.linalg import (QQ, GF, Matrix, combination, dense_vector,
-                              kernel_basis, rank, vec_is_zero)
+                              kernel_basis, last_pivot_echelon, rank,
+                              vec_is_zero)
 from leibcohom.complexes import (BoundaryChain, TensorSpace, boundary_matrix,
                                  coboundary_matrix, CoefficientAlgebra,
-                                 homology, cohomology, _quotient_data)
+                                 homology, cohomology, _representatives)
 
+from conftest import greedy_independent, reference_cohomology, sympy_kernel
 from test_linalg import textbook_rref
 
 
@@ -138,6 +140,28 @@ def test_duality_scalar_coefficients(lambda6):
     A = CoefficientAlgebra.scalar(QQ)
     for n in (1, 2, 3):
         assert cohomology(lambda6, A, n).betti == homology(lambda6, n).betti
+
+
+# Plain cohomology is the trivial group's equivariant cohomology; the
+# reference is ``conftest.reference_cohomology``, sympy on the coboundary
+# matrices.
+PLAIN_TOPS = {"lambda6": 4, "abelian_2": 3, "derived2_f2_z2": 5,
+              "free_leib(2,2)_perm": 2, "free_leib(3,1)_perm": 2}
+
+
+@pytest.mark.parametrize("points", [None, 2, 3])
+@pytest.mark.parametrize("name", list(PLAIN_TOPS))
+def test_cohomology_matches_the_sympy_reference(name, points):
+    alg = L.catalog(name).algebra
+    A = CoefficientAlgebra.scalar(alg.field) if points is None else \
+        CoefficientAlgebra.pointwise_functions(alg.field, points)
+    top = PLAIN_TOPS[name] if points is None else \
+        min(PLAIN_TOPS[name], 3 if points == 2 else 2)
+    for n in range(top + 1):
+        res = cohomology(alg, A, n)
+        assert res.cochain_dimension == alg.dim ** n * A.dim
+        assert (res.betti, res.cocycles, res.coboundaries, res.classes) == \
+            reference_cohomology(alg, A, n), n
 
 
 def test_cohomology_representatives_are_cocycles(lambda6):
@@ -362,7 +386,43 @@ def test_boundary_step_matches_the_double_loop_on_random_brackets(alg, n):
 
 
 # ---------------------------------------------------------------------------
-# Class representatives.  _quotient_data keeps the cocycles that sit at a
+# homology(n) reads the cycles and the boundaries off one BoundaryChain.
+# The cycles must be sympy's null space of d_n in reduced-echelon form (all
+# of g when n = 1, where d_1 = 0), and the boundaries the columns of d_{n+1}
+# that sympy's greedy rank test picks.
+# ---------------------------------------------------------------------------
+
+def _check_homology(alg, n):
+    f = alg.field
+    dim = alg.dim ** n
+    res = homology(alg, n)
+    rows = boundary_matrix(alg, n).matrix.entries if n > 1 else []
+    columns = boundary_matrix(alg, n + 1).matrix.transpose().entries
+    assert res.chain_dimension == dim
+    assert res.cycles == sympy_kernel(f, rows, dim)
+    assert res.boundaries == [columns[j] for j in
+                              greedy_independent(f, columns, dim)]
+    assert res.betti == len(res.cycles) - len(res.boundaries)
+
+
+@given(bilinear_brackets(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_homology_is_the_sympy_kernel_and_the_greedy_boundaries(alg, n):
+    _check_homology(alg, n)
+
+
+@pytest.mark.parametrize("name", ["lambda6", "abelian_2", "derived2_f2_z2",
+                                  "free_leib(2,1)_perm", "free_leib(3,1)_perm",
+                                  "free_leib(2,2)_perm"])
+def test_catalog_homology_is_the_sympy_kernel_and_the_greedy_boundaries(name):
+    alg = L.catalog(name).algebra
+    for n in range(1, 3 if alg.dim > 3 else 4):
+        _check_homology(alg, n)
+
+
+# ---------------------------------------------------------------------------
+# Class representatives.  _representatives keeps the cocycles whose free
+# column is no pivot of the coboundaries' last_pivot_echelon: those at a
 # pivot of the columns [coboundaries | cocycles].  The oracle eliminates
 # those columns outright: over Q with sympy's rref, over F_p with the
 # textbook elimination.  The cocycles are a reduced-echelon kernel basis,
@@ -401,5 +461,7 @@ def test_class_representatives_are_the_pivot_cocycles(field, data):
             st.lists(entries, min_size=nc, max_size=nc),
             min_size=nb, max_size=nb))]
     pivots = _pivot_columns(field, coboundaries + cocycles, dim)
-    assert _quotient_data(field, cocycles, coboundaries, dim) == \
+    echelon = last_pivot_echelon(
+        field, [field.to_ints(b) for b in coboundaries], dim)
+    assert _representatives(cocycles, echelon) == \
         [cocycles[j - nb] for j in pivots if j >= nb]

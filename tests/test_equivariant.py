@@ -9,17 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
 from leibcohom.catalog import _letter_permutation_action
-from leibcohom.complexes import BoundaryChain, _quotient_data, image_basis
+from leibcohom.complexes import BoundaryChain
 from leibcohom.leibniz import free_leibniz_truncated
 from leibcohom.linalg import (QQ, GF, Matrix, clear_denominators, combination,
-                              kernel_basis, vec_is_zero)
+                              vec_is_zero)
 from leibcohom.equivariant import (constant_coefficients,
                                    coset_function_coefficients,
                                    check_coefficient_system,
                                    CoefficientSystem, EquivariantCochain)
 
-from conftest import (ambient_coboundary, block_diag, trivial_setup,
-                      catalog_setup, rebased_action)
+from conftest import (ambient_coboundary, block_diag, catalog_setup,
+                      greedy_classes, greedy_independent, rebased_action,
+                      reference_cohomology, sympy_kernel, sympy_rank)
 
 
 def test_constant_coefficients_validate():
@@ -141,11 +142,11 @@ def test_delta_preserves_invariance(lambda6_z2_setup):
 
 
 def test_trivial_group_reduction(lambda6):
-    from leibcohom.complexes import CoefficientAlgebra, cohomology
-    setup = trivial_setup(lambda6)
-    A = CoefficientAlgebra.scalar(QQ)
+    A = L.CoefficientAlgebra.scalar(QQ)
+    setup = L.EquivariantSetup.trivial(lambda6, A)
     for n in range(4):
-        assert setup.cohomology(n).betti == cohomology(lambda6, A, n).betti
+        assert setup.cohomology(n).betti == \
+            reference_cohomology(lambda6, A, n)[0]
 
 
 def test_dim_monotonicity(lambda6_z2_setup):
@@ -417,9 +418,10 @@ def _kernel_of_all_constraints(setup, n):
 
 # ---------------------------------------------------------------------------
 # cohomology(n) reads delta off its ambient images in degree n.  It must give
-# what the coboundary matrices X_n = equivariant_coboundary(n) give: the
-# cocycles kernel_basis(X_n), the coboundaries image_basis(X_{n-1}) and the
-# classes _quotient_data of the two.
+# what the coboundary matrices X_n = equivariant_coboundary(n) give, taken
+# in sympy: the cocycles the reduced-echelon null space of X_n, the
+# coboundaries the columns of X_{n-1} that greedy independence keeps, and
+# the classes the cocycles it keeps after them.
 # ---------------------------------------------------------------------------
 
 def _check_against_coboundary_matrices(setup, top):
@@ -427,13 +429,16 @@ def _check_against_coboundary_matrices(setup, top):
     results = [setup.cohomology(n) for n in range(top + 1)]
     for n, res in enumerate(results):
         dim = setup.invariant_space(n).dim
-        cocycles, _ = kernel_basis(setup.equivariant_coboundary(n))
-        coboundaries = (image_basis(setup.equivariant_coboundary(n - 1))
-                        if n else [])
+        cocycles = sympy_kernel(f, setup.equivariant_coboundary(n).entries,
+                                dim)
+        columns = (setup.equivariant_coboundary(n - 1).transpose().entries
+                   if n else [])
+        coboundaries = [columns[j] for j in
+                        greedy_independent(f, columns, dim)]
         assert res.cochain_dimension == dim
         assert res.cocycles == cocycles
         assert res.coboundaries == coboundaries
-        assert res.classes == _quotient_data(f, cocycles, coboundaries, dim)
+        assert res.classes == greedy_classes(f, cocycles, coboundaries, dim)
         assert res.betti == len(cocycles) - len(coboundaries)
 
 
@@ -464,17 +469,6 @@ def test_catalog_cohomology_equals_the_coboundary_matrix_route(name,
 # representative.
 # ---------------------------------------------------------------------------
 
-def _sympy_rank(field, vectors, dim):
-    if not vectors:
-        return 0
-    if field == QQ:
-        return sympy.Matrix(len(vectors), dim, lambda i, k: _rational(
-            vectors[i].get(k, field.zero()))).rank()
-    return DomainMatrix.from_list(
-        [[v.get(k, 0) for k in range(dim)] for v in vectors],
-        sympy.GF(field.p)).rank()
-
-
 def _check_coboundary_echelon(setup, top):
     """Checks degrees 1..top; returns the number of echelon rows seen."""
     f = setup.field
@@ -485,9 +479,9 @@ def _check_coboundary_echelon(setup, top):
         rows = list(echelon.values())
         dim = setup.invariant_space(n).dim
         images = setup.equivariant_coboundary(n - 1).transpose().entries
-        rank = _sympy_rank(f, images, dim)
-        assert len(rows) == _sympy_rank(f, rows, dim) == rank
-        assert _sympy_rank(f, rows + images, dim) == rank
+        rank = sympy_rank(f, images, dim)
+        assert len(rows) == sympy_rank(f, rows, dim) == rank
+        assert sympy_rank(f, rows + images, dim) == rank
         for pc, row in echelon.items():
             assert max(row) == pc
             assert not any(q in row for q in echelon if q != pc)
@@ -643,7 +637,7 @@ def test_is_coboundary_agrees_with_a_sympy_rank_test(action, coefficients, n,
                      if f == QQ else 1)
     v = combination(f, [(f.mul(scale, c), w) for c, w in terms])
     dim = setup.invariant_space(n).dim
-    expected = _sympy_rank(f, images + [v], dim) == _sympy_rank(f, images, dim)
+    expected = sympy_rank(f, images + [v], dim) == sympy_rank(f, images, dim)
     assert setup.is_coboundary(n, clear_denominators([v])[0][0]) == expected
 
 

@@ -6,9 +6,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from leibcohom.complexes import image_basis
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
-                              int_free_coordinates, solve, solve_matrix,
+                              int_column_reduction, int_free_coordinates,
+                              solve, solve_matrix,
                               vec_add, vec_is_zero, dense_vector,
                               sparse_vector, clear_denominators, is_prime,
                               PRIME_TEST_BOUND)
@@ -379,24 +379,22 @@ def test_rref_empty_shapes():
         assert red == Matrix.zero(QQ, r, c) and pivots == []
 
 
-def test_image_basis_skips_dependent_leading_columns():
-    # column 0 is zero, 2 is twice 1, 4 is 1 + 3
-    m = qmat([[0, 1, 2, 0, 1, 5],
-              [0, 2, 4, 1, 3, 0],
-              [0, 0, 0, 0, 0, 1]])
-    assert dense(image_basis(m), 3) == [m.column(1), m.column(3), m.column(5)]
-    assert image_basis(Matrix.zero(QQ, 2, 3)) == []
-
-
 @given(rref_inputs())
 @settings(max_examples=60, deadline=None)
-def test_image_basis_is_greedy_in_column_order(m):
+def test_int_column_reduction_is_the_null_space_and_the_greedy_columns(m):
+    # the columns of m as int rows over d; sympy gives the reference
+    columns, d = clear_denominators(m.transpose().entries)
+    basis, picked = int_column_reduction(QQ, columns)
+    expected = [[Fraction(int(x.p), int(x.q)) for x in v]
+                for v in to_sympy(m).nullspace()]
+    assert dense(basis, m.cols) == expected
     chosen = []
-    for col in m.columns():
-        with_col = Matrix.from_columns(QQ, chosen + [col], nrows=m.rows)
-        if to_sympy(with_col).rank() > len(chosen):
+    for col in columns:
+        with_col = sympy.Matrix([[c.get(i, 0) for i in range(m.rows)]
+                                 for c in chosen + [col]])
+        if with_col.rank() > len(chosen):
             chosen.append(col)
-    assert dense(image_basis(m), m.rows) == chosen
+    assert picked == chosen
 
 
 # -- canonical sparse rows ------------------------------------------------------

@@ -294,8 +294,8 @@ def test_zinbiel_relation_on_derived2(derived2_setup):
 
 
 def test_zinbiel_relation_on_abelian():
-    from conftest import trivial_setup
-    setup = trivial_setup(L.catalog("abelian_2").algebra)
+    setup = L.EquivariantSetup.trivial(L.catalog("abelian_2").algebra,
+                                       CoefficientAlgebra.scalar(QQ))
     reps = _cocycle_reps(setup, 1)
     assert len(reps) == 2
     for a in reps:
