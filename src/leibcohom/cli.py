@@ -269,16 +269,22 @@ def build_coefficient_system(problem, category):
 
 def check_problem(problem):
     """Raise ProblemValidationError unless the algebra is Leibniz and the
-    group and action, when given, satisfy their axioms."""
-    for name, check, obj in [
-            ("Leibniz identity", check_leibniz_identity, problem.algebra),
-            ("group axioms", FiniteGroup.validate, problem.group),
-            ("action axioms", validate_action, problem.action)]:
+    group and action, when given, satisfy their axioms.  The message names
+    the check and the indices of its first violation only, as ``validate``
+    reports them: a residual may hold scalars too long to print."""
+    for name, check, obj, where in [
+            ("Leibniz identity", check_leibniz_identity, problem.algebra,
+             lambda x: x[0]),
+            ("group axioms", FiniteGroup.validate, problem.group,
+             lambda x: x),
+            ("action axioms", validate_action, problem.action,
+             lambda x: x[:2])]:
         if obj is None:
             continue
         v = check(obj)
         if not v.ok:
-            raise ProblemValidationError(f"{name} violated: {v.violations[0]}")
+            raise ProblemValidationError(
+                f"{name} violated: {where(v.violations[0])}")
 
 
 def make_setup(problem):

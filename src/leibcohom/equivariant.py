@@ -7,20 +7,24 @@ family {c_H} with c_H o (psi_g)^(x)n = A(g-hat) o c_K for every morphism;
 these form the complex whose cohomology is the equivariant Leibniz
 cohomology.
 
-The per-degree data is built on demand and kept on the
-``EquivariantSetup``, except the constraint rows, which are streamed
-(int rows follow the convention in the ``linalg`` module docstring):
+The fixed subalgebras and restriction maps are built in int rows by
+``groups``, and each restriction map keeps its int columns.  The
+per-degree data is built on demand and kept on the ``EquivariantSetup``,
+except the constraint rows, which are streamed (int rows follow the
+convention in the ``linalg`` module docstring):
 
 * ``invariant_space(n)`` is S^n_G, the null space of the invariance
-  constraints.  R^(x)n is built once per (morphism, n) as int columns;
-  the constraint rows are built from it as int rows and go straight to
-  the elimination loop, and the basis is read off the pivot rows with one
-  field element per entry.
+  constraints.  R^(x)n is built once per (morphism, n) as int columns,
+  from the restriction map's int columns in plain int products with one
+  ``reduce_ints`` per power; the constraint rows are built from it as int
+  rows and go straight to the elimination loop, and the basis is read off
+  the pivot rows with one field element per entry.
   Only the binding constraints are built: a morphism (H, H, g) whose
   restriction map and coefficient map are both identity matrices asks
   c_H = c_H at every degree, so it adds no row.  The test is on the maps,
   not on the label g, so a coefficient system whose identity morphism is
-  not sent to the identity is still constrained by it.
+  not sent to the identity is still constrained by it.  Which morphisms
+  bind, and the int rows of their -A(g-hat), are found once per setup.
   ``check_invariance`` still evaluates every morphism, on
   ``restriction_power``, the one conversion of R^(x)n to field entries.
 * ``cohomology(n)`` needs S^n_G only, and takes each degree through one
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .linalg import (Matrix, clear_at_pivots, clear_denominators,
@@ -259,24 +264,24 @@ class EquivariantSetup:
     def _restriction_ints(self, morphism, n):
         """R^{(x)n} for the restriction map of one orbit-category morphism,
         as int columns over a common denominator: (columns, d) with
-        R^{(x)n}[tH][tK] = columns[tK].get(tH, 0) / d.  Built once per
-        (morphism, n), as R^{(x)(n-1)} (x) R."""
+        R^{(x)n}[tH][tK] = columns[tK].get(tH, 0) / d.  R^{(x)1} is the
+        restriction map's ``integral``; each higher power is built once per
+        (morphism, n), as R^{(x)(n-1)} (x) R in plain int products brought
+        back by one ``reduce_ints``."""
         key = (morphism, n)
         if key not in self._int_powers:
             if n == 0:
                 self._int_powers[key] = [{0: 1}], 1
             elif n == 1:
-                self._int_powers[key] = clear_denominators(
-                    self.restrictions[morphism].matrix.transpose().entries)
+                self._int_powers[key] = self.restrictions[morphism].integral
             else:
                 prev, d = self._restriction_ints(morphism, n - 1)
                 base, e = self._restriction_ints(morphism, 1)
                 h = self.restrictions[morphism].matrix.rows
-                mul = self.field.mul
-                self._int_powers[key] = [
-                    {i * h + j: mul(x, y) for i, x in u.items()
+                self._int_powers[key] = self.field.reduce_ints([
+                    {i * h + j: x * y for i, x in u.items()
                      for j, y in v.items()}
-                    for u in prev for v in base], d * e
+                    for u in prev for v in base]), d * e
         return self._int_powers[key]
 
     def restriction_power(self, morphism, n):
@@ -299,6 +304,27 @@ class EquivariantSetup:
             self._rho_matrices[key] = rho_sum(p, q).matrix(h, self.field)
         return self._rho_matrices[key]
 
+    @cached_property
+    def _binding(self):
+        """The degree-independent part of the binding constraints, built on
+        first use: (morphism, minus_A, e) for each binding morphism, with
+        minus_A the int rows of -A(g-hat) over their denominator e.  A
+        morphism (H, H, g) whose restriction map and coefficient map are
+        both identity matrices asks c_H = c_H at every degree, so it binds
+        nothing."""
+        neg = self.field.neg
+        out = []
+        for m in self.category.morphisms:
+            H, K, _ = m
+            A = self.coefficients.maps[m]
+            if H == K and _is_identity(self.restrictions[m].matrix) \
+                    and _is_identity(A):
+                continue
+            rows, e = clear_denominators(A.entries)
+            out.append((m, [{aj: neg(x) for aj, x in row.items()}
+                            for row in rows], e))
+        return out
+
     def _binding_constraints(self, n):
         """The binding morphisms (H, K, g) of degree n, as the parts of
         their constraint rows c_H R^{(x)n} - A(g-hat) c_K over a common
@@ -308,17 +334,14 @@ class EquivariantSetup:
         column tK at the indices offH + tH aH + al, plus minus_A[al] at the
         indices offK + tK aK + aj."""
         offsets = {H: (a, off) for (H, _, a, off) in self.layout(n)}
-        mul = self.field.mul
-        for m in self.category.morphisms:
-            H, K, g = m
-            if H == K and _is_identity(self.restrictions[m].matrix) \
-                    and _is_identity(self.coefficients.maps[m]):
-                continue                    # c_H = c_H at every degree
+        for m, minus_A, e in self._binding:
+            H, K, _ = m
             columns, d = self._restriction_ints(m, n)
-            A, e = clear_denominators(self.coefficients.maps[m].entries)
             s = lcm(d, e)
-            r, a = s // d, -(s // e)        # r is 1 over F_p, where d = 1
-            minus_A = [{aj: mul(a, x) for aj, x in row.items()} for row in A]
+            r, k = s // d, s // e           # both 1 over F_p, where d = e = 1
+            if k != 1:
+                minus_A = [{aj: k * x for aj, x in row.items()}
+                           for row in minus_A]
             yield (*offsets[H], *offsets[K], columns, r, minus_A)
 
     def _constraint_rows(self, n):

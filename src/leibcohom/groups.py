@@ -2,6 +2,15 @@
 
 Groups are multiplication tables on 0..n-1 with 0 the identity.  Desk
 scale (|G| <= 24) keeps brute-force subgroup enumeration cheap.
+
+The set-up data of the equivariant complex is built on int rows (the
+convention in the ``linalg`` module docstring): a ``GroupAction`` clears
+each psi_g to int rows once, ``fixed_subalgebra`` takes g^H as the kernel
+of the stacked int rows of psi_h - I and its induced brackets from the
+algebra's ``integral`` constants and the subspace's int basis, which it
+keeps, and ``restriction_map`` applies psi_g's int rows to that basis.
+Field elements are made once, for the structure constants and the
+matrices that the ``LeibnizAlgebra`` and ``AlgebraMorphism`` hold.
 """
 
 from __future__ import annotations
@@ -9,7 +18,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .linalg import (Matrix, clear_denominators, dense_vector,
-                     int_free_coordinates, kernel_basis, rank, sparse_vector)
+                     int_free_coordinates, int_kernel_basis, reduce_int_rows)
 from .leibniz import LeibnizAlgebra, AlgebraMorphism, check_morphism
 from .verdict import Verdict
 
@@ -72,17 +81,18 @@ class FiniteGroup:
 
 
 def subgroup_closure(G, gens):
+    """The subgroup generated by gens: the closure of {0} under right
+    multiplication by them, which holds their inverses, since in a finite
+    group each inverse is a power."""
+    mul = G.table
     elems = {0}
-    frontier = set(gens) | {0}
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in elems | frontier:
-                new.add(G.mul(a, b))
-                new.add(G.mul(b, a))
-            new.add(G.inv(a))
-        elems |= frontier
-        frontier = new - elems
+    found = [0]
+    for a in found:                 # grows while it is read
+        for s in gens:
+            c = mul[a][s]
+            if c not in elems:
+                elems.add(c)
+                found.append(c)
     return frozenset(elems)
 
 
@@ -114,19 +124,15 @@ class OrbitCategory:
     def __init__(self, group):
         self.group = group
         self.subgroups = enumerate_subgroups(group)
-        self.morphisms = []
-        for H in self.subgroups:
-            for K in self.subgroups:
-                seen = set()
-                for g in range(group.order):
-                    if not all(group.mul(group.mul(group.inv(g), h), g) in K
-                               for h in H):
-                        continue
-                    coset = frozenset(group.mul(g, k) for k in K)
-                    if coset in seen:
-                        continue
-                    seen.add(coset)
-                    self.morphisms.append((H, K, min(coset)))
+        n, mul, inv = group.order, group.table, group.inverse
+        # conj[g][h] = g^-1 h g; the test g^-1 H g <= K depends on the
+        # coset gK only, so each coset is tested once, at its least element
+        conj = [[mul[mul[inv[g]][h]][g] for h in range(n)] for g in range(n)]
+        reps = {K: sorted({min(mul[g][k] for k in K) for g in range(n)})
+                for K in self.subgroups}
+        self.morphisms = [(H, K, g) for H in self.subgroups
+                          for K in self.subgroups for g in reps[K]
+                          if all(conj[g][h] in K for h in H)]
         self._morph_set = set(self.morphisms)
 
     def cosets(self, H):
@@ -157,7 +163,12 @@ def orbit_category(G):
 
 
 class GroupAction:
-    """Action of a finite group on a Leibniz algebra by one matrix per element."""
+    """Action of a finite group on a Leibniz algebra by one matrix per element.
+
+    ``integral[g]`` is psi_g as int rows over their common denominator, as
+    ``clear_denominators`` makes them, cleared once here for the action
+    check, the fixed subalgebras and the restriction maps.
+    """
 
     def __init__(self, group, algebra, matrices):
         if len(matrices) != group.order:
@@ -166,23 +177,46 @@ class GroupAction:
         self.group = group
         self.algebra = algebra
         self.matrices = matrices
+        self.integral = [clear_denominators(m.entries) for m in matrices]
 
     def psi(self, g):
         return self.matrices[g]
 
 
+def _int_product(rows, other):
+    """The product of two matrices given as int rows, as int rows."""
+    out = []
+    for row in rows:
+        acc = {}
+        for k, x in row.items():
+            for j, y in other[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return out
+
+
 def validate_action(action):
+    """The action axioms, checked on the int rows of the psi_g: psi_0 = I,
+    p psi_g1 psi_g2 = p1 p2 psi_(g1 g2) on the ints P/p of each, full rank,
+    and each psi_g an algebra map."""
     G, alg = action.group, action.algebra
     f = alg.field
     violations = []
     if action.psi(0) != Matrix.identity(f, alg.dim):
         violations.append(("identity", 0, None))
     for g1 in range(G.order):
+        P1, p1 = action.integral[g1]
         for g2 in range(G.order):
-            if action.psi(g1).mul(action.psi(g2)) != action.psi(G.mul(g1, g2)):
+            P2, p2 = action.integral[g2]
+            P, p = action.integral[G.mul(g1, g2)]
+            lhs = [{j: p * x for j, x in row.items()}
+                   for row in _int_product(P1, P2)]
+            rhs = [{j: p1 * p2 * x for j, x in row.items()} for row in P]
+            if f.reduce_ints(lhs) != f.reduce_ints(rhs):
                 violations.append(("homomorphism", (g1, g2), None))
     for g in range(G.order):
-        if rank(action.psi(g)) != alg.dim:
+        P, _ = action.integral[g]
+        if len(reduce_int_rows(f, f.reduce_ints(P), alg.dim)) != alg.dim:
             violations.append(("invertibility", g, None))
     for g in range(G.order):
         v = check_morphism(AlgebraMorphism(alg, alg, action.psi(g)))
@@ -192,10 +226,11 @@ def validate_action(action):
 
 
 class FixedSubalgebra:
-    def __init__(self, subgroup, inclusion, free, algebra):
+    def __init__(self, subgroup, inclusion, free, ints, algebra):
         self.subgroup = subgroup
         self.inclusion = inclusion     # dim(g) x dim(g^H), columns = basis
         self.free = free               # the free column of each basis vector
+        self.ints = ints               # (rows, e): the basis as int rows / e
         self.algebra = algebra         # induced Leibniz algebra on g^H
 
     @property
@@ -204,52 +239,77 @@ class FixedSubalgebra:
 
 
 def fixed_subalgebra(action, H):
-    """Basis and induced bracket of g^H = common kernel of psi_h - I."""
+    """Basis and induced bracket of g^H = common kernel of psi_h - I.
+
+    The kernel is taken from the int rows p_h psi_h - p_h I of every
+    h != 0.  With the basis as int rows b_i over e and the structure
+    constants as int rows s over d, e^2 d [b_i, b_j] is the int row
+    sum_ab b_i[a] b_j[b] s[a][b], whose entries at the free columns are the
+    induced structure constants over e^2 d once the row is rebuilt from
+    them; closure failure would contradict a validated action."""
     alg = action.algebra
     f = alg.field
     m = alg.dim
-    ident = Matrix.identity(f, m)
-    stacked = [action.psi(h).sub(ident) for h in sorted(H) if h != 0]
-    basis, free = kernel_basis(Matrix.vstack(f, stacked, cols=m))
+    rows = []
+    for h in sorted(H):
+        if h:
+            P, p = action.integral[h]
+            rows += f.reduce_ints([{**row, i: row.get(i, 0) - p}
+                                   for i, row in enumerate(P)])
+    basis, free = int_kernel_basis(f, rows, m)
     inclusion = Matrix.from_entries(f, len(basis), m, basis).transpose()
-    # induced structure constants: brackets of basis columns, expressed in
-    # the basis; closure failure would contradict a validated action
-    vectors = [dense_vector(f, b, m) for b in basis]
-    brackets = [alg.bracket(u, v) for u in vectors for v in vectors]
-    rows, d = clear_denominators([sparse_vector(w) for w in brackets])
-    ints = clear_denominators(basis)
-    coords = int_free_coordinates(f, ints, free, rows)
+    cleared = clear_denominators(basis)
+    ints, e = cleared
+    s, d = alg.integral
+    brackets = []
+    for u in ints:
+        for v in ints:
+            acc = {}
+            for a, x in u.items():
+                for b, y in v.items():
+                    for k, z in s[a][b].items():
+                        acc[k] = acc.get(k, 0) + x * y * z
+            brackets.append(acc)
+    brackets = f.reduce_ints(brackets)
+    coords = int_free_coordinates(f, cleared, free, brackets)
     if coords is None:
-        w = next(w for w, row in zip(brackets, rows)
-                 if int_free_coordinates(f, ints, free, [row]) is None)
+        w = next(w for w in brackets
+                 if int_free_coordinates(f, cleared, free, [w]) is None)
+        w = dense_vector(f, f.divide_ints([w], e * e * d)[0], m)
         raise AssertionError(
             f"fixed-point set not closed under bracket, witness {w}")
     k = len(basis)
-    coords = [dense_vector(f, x, k) for x in f.divide_ints(coords, d)]
+    coords = [dense_vector(f, x, k) for x in f.divide_ints(coords, e * e * d)]
     structure = [coords[i * k:(i + 1) * k] for i in range(k)]
-    return FixedSubalgebra(H, inclusion, free, LeibnizAlgebra(f, k, structure))
+    return FixedSubalgebra(H, inclusion, free, cleared,
+                           LeibnizAlgebra(f, k, structure))
 
 
 def restriction_map(action, morphism, fixed):
     """psi_g restricted to g^K -> g^H, in the chosen fixed-subalgebra bases.
 
     ``fixed`` maps each subgroup to its FixedSubalgebra.  Returns an
-    AlgebraMorphism from fixed[K].algebra to fixed[H].algebra.
+    AlgebraMorphism from fixed[K].algebra to fixed[H].algebra whose
+    ``integral`` columns are read in ints: psi_g's int rows P over p
+    applied to the int basis of g^K over e, then read at the free columns
+    of g^H, over p e.
     """
     H, K, g = morphism
     fH, fK = fixed[H], fixed[K]
     f = action.algebra.field
-    images, d = clear_denominators(
-        action.psi(g).mul(fK.inclusion).transpose().entries)
-    basis = clear_denominators(fH.inclusion.transpose().entries)
-    columns = int_free_coordinates(f, basis, fH.free, images)
+    P, p = action.integral[g]
+    basis, e = fK.ints
+    images = f.reduce_ints([
+        {i: sum(x * b[k] for k, x in row.items() if k in b)
+         for i, row in enumerate(P)} for b in basis])
+    columns = int_free_coordinates(f, fH.ints, fH.free, images)
     if columns is None:
         raise AssertionError(
             f"psi_{g} does not map the {sorted(K)}-fixed set into the "
             f"{sorted(H)}-fixed set; invalid morphism triple")
     mat = Matrix.from_entries(f, fK.dim, fH.dim,
-                              f.divide_ints(columns, d)).transpose()
-    phi = AlgebraMorphism(fK.algebra, fH.algebra, mat)
+                              f.divide_ints(columns, p * e)).transpose()
+    phi = AlgebraMorphism(fK.algebra, fH.algebra, mat, (columns, p * e))
     verdict = check_morphism(phi)
     if not verdict.ok:
         raise AssertionError(

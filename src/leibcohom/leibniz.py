@@ -110,9 +110,18 @@ def check_leibniz_identity(alg):
 
 @dataclass
 class AlgebraMorphism:
+    """A linear map of algebras.  ``integral`` is the matrix's columns as
+    int rows over one denominator, (P, p); cleared from the matrix unless
+    the caller already has them."""
     source: LeibnizAlgebra
     target: LeibnizAlgebra
     matrix: Matrix   # columns = images of source basis vectors
+    integral: tuple = None
+
+    def __post_init__(self):
+        if self.integral is None:
+            self.integral = clear_denominators(
+                self.matrix.transpose().entries)
 
     def apply(self, x):
         return self.matrix.apply(x)
@@ -137,10 +146,9 @@ def check_morphism(phi):
         raise ValueError("matrix shape does not match algebra dimensions")
     f = tgt.field
     n, m = src.dim, tgt.dim
-    P, p = clear_denominators(phi.matrix.transpose().entries)  # columns
+    P, p = phi.integral    # columns
     S, s = src.integral
     T, t = tgt.integral
-    unscale = f.inv(f.coerce(p * p * s * t))
     pt = p * t
     violations = []
     for i, j in product(range(n), repeat=2):
@@ -154,6 +162,7 @@ def check_morphism(phi):
                 for r, z in T[a][b].items():
                     res[r] -= c * z
         if any(res) and any(map(f.coerce, res)):
+            unscale = f.inv(f.coerce(p * p * s * t))
             violations.append(((i, j), [f.mul(f.coerce(x), unscale)
                                         for x in res]))
     return Verdict(not violations, violations)

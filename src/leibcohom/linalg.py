@@ -377,19 +377,6 @@ class Matrix:
         return Matrix.from_entries(self.field, self.rows * other.rows,
                                    self.cols * other.cols, out)
 
-    @classmethod
-    def vstack(cls, field, mats, cols=None):
-        mats = list(mats)
-        if not mats:
-            if cols is None:
-                raise ValueError("empty vstack needs a column count")
-            return cls.zero(field, 0, cols)
-        cols = mats[0].cols
-        if any(m.field != field or m.cols != cols for m in mats):
-            raise ValueError(f"cannot stack {mats} over {field}")
-        entries = [row for m in mats for row in m.entries]
-        return cls.from_entries(field, len(entries), cols, entries)
-
     # -- elimination -----------------------------------------------------
 
     def rref(self):

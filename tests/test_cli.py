@@ -463,6 +463,33 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, doc):
     assert "validation error" in err and out == ""
 
 
+def _huge_residual_docs():
+    """An action and an algebra whose first violation has a residual with
+    a scalar past the digit limit that ``str`` puts on ints."""
+    z2 = lambda6_z2_doc(max_degree=2)
+    z2["action"]["matrices"][1][2][0] = "1e2150"
+    two = {"field": {"type": "rational"},
+           "algebra": {"dim": 2, "brackets": [
+               {"i": 1, "j": 1, "value": [0, "1e2200"]},
+               {"i": 2, "j": 1, "value": ["1e2200", 0]}]}}
+    return z2, two
+
+
+@pytest.mark.parametrize("argv, which", [
+    (["cohomology"], 0), (["cohomology", "--equivariant"], 0),
+    (["cohomology"], 1), (["homology"], 1)],
+    ids=["action-plain", "action-equivariant", "algebra-cohomology",
+         "algebra-homology"])
+def test_a_violation_with_a_huge_residual_is_a_validation_error(
+        tmp_path, capsys, argv, which):
+    # the message names the check and its indices, not the residual
+    doc = _huge_residual_docs()[which]
+    code, out, err = run(capsys, [argv[0], write(tmp_path, doc)] + argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and "Traceback" not in err
+    assert err.strip().endswith(")") and len(err) < 200
+
+
 def test_validate_skips_action_when_group_fails(tmp_path, capsys):
     doc = one_dim_doc([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
     code, out, _ = run(capsys, ["validate", write(tmp_path, doc)])

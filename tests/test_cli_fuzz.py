@@ -12,7 +12,11 @@ a fixed time.  Some changes have a known outcome:
 * a count replaced by the string that spells it gives the same report;
 * a scalar replaced by a boolean is a parse error;
 * a scalar string whose decimal exponent is over the JSON reader's digit
-  limit is a parse error.
+  limit is a parse error;
+* a scalar string whose exponent is within that limit is computed (exit
+  0) or refused by a check (exit 2): by ``validate`` with its report, by
+  the other commands with a validation error.  The residual of a check
+  may then hold an int too long to print, so no message may print it.
 """
 
 import contextlib
@@ -25,7 +29,7 @@ import sys
 import tempfile
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leibcohom.cli import main
 
@@ -142,7 +146,8 @@ def unchanged(base, command):
 @st.composite
 def mutations(draw):
     """(base index, command index, path, new value, expected outcome):
-    "refused" for a parse error, "same" for the base's report, or None."""
+    "refused" for a parse error, "same" for the base's report, or
+    "checked" for exit 0, or exit 2 from a check."""
     base = draw(st.integers(0, len(BASES) - 1))
     command = draw(st.integers(0, len(COMMANDS) - 1))
     path, kind = draw(st.sampled_from(list(leaves(BASES[base]))))
@@ -162,10 +167,11 @@ def mutations(draw):
         draw(st.sampled_from(["e", "E"])) + sign + str(exponent)
     limit = sys.get_int_max_str_digits()
     return base, command, path, value, \
-        "refused" if limit and exponent > limit else None
+        "refused" if limit and exponent > limit else "checked"
 
 
 @given(mutations())
+@example((0, 1, ("action", "matrices", 1, 2, 0), "1e2150", "checked"))
 @settings(max_examples=60, deadline=None)
 def test_a_mutated_document_is_computed_or_refused(mutation):
     base, command, path, value, expected = mutation
@@ -177,6 +183,12 @@ def test_a_mutated_document_is_computed_or_refused(mutation):
         assert code == 1 and err.startswith("parse error") and not body
     elif expected == "same":
         assert (code, body) == unchanged(base, command)
+    elif code:                      # "checked", and refused by a check
+        assert code == 2
+        if COMMANDS[command] == ["validate"]:
+            assert body and not err
+        else:
+            assert err.startswith("validation error") and not body
 
 
 def test_the_bases_compute():

@@ -1046,3 +1046,72 @@ def test_a_tower_streams_each_constraint_system_once(name, coefficients):
         setup.invariant_space(n)
         setup.cohomology(n)
     assert streamed == list(range(top + 1))
+
+
+# ---------------------------------------------------------------------------
+# The set-up data against sympy: the fixed subalgebras and restriction maps
+# that every EquivariantSetup builds in int rows, checked on the action's
+# input matrices and structure constants alone.
+# ---------------------------------------------------------------------------
+
+def _sym(rows, ncols):
+    """Dense rows of field elements as a sympy matrix over Q (residues as
+    ints)."""
+    return sympy.Matrix(len(rows), ncols, lambda i, j: _rational(rows[i][j]))
+
+
+def _vanishes(field, M):
+    p = field.characteristic
+    return all((x % p if p else x) == 0 for x in M)
+
+
+def _check_setup_data(setup):
+    """g^H is the reduced-echelon null space of the stacked psi_h - I, its
+    bracket is the one of g on the inclusion, and incl_H R = psi_g incl_K
+    for every morphism (H, K, g); the int data kept beside each matrix
+    equals it."""
+    action, f = setup.action, setup.field
+    alg = action.algebra
+    m = alg.dim
+    T = sympy.Matrix(m, m * m, lambda k, ab: _rational(
+        alg.structure[ab // m][ab % m][k]))
+    incl = {}
+    for H in setup.category.subgroups:
+        fx = setup.fixed[H]
+        k = fx.dim
+        rows = [[f.sub(x, f.one()) if i == j else x
+                 for j, x in enumerate(row)]
+                for h in sorted(H) if h
+                for i, row in enumerate(action.psi(h).data)]
+        columns = [{i: x for i, x in enumerate(c) if x}
+                   for c in fx.inclusion.columns()]
+        assert columns == sympy_kernel(
+            f, [{j: x for j, x in enumerate(r) if x} for r in rows], m)
+        ints, e = fx.ints
+        assert [{i: _rational(x) / e for i, x in c.items()} for c in ints] \
+            == [{i: _rational(x) for i, x in c.items()} for c in columns]
+        incl[H] = _sym(fx.inclusion.data, k)
+        S = sympy.Matrix(k, k * k, lambda c, ab: _rational(
+            fx.algebra.structure[ab // k][ab % k][c]))
+        assert not k or _vanishes(f, incl[H] * S - T *
+                                  sympy.kronecker_product(incl[H], incl[H]))
+    for morphism, phi in setup.restrictions.items():
+        H, K, g = morphism
+        R = _sym(phi.matrix.data, phi.matrix.cols)
+        psi = _sym(action.psi(g).data, m)
+        assert _vanishes(f, incl[H] * R - psi * incl[K])
+        columns, d = phi.integral
+        assert _vanishes(f, R - sympy.Matrix(
+            R.rows, R.cols, lambda i, j: _rational(columns[j].get(i, 0)) / d))
+
+
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm",
+                                                    "free_leib(2,3)_perm"])
+def test_catalog_setup_data_matches_sympy(name):
+    _check_setup_data(catalog_setup(name))
+
+
+@given(nilpotent_actions())
+@settings(max_examples=30, deadline=None)
+def test_nilpotent_setup_data_matches_sympy(action):
+    _check_setup_data(_setup(action, constant_coefficients))

@@ -446,7 +446,6 @@ def test_every_constructor_and_kernel_returns_canonical_rows(field, data):
         (a.transpose(), A.T),
         (a.sub(a2), reduce(A - A2)),
         (a.sub(a), sympy.zeros(r, k)),
-        (Matrix.vstack(field, [a, a2]), sympy.Matrix.vstack(A, A2)),
         (a.rref()[0], rref),
     ]
     for m, expected in cases:
