@@ -19,22 +19,19 @@ from leibcohom.shuffles import zinbiel_check_on_cohomology
 
 
 def setup_for(name, coefficients):
+    """The catalog entry's setup; for an entry without an action, the
+    trivial group's, where both coefficient systems are K."""
     entry = L.catalog(name)
-    if entry.action is None:
-        group = L.FiniteGroup.trivial()
-        from leibcohom.linalg import Matrix
-        action = L.GroupAction(
-            group, entry.algebra,
-            [Matrix.identity(entry.algebra.field, entry.algebra.dim)])
-    else:
-        action = entry.action
-    category = L.orbit_category(action.group)
     field = entry.algebra.field
+    if entry.action is None:
+        return L.EquivariantSetup.trivial(entry.algebra,
+                                          L.CoefficientAlgebra.scalar(field))
+    category = L.orbit_category(entry.action.group)
     if coefficients == "constant":
         cs = L.constant_coefficients(category, field)
     else:
         cs = L.coset_function_coefficients(category, field)
-    return L.EquivariantSetup(action, category, cs)
+    return L.EquivariantSetup(entry.action, category, cs)
 
 
 def sweep(name, coefficients, max_total):

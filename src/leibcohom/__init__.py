@@ -16,7 +16,7 @@ from .equivariant import (CoefficientSystem, EquivariantCochain,
                           check_coefficient_system)
 from .shuffles import (shuffles, shuffle_sum, tilde, rho_sum, tau_sum,
                        PermutationSum, check_rho_identity, cup,
-                       cup_nonequivariant, zinbiel_check_on_cohomology,
+                       zinbiel_check_on_cohomology,
                        FreeZinbielElement, free_zinbiel_product,
                        check_zinbiel_axiom)
 from .catalog import catalog, CatalogEntry

@@ -58,7 +58,8 @@ COCHAIN_BUDGET = 30000
 # structure constants only, so its worst case is a dense table: at
 # dimension 24 a random dense table takes about 3 s in ``validate`` (10 s
 # at 32, 35 s at 40), and an empty one 0.2 s.  Every catalog entry in use fits
-# (the largest, free_leib(2,3)_perm, has dimension 14).
+# (the largest, free_leib(2,3)_perm, has dimension 14).  A coefficient
+# algebra has the same bound; a dense system on Z/2 at it checks in 7-9 s.
 MAX_ALGEBRA_DIM = 24
 
 

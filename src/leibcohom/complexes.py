@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import (Matrix, dense_vector, int_column_reduction,
-                     reduce_int_rows)
+from .linalg import (Matrix, clear_denominators, dense_vector,
+                     int_column_reduction, reduce_int_rows, sparse_vector)
 from .verdict import Verdict
 
 
@@ -170,13 +170,21 @@ def betti_numbers(alg, n_max):
 
 
 class CoefficientAlgebra:
-    """Commutative associative unital algebra; the cochain target."""
+    """Commutative associative unital algebra; the cochain target.
+
+    ``mu`` is the product, a dim x dim^2 matrix on the Kronecker basis of
+    A (x) A: column i dim + j holds e_i e_j."""
 
     def __init__(self, field, dim, product_constants, unit):
         self.field = field
         self.dim = dim
-        self.product = [[[field.coerce(x) for x in product_constants[i][j]]
-                         for j in range(dim)] for i in range(dim)]
+        rows = [{} for _ in range(dim)]
+        for i, j in product(range(dim), repeat=2):
+            for k, x in enumerate(product_constants[i][j]):
+                x = field.coerce(x)
+                if x:
+                    rows[k][i * dim + j] = x
+        self.mu = Matrix.from_entries(field, dim, dim * dim, rows)
         self.unit = [field.coerce(x) for x in unit]
 
     @classmethod
@@ -191,52 +199,42 @@ class CoefficientAlgebra:
                  for j in range(npoints)] for i in range(npoints)]
         return cls(field, npoints, prod, [o] * npoints)
 
-    def multiply(self, a, b):
-        f = self.field
-        z = f.zero()
-        out = [z] * self.dim
-        for i in range(self.dim):
-            if not a[i]:
-                continue
-            for j in range(self.dim):
-                if not b[j]:
-                    continue
-                c = f.mul(a[i], b[j])
-                for k, x in enumerate(self.product[i][j]):
-                    if x:
-                        out[k] = f.add(out[k], f.mul(c, x))
-        return out
-
-    def product_matrix(self):
-        """mu as a dim x dim^2 matrix on the Kronecker basis of A(x)A."""
-        d = self.dim
-        rows = [{} for _ in range(d)]
-        for i, j in product(range(d), repeat=2):
-            for k, x in enumerate(self.product[i][j]):
-                if x:
-                    rows[k][i * d + j] = x
-        return Matrix.from_entries(self.field, d, d * d, rows)
-
     def validate(self):
-        f = self.field
-        violations = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.product[i][j] != self.product[j][i]:
-                    violations.append(("commutativity", (i, j)))
-        basis = [[f.one() if t == i else f.zero() for t in range(self.dim)]
-                 for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.multiply(self.multiply(basis[i], basis[j]), basis[k])
-                    rhs = self.multiply(basis[i], self.multiply(basis[j], basis[k]))
-                    if lhs != rhs:
-                        violations.append(("associativity", (i, j, k)))
-        for i in range(self.dim):
-            if self.multiply(self.unit, basis[i]) != basis[i] or \
-               self.multiply(basis[i], self.unit) != basis[i]:
-                violations.append(("unit", i))
+        """Commutativity (i, j), associativity (i, j, k) and the unit i on
+        the basis, each violation in that order.  The products e_i e_j,
+        the columns of ``mu``, are cleared once to int rows over their
+        common denominator e, and the unit to one over u, so both sides of
+        an identity are sums of int rows, compared in ints (residues over
+        F_p).  A triple where e_i e_j and e_j e_k both vanish holds."""
+        d = self.dim
+        mod = self.field.characteristic
+        P, e = clear_denominators(self.mu.transpose().entries)
+        (unit,), u = clear_denominators([sparse_vector(self.unit)])
+        rows = [tuple(row.items()) for row in P]
+
+        def nonzero(terms, target=None):
+            """Whether the sum of x P[r] over the (x, r) in terms, less
+            u e at the index ``target``, is nonzero."""
+            acc = [0] * d
+            for x, r in terms:
+                for t, y in rows[r]:
+                    acc[t] += x * y
+            if target is not None:
+                acc[target] -= u * e
+            return any(x % mod for x in acc) if mod else any(acc)
+
+        violations = [("commutativity", (i, j))
+                      for i, j in product(range(d), repeat=2)
+                      if P[i * d + j] != P[j * d + i]]
+        violations += [     # (e_i e_j) e_k - e_i (e_j e_k)
+            ("associativity", (i, j, k))
+            for i, j, k in product(range(d), repeat=3)
+            if (rows[i * d + j] or rows[j * d + k]) and nonzero(
+                [(x, l * d + k) for l, x in rows[i * d + j]]
+                + [(-x, i * d + l) for l, x in rows[j * d + k]])]
+        violations += [("unit", i) for i in range(d)
+                       if nonzero([(x, a * d + i) for a, x in unit.items()], i)
+                       or nonzero([(x, i * d + a) for a, x in unit.items()], i)]
         return Verdict(not violations, violations)
 
 

@@ -112,9 +112,13 @@ def coset_function_coefficients(category, field):
 
 
 def check_coefficient_system(A):
+    """The axioms of a coefficient system, as a verdict.  The violations
+    of each algebra's ``validate`` come first, as ("algebra", (H, kind,
+    indices)).  A map's mu_H (M (x) M) is (mu_H (M (x) I)) (I (x) M)."""
     cat = A.category
     field = A.field
-    violations = []
+    violations = [("algebra", (H, kind, where)) for H in cat.subgroups
+                  for kind, where in A.algebras[H].validate().violations]
     for m in cat.morphisms:
         H, K, g = m
         mat = A.maps[m]
@@ -124,9 +128,9 @@ def check_coefficient_system(A):
             continue
         if mat.apply(aK.unit) != aH.unit:
             violations.append(("unit", m))
-        lhs = aH.product_matrix().mul(mat.kron(mat))
-        rhs = mat.mul(aK.product_matrix())
-        if lhs != rhs:
+        lhs = aH.mu.mul(mat.kron(Matrix.identity(field, aH.dim))).mul(
+            Matrix.identity(field, aK.dim).kron(mat))
+        if lhs != mat.mul(aK.mu):
             violations.append(("algebra_map", m))
         if H == K and g == 0 and mat != Matrix.identity(field, aH.dim):
             violations.append(("identity_morphism", m))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 
 from .linalg import (Matrix, clear_denominators, combination, dense_vector,
                      int_free_coordinates)
@@ -225,38 +224,9 @@ def check_rho_identity(p, q, r, flip_sign=False):
 
 # -- cup products --------------------------------------------------------
 
-def cup_component(cH, dH, mu_matrix, rho_matrix):
-    """mu o (c (x) d) o rho for one subgroup; all inputs matrices."""
-    return mu_matrix.mul(cH.kron(dH)).mul(rho_matrix)
-
-
-def cup_nonequivariant(c, d, alg, A):
-    """Cup product of plain cochains c: a x m^p, d: a x m^q over one algebra."""
-    m = alg.dim
-    p = _log_dim(c.cols, m)
-    q = _log_dim(d.cols, m)
-    if p < 1 or q < 1:
-        raise ValueError("cup product requires strictly positive degrees")
-    rho_mat = rho_sum(p, q).matrix(m, alg.field)
-    return cup_component(c, d, A.product_matrix(), rho_mat)
-
-
-def _log_dim(dim, m):
-    if m < 2:       # m^n = m for every n >= 1, so dim names no degree
-        raise ValueError(f"the degree of a cochain on a {m}-dimensional "
-                         f"algebra cannot be read off its {dim} columns")
-    n = 0
-    x = 1
-    while x < dim:
-        x *= m
-        n += 1
-    if x != dim:
-        raise ValueError(f"{dim} is not a power of {m}")
-    return n
-
-
 def cup(c, d, setup, check_invariance=True):
-    """Equivariant cup product {c_H cup d_H}; degrees must be positive.
+    """Equivariant cup product {mu_H o (c_H (x) d_H) o rho_{p,q}}, degrees
+    positive; plain cochains are cupped on ``EquivariantSetup.trivial``.
 
     The product's invariance is always checked; a violation raises
     ``VerdictError`` carrying the verdict.  ``check_invariance`` also
@@ -275,10 +245,9 @@ def cup(c, d, setup, check_invariance=True):
                     f"constraint {verdict.violations[0][0]}")
     comps = {}
     for H in setup.category.subgroups:
-        h = setup.fixed[H].dim
-        mu = setup.coefficients.algebras[H].product_matrix()
-        rho_mat = setup.rho_matrix(p, q, h)
-        comps[H] = cup_component(c.components[H], d.components[H], mu, rho_mat)
+        cd = c.components[H].kron(d.components[H])
+        rho = setup.rho_matrix(p, q, setup.fixed[H].dim)
+        comps[H] = setup.coefficients.algebras[H].mu.mul(cd).mul(rho)
     out = EquivariantCochain(p + q, comps)
     verdict = setup.check_invariance(out)
     if not verdict.ok:

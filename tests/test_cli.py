@@ -383,6 +383,29 @@ def test_validate_reports_bad_coefficient_system(tmp_path, capsys,
     assert f"coefficient_system: violations [('{kind}'" in out
 
 
+# The trivial group on abelian_2 with A = K{u, x, y}: u the unit, x x = y,
+# x y = x and y x = y y = 0, so x y != y x and (x x) x = 0 != x = x (x x).
+# Before each A(G/H) was checked, ``validate`` passed it and
+# ``zinbiel-check --degrees 1 1 1`` failed 40 of 216 triples.  CI runs
+# ``validate`` on it as a negative control.
+NONASSOCIATIVE_COEFFICIENTS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data",
+    "nonassociative_coefficients.json")
+
+
+def test_a_nonassociative_coefficient_algebra_is_refused(capsys):
+    code, out, _ = run(capsys, ["validate", NONASSOCIATIVE_COEFFICIENTS])
+    assert code == 2
+    assert ("coefficient_system: violations [('algebra', (frozenset({0}), "
+            "'commutativity', (1, 2)))") in out
+    assert "'associativity', (1, 1, 1))" in out
+    code, out, err = run(capsys, ["zinbiel-check", NONASSOCIATIVE_COEFFICIENTS,
+                                  "--degrees", "1", "1", "1"])
+    assert code == 2 and out == ""
+    assert ("validation error: coefficient system axioms violated: "
+            "('algebra', (frozenset({0}), 'commutativity', (1, 2)))") in err
+
+
 def test_parse_error_coefficient_unit_length(tmp_path, capsys):
     path = write(tmp_path, explicit_constant_doc(unit=[1, 0]))
     for argv in (["validate", path], ["cohomology", path, "--equivariant"]):

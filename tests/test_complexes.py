@@ -178,7 +178,7 @@ def test_coefficient_algebra_validation():
     A = CoefficientAlgebra.pointwise_functions(QQ, 3)
     assert A.validate().ok
     one = [QQ.one()] * 3
-    assert A.multiply(one, one) == one
+    assert A.mu.apply([QQ.one()] * 9) == one        # mu(1 (x) 1) = 1
     # nonassociative, noncommutative product must be rejected
     bad = CoefficientAlgebra(QQ, 2,
                              [[[1, 0], [0, 1]], [[1, 0], [0, 0]]],
@@ -186,16 +186,73 @@ def test_coefficient_algebra_validation():
     assert not bad.validate().ok
 
 
-def test_product_matrix_matches_multiply():
-    A = CoefficientAlgebra.pointwise_functions(QQ, 2)
-    mu = A.product_matrix()
-    for i in range(2):
-        for j in range(2):
-            vec = [QQ.zero()] * 4
-            vec[i * 2 + j] = QQ.one()
-            ei = [QQ.one() if t == i else QQ.zero() for t in range(2)]
-            ej = [QQ.one() if t == j else QQ.zero() for t in range(2)]
-            assert mu.apply(vec) == A.multiply(ei, ej)
+def test_mu_columns_are_the_products():
+    table = [[[1, 0], [0, 2]], [[0, 2], [Fraction(1, 3), 0]]]
+    A = CoefficientAlgebra(QQ, 2, table, [1, 0])
+    assert (A.mu.rows, A.mu.cols) == (2, 4)
+    for i, j in product(range(2), repeat=2):
+        assert A.mu.column(i * 2 + j) == table[i][j]
+
+
+def reference_validate(f, d, table, unit):
+    """The algebra axioms on the basis by a dense triple loop over field
+    elements, in the order commutativity, associativity, unit."""
+    def mul(a, b):
+        out = [f.zero()] * d
+        for i, j, k in product(range(d), repeat=3):
+            out[k] = f.add(out[k], f.mul(f.mul(a[i], b[j]), table[i][j][k]))
+        return out
+
+    e = [[f.one() if t == i else f.zero() for t in range(d)]
+         for i in range(d)]
+    out = [("commutativity", (i, j)) for i, j in product(range(d), repeat=2)
+           if mul(e[i], e[j]) != mul(e[j], e[i])]
+    out += [("associativity", (i, j, k))
+            for i, j, k in product(range(d), repeat=3)
+            if mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k]))]
+    out += [("unit", i) for i in range(d)
+            if mul(unit, e[i]) != e[i] or mul(e[i], unit) != e[i]]
+    return out
+
+
+@st.composite
+def coefficient_tables(draw):
+    """A field, a dimension d <= 4, and a product table with a unit: drawn
+    at random, or the pointwise functions on d points in a basis of
+    rescaled indicator functions c_i e_i, with a few entries changed, so
+    that both verdicts occur, with denominators over Q."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    d = draw(st.integers(0, 4))
+    scalars = {QQ: [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)],
+               GF(2): [1], GF(3): [1, 2]}[f]
+    entries = st.sampled_from([0, 0] + scalars).map(f.coerce)
+    if draw(st.booleans()):
+        table = draw(st.lists(st.lists(st.lists(
+            entries, min_size=d, max_size=d), min_size=d, max_size=d),
+            min_size=d, max_size=d))
+        unit = draw(st.lists(entries, min_size=d, max_size=d))
+    else:
+        # (c_i e_i)(c_i e_i) = c_i (c_i e_i), with unit sum_i (1/c_i) c_i e_i
+        c = draw(st.lists(st.sampled_from(scalars).map(f.coerce),
+                          min_size=d, max_size=d))
+        table = [[[c[i] if i == j == k else f.zero() for k in range(d)]
+                  for j in range(d)] for i in range(d)]
+        unit = [f.inv(x) for x in c]
+        if d:
+            for i, j, k, x in draw(st.lists(st.tuples(
+                    *[st.integers(0, d - 1)] * 3, entries), max_size=2)):
+                table[i][j][k] = x
+    return f, d, table, unit
+
+
+@given(coefficient_tables())
+@settings(max_examples=150, deadline=None)
+def test_validate_matches_a_dense_triple_loop(problem):
+    f, d, table, unit = problem
+    verdict = CoefficientAlgebra(f, d, table, unit).validate()
+    expected = reference_validate(f, d, table, unit)
+    assert verdict.violations == expected
+    assert verdict.ok == (not expected)
 
 
 @st.composite

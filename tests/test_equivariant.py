@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -62,6 +63,86 @@ def test_broken_coefficient_system_rejected():
     broken = CoefficientSystem(cat, QQ, cs.algebras, bad_maps)
     v = check_coefficient_system(broken)
     assert not v.ok
+
+
+def dense_coefficients(k, seed=0):
+    """(functions on G/H) (x) K[x]/(x^k) on Z/2, in a dense basis of each
+    A(G/H), built with sympy: a coefficient system in new coordinates
+    x' = P_H x is one again.  P_H = L U for unit triangular L and U, so
+    its inverse Q_H is integral too.  Returns the system, its tables and
+    its units."""
+    rng = random.Random(seed)
+    cat = L.orbit_category(L.FiniteGroup.cyclic(2))
+    cs = coset_function_coefficients(cat, QQ)
+    change, tables, units = {}, {}, {}
+    for H in cat.subgroups:
+        n = cs.algebras[H].dim
+        d = n * k
+        low = sympy.Matrix(d, d, lambda i, j: int(i == j) or
+                           (rng.randint(-1, 1) if i > j else 0))
+        up = sympy.Matrix(d, d, lambda i, j: int(i == j) or
+                          (rng.randint(-1, 1) if i < j else 0))
+        P = low * up
+        Q = P.inv()
+        change[H] = P, Q
+
+        def e(a, b):        # (c, x^s) (c', x^t) = [c = c'] (c, x^(s+t))
+            (c, s), (c2, t) = divmod(a, k), divmod(b, k)
+            v = sympy.zeros(d, 1)
+            if c == c2 and s + t < k:
+                v[c * k + s + t] = 1
+            return v
+
+        def f(i, j):
+            v = sum((Q[a, i] * Q[b, j] * e(a, b) for a in range(d)
+                     for b in range(d) if Q[a, i] and Q[b, j]),
+                    sympy.zeros(d, 1))
+            return [Fraction(int(x)) for x in P * v]
+
+        tables[H] = [[f(i, j) for j in range(d)] for i in range(d)]
+        unit = sympy.Matrix([int(i % k == 0) for i in range(d)])
+        units[H] = [Fraction(int(x)) for x in P * unit]
+    algebras = {H: L.CoefficientAlgebra(QQ, len(units[H]), tables[H], units[H])
+                for H in cat.subgroups}
+    maps = {}
+    for (H, K, g), M in cs.maps.items():
+        big = sympy.Matrix(M.data).applyfunc(int)
+        big = sympy.kronecker_product(big, sympy.eye(k))
+        maps[(H, K, g)] = Matrix.from_rows(QQ, [
+            [int(x) for x in row]
+            for row in (change[H][0] * big * change[K][1]).tolist()])
+    return CoefficientSystem(cat, QQ, algebras, maps), tables, units
+
+
+def test_dense_coefficient_system_verdicts():
+    from test_complexes import reference_validate
+    cs, tables, units = dense_coefficients(3)
+    cat = cs.category
+    e, G = cat.subgroups
+    assert cs.algebras[e].dim == 6
+    assert sum(map(len, cs.algebras[e].mu.entries)) > 6 * 36 // 2
+    assert check_coefficient_system(cs).ok
+    # a map that is no longer multiplicative
+    m = (e, G, 0)
+    rows = [[int(x) for x in r] for r in cs.maps[m].data]
+    rows[0][0] += 1
+    maps = dict(cs.maps)
+    maps[m] = Matrix.from_rows(QQ, rows)
+    v = check_coefficient_system(CoefficientSystem(cat, QQ, cs.algebras, maps))
+    assert ("algebra_map", m) in v.violations
+    assert not any(kind == "algebra" for kind, _ in v.violations)
+    # an algebra whose product is changed in one entry: its violations come
+    # first, named by the subgroup and the indices of the basis elements
+    table = [[list(v) for v in row] for row in tables[e]]
+    table[1][1][0] += 1
+    algebras = dict(cs.algebras)
+    algebras[e] = L.CoefficientAlgebra(QQ, 6, table, units[e])
+    expected = reference_validate(QQ, 6, table, units[e])
+    assert expected
+    v = check_coefficient_system(CoefficientSystem(cat, QQ, algebras,
+                                                   cs.maps))
+    assert v.violations[:len(expected)] == [
+        ("algebra", (e, kind, where)) for kind, where in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -13,7 +13,7 @@ from leibcohom.shuffles import (perm_identity, perm_inverse, perm_compose,
                                 perm_sign, shuffles, PermutationSum,
                                 shuffle_sum, tilde, rho_sum, tau_perm,
                                 tau_sum, rho_explicit_word,
-                                check_rho_identity, cup_nonequivariant, cup,
+                                check_rho_identity, cup,
                                 zinbiel_check_on_cohomology,
                                 FreeZinbielElement, free_zinbiel_product,
                                 check_zinbiel_axiom)
@@ -153,79 +153,154 @@ def test_rho_identity_matches_dense_matrices():
 
 # -- cup products ---------------------------------------------------------
 
-def scalar_cochain(alg, n, values):
-    """1 x m^n matrix cochain over the scalar coefficient algebra."""
-    return Matrix.from_rows(alg.field, [values])
+def plain_cochain(setup, n, rows):
+    """A cochain of degree n on the trivial group's setup: its one
+    component, one row of values per coordinate of A."""
+    H, = setup.category.subgroups
+    return EquivariantCochain(n, {H: Matrix.from_rows(setup.field, rows)})
+
+
+def values(x):
+    """The one component of a cochain on the trivial group's setup."""
+    matrix, = x.components.values()
+    return matrix
+
+
+def scalar_setup(alg):
+    return L.EquivariantSetup.trivial(alg, CoefficientAlgebra.scalar(alg.field))
 
 
 def test_cup_pinned_example(lambda6):
     # c = d = e3-dual in degree 1: (c cup d)(x, y) = x_3 y_3
-    A = CoefficientAlgebra.scalar(QQ)
-    c = scalar_cochain(lambda6, 1, [0, 0, 1])
-    out = cup_nonequivariant(c, c, lambda6, A)
+    setup = scalar_setup(lambda6)
+    c = plain_cochain(setup, 1, [[0, 0, 1]])
+    out = cup(c, c, setup)
     space = TensorSpace(3, 2)
     expected = [QQ.one() if w == (2, 2) else QQ.zero() for w in space.words()]
-    assert out.data == [expected]
+    assert out.degree == 2
+    assert values(out).data == [expected]
 
 
-@pytest.mark.parametrize("columns", [1, 2])
-def test_cup_refuses_cochains_on_a_one_dimensional_algebra(columns):
-    # every degree has 1^n = 1 column, so one column names no degree, and
-    # the search for a power of 1 equal to two columns would never end
-    alg = L.LeibnizAlgebra.zero_bracket(QQ, 1)
-    c = Matrix.from_rows(QQ, [[1] * columns])
-    with pytest.raises(ValueError, match="1-dimensional"):
-        cup_nonequivariant(c, c, alg, CoefficientAlgebra.scalar(QQ))
+def test_cup_on_a_one_dimensional_algebra():
+    # every degree has one word (e, ..., e); rho_{1,2} is the identity, and
+    # rho_{2,1} = id - (1 3 2) sends (e, e, e) to itself twice, with
+    # opposite signs
+    setup = scalar_setup(L.LeibnizAlgebra.zero_bracket(QQ, 1))
+    c = plain_cochain(setup, 1, [[2]])
+    d = plain_cochain(setup, 2, [[3]])
+    assert values(cup(c, d, setup)).data == [[6]]
+    assert values(cup(d, c, setup)).data == [[0]]
+    assert cup(d, c, setup).degree == 3
 
 
 def test_cup_degree_one_bilinear(lambda6):
-    A = CoefficientAlgebra.scalar(QQ)
-    c = scalar_cochain(lambda6, 1, [1, 2, 3])
-    d = scalar_cochain(lambda6, 1, [0, 1, 0])
-    out = cup_nonequivariant(c, d, lambda6, A)
+    setup = scalar_setup(lambda6)
+    cvals, dvals = [1, 2, 3], [0, 1, 0]
+    out = values(cup(plain_cochain(setup, 1, [cvals]),
+                     plain_cochain(setup, 1, [dvals]), setup)).data
     # rho_{1,1} = id, so (c cup d)(e_i, e_j) = c(e_i) d(e_j)
     space = TensorSpace(3, 2)
     for col, (i, j) in enumerate(space.words()):
-        assert out.data[0][col] == c.data[0][i] * d.data[0][j]
+        assert out[0][col] == cvals[i] * dvals[j]
 
 
-def delta_plain(alg, c, n):
-    """delta(c) = c o d_{n+1} for a plain cochain matrix c."""
-    return c.mul(boundary_matrix(alg, n + 1).matrix)
+def oracle_cup(m, p, q, c, d):
+    """(c cup d)(x_1..x_{p+q}) as a dict word -> [two ints], straight from
+    the defining sum over the (p-1, q)-shuffles: x_1 and the letters at a
+    set S of p - 1 of the positions 2..p+q go to c, the others to d, with
+    the sign of the shuffle, and the values are multiplied pointwise, as
+    functions on 2 points.  c and d map words to [two ints]."""
+    n = p + q
+    out = {}
+    for word in product(range(m), repeat=n):
+        acc = [0, 0]
+        for S in combinations(range(1, n), p - 1):
+            rest = [i for i in range(1, n) if i not in S]
+            sign = (-1) ** sum(1 for s in S for r in rest if r < s)
+            a = c[(word[0],) + tuple(word[i] for i in S)]
+            b = d[tuple(word[i] for i in rest)]
+            acc = [acc[k] + sign * a[k] * b[k] for k in range(2)]
+        out[word] = acc
+    return out
+
+
+@st.composite
+def cup_problems(draw):
+    field = draw(st.sampled_from([QQ, L.GF(3)]))
+    m = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4 - p))
+    if m ** (p + q) > 27:
+        m = 2
+    ints = st.integers(-3, 3)
+
+    def cochain(n):
+        return {w: draw(st.lists(ints, min_size=2, max_size=2))
+                for w in product(range(m), repeat=n)}
+
+    return field, m, p, q, cochain(p), cochain(q)
+
+
+@given(cup_problems())
+@settings(max_examples=60, deadline=None)
+def test_cup_matches_the_word_level_formula(problem):
+    field, m, p, q, c, d = problem
+    setup = L.EquivariantSetup.trivial(
+        L.LeibnizAlgebra.zero_bracket(field, m),
+        CoefficientAlgebra.pointwise_functions(field, 2))
+
+    def as_cochain(x, n):       # words in lexicographic order
+        return plain_cochain(setup, n, [[x[w][al] for w in sorted(x)]
+                                        for al in range(2)])
+
+    out = values(cup(as_cochain(c, p), as_cochain(d, q), setup)).data
+    expected = oracle_cup(m, p, q, c, d)
+    assert [[out[al][t] for al in range(2)]
+            for t in range(m ** (p + q))] == \
+        [[field.coerce(x) for x in expected[w]] for w in sorted(expected)]
+
+
+def delta_plain(alg, x):
+    """delta(x) = x o d_{n+1} for a plain cochain x of degree n."""
+    n = x.degree
+    return EquivariantCochain(n + 1, {
+        H: m.mul(boundary_matrix(alg, n + 1).matrix)
+        for H, m in x.components.items()})
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)])
 def test_cup_leibniz_rule(lambda6, p, q):
-    A = CoefficientAlgebra.scalar(QQ)
+    setup = scalar_setup(lambda6)
     m = 3
     # a deterministic spread of cochain values exercises all basis slots
-    cvals = [QQ.coerce(((7 * k) % 11) - 5) for k in range(m ** p)]
-    dvals = [QQ.coerce(((5 * k) % 13) - 6) for k in range(m ** q)]
-    c = scalar_cochain(lambda6, p, cvals)
-    d = scalar_cochain(lambda6, q, dvals)
-    lhs = delta_plain(lambda6, cup_nonequivariant(c, d, lambda6, A), p + q)
-    t1 = cup_nonequivariant(delta_plain(lambda6, c, p), d, lambda6, A)
-    t2 = cup_nonequivariant(c, delta_plain(lambda6, d, q), lambda6, A)
+    cvals = [((7 * k) % 11) - 5 for k in range(m ** p)]
+    dvals = [((5 * k) % 13) - 6 for k in range(m ** q)]
+    c = plain_cochain(setup, p, [cvals])
+    d = plain_cochain(setup, q, [dvals])
+    lhs = values(delta_plain(lambda6, cup(c, d, setup)))
+    t1 = values(cup(delta_plain(lambda6, c), d, setup)).data[0]
+    t2 = values(cup(c, delta_plain(lambda6, d), setup)).data[0]
     sign = QQ.coerce((-1) ** p)
-    rhs = Matrix.from_rows(QQ, [[t1.data[0][j] + sign * t2.data[0][j]
-                                 for j in range(t1.cols)]])
+    rhs = Matrix.from_rows(QQ, [[t1[j] + sign * t2[j]
+                                 for j in range(len(t1))]])
     assert lhs == rhs
 
 
 def test_cocycle_cup_cocycle_is_cocycle(lambda6):
+    setup = scalar_setup(lambda6)
     A = CoefficientAlgebra.scalar(QQ)
     res1 = cohomology(lambda6, A, 1)
     res2 = cohomology(lambda6, A, 2)
     for u in res1.cocycle_basis:
         for v in res2.cocycle_basis:
-            cu = scalar_cochain(lambda6, 1, u)
-            cv = scalar_cochain(lambda6, 2, v)
-            out = cup_nonequivariant(cu, cv, lambda6, A)
-            d_out = delta_plain(lambda6, out, 3)
-            assert all(x == QQ.zero() for x in d_out.data[0])
+            cu = plain_cochain(setup, 1, [u])
+            cv = plain_cochain(setup, 2, [v])
+            d_out = values(delta_plain(lambda6, cup(cu, cv, setup)))
+            assert d_out.is_zero()
 
 
 def test_cocycle_cup_coboundary_is_coboundary(lambda6):
+    setup = scalar_setup(lambda6)
     A = CoefficientAlgebra.scalar(QQ)
     from leibcohom.linalg import in_span
     res1 = cohomology(lambda6, A, 1)
@@ -233,10 +308,10 @@ def test_cocycle_cup_coboundary_is_coboundary(lambda6):
     delta2 = coboundary_matrix(lambda6, A, 2)
     cb_images = [delta2.column(j) for j in range(delta2.cols)]
     for u in res1.cocycle_basis:
-        cu = scalar_cochain(lambda6, 1, u)
+        cu = plain_cochain(setup, 1, [u])
         for j in range(delta1.cols):
-            cb = scalar_cochain(lambda6, 2, delta1.column(j))
-            out = cup_nonequivariant(cu, cb, lambda6, A)
+            cb = plain_cochain(setup, 2, [delta1.column(j)])
+            out = values(cup(cu, cb, setup))
             ok, _ = in_span(out.data[0], cb_images, field=QQ)
             assert ok
 
