@@ -57,9 +57,9 @@ COCHAIN_BUDGET = 30000
 # table (dim^3 entries) is built.  The Leibniz check visits the nonzero
 # structure constants only, so its worst case is a dense table: at
 # dimension 24 a random dense table takes about 3 s in ``validate`` (10 s
-# at 32, 35 s at 40), and an empty one 0.2 s.  Every catalog entry in use fits
-# (the largest, free_leib(2,3)_perm, has dimension 14).  A coefficient
-# algebra has the same bound; a dense system on Z/2 at it checks in 7-9 s.
+# at 32, 35 s at 40), and an empty one 0.2 s.  Every catalog entry in use
+# fits (the largest, free_leib(2,3)_perm, has dimension 14).  A coefficient
+# algebra has the same bound; a dense system on Z/2 at it checks in 4-5 s.
 MAX_ALGEBRA_DIM = 24
 
 
@@ -342,19 +342,27 @@ def _nonzero_entries(setup, n, vec):
         for t in sorted(row)) + "]"
 
 
+def _listed(prefix, violations):
+    """The prefix, the first 10 violations and, if there are more, their
+    total, so that a dense table's report stays readable."""
+    more = f" ({len(violations)} in all)" if len(violations) > 10 else ""
+    return f"{prefix} {violations[:10]}{more}"
+
+
 def cmd_validate(args):
     problem = load_problem(args)
     report = Report("validate")
     status = 0
     v = check_leibniz_identity(problem.algebra)
-    report.add("leibniz_identity", "ok" if v.ok else
-               f"violations at triples {[t for t, _ in v.violations]}")
+    report.add("leibniz_identity", "ok" if v.ok else _listed(
+        "violations at triples", [t for t, _ in v.violations]))
     if not v.ok:
         status = 2
     group_ok = True
     if problem.group is not None:
         gv = problem.group.validate()
-        report.add("group_axioms", "ok" if gv.ok else f"violations {gv.violations}")
+        report.add("group_axioms", "ok" if gv.ok else
+                   _listed("violations", gv.violations))
         if not gv.ok:
             status = 2
             group_ok = False
@@ -362,7 +370,7 @@ def cmd_validate(args):
     if problem.action is not None and group_ok:
         av = validate_action(problem.action)
         report.add("action_axioms", "ok" if av.ok else
-                   f"violations {[x[:2] for x in av.violations]}")
+                   _listed("violations", [x[:2] for x in av.violations]))
         if not av.ok:
             status = 2
         if av.ok:
@@ -370,7 +378,7 @@ def cmd_validate(args):
             cs = build_coefficient_system(problem, category)
             cv = check_coefficient_system(cs)
             report.add("coefficient_system", "ok" if cv.ok else
-                       f"violations {cv.violations}")
+                       _listed("violations", cv.violations))
             if not cv.ok:
                 status = 2
     report.emit(args.json)

@@ -28,6 +28,7 @@ tests read them, as the reference routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .linalg import (Matrix, clear_denominators, dense_vector,
@@ -173,7 +174,10 @@ class CoefficientAlgebra:
     """Commutative associative unital algebra; the cochain target.
 
     ``mu`` is the product, a dim x dim^2 matrix on the Kronecker basis of
-    A (x) A: column i dim + j holds e_i e_j."""
+    A (x) A: column i dim + j holds e_i e_j.  ``integral`` is the same
+    product in ``LeibnizAlgebra.integral``'s layout, (s, e) with s[i][j]
+    the int row of e e_i e_j, cleared from ``mu`` on first use, so that
+    ``check_morphism`` checks a coefficient map as an algebra map."""
 
     def __init__(self, field, dim, product_constants, unit):
         self.field = field
@@ -186,6 +190,12 @@ class CoefficientAlgebra:
                     rows[k][i * dim + j] = x
         self.mu = Matrix.from_entries(field, dim, dim * dim, rows)
         self.unit = [field.coerce(x) for x in unit]
+
+    @cached_property
+    def integral(self):
+        d = self.dim
+        P, e = clear_denominators(self.mu.transpose().entries)
+        return [P[i * d:(i + 1) * d] for i in range(d)], e
 
     @classmethod
     def scalar(cls, field):
@@ -201,23 +211,23 @@ class CoefficientAlgebra:
 
     def validate(self):
         """Commutativity (i, j), associativity (i, j, k) and the unit i on
-        the basis, each violation in that order.  The products e_i e_j,
-        the columns of ``mu``, are cleared once to int rows over their
-        common denominator e, and the unit to one over u, so both sides of
-        an identity are sums of int rows, compared in ints (residues over
+        the basis, each violation in that order.  The products e_i e_j are
+        read in ints from ``integral``, over their common denominator e,
+        and the unit is cleared to one int row over u, so both sides of an
+        identity are sums of int rows, compared in ints (residues over
         F_p).  A triple where e_i e_j and e_j e_k both vanish holds."""
         d = self.dim
         mod = self.field.characteristic
-        P, e = clear_denominators(self.mu.transpose().entries)
+        P, e = self.integral
         (unit,), u = clear_denominators([sparse_vector(self.unit)])
-        rows = [tuple(row.items()) for row in P]
+        rows = [[tuple(row.items()) for row in Pi] for Pi in P]
 
         def nonzero(terms, target=None):
-            """Whether the sum of x P[r] over the (x, r) in terms, less
-            u e at the index ``target``, is nonzero."""
+            """Whether the sum of x e_a e_b over the (x, a, b) in terms,
+            less u e at the index ``target``, is nonzero."""
             acc = [0] * d
-            for x, r in terms:
-                for t, y in rows[r]:
+            for x, a, b in terms:
+                for t, y in rows[a][b]:
                     acc[t] += x * y
             if target is not None:
                 acc[target] -= u * e
@@ -225,16 +235,16 @@ class CoefficientAlgebra:
 
         violations = [("commutativity", (i, j))
                       for i, j in product(range(d), repeat=2)
-                      if P[i * d + j] != P[j * d + i]]
+                      if P[i][j] != P[j][i]]
         violations += [     # (e_i e_j) e_k - e_i (e_j e_k)
             ("associativity", (i, j, k))
             for i, j, k in product(range(d), repeat=3)
-            if (rows[i * d + j] or rows[j * d + k]) and nonzero(
-                [(x, l * d + k) for l, x in rows[i * d + j]]
-                + [(-x, i * d + l) for l, x in rows[j * d + k]])]
+            if (rows[i][j] or rows[j][k]) and nonzero(
+                [(x, l, k) for l, x in rows[i][j]]
+                + [(-x, i, l) for l, x in rows[j][k]])]
         violations += [("unit", i) for i in range(d)
-                       if nonzero([(x, a * d + i) for a, x in unit.items()], i)
-                       or nonzero([(x, i * d + a) for a, x in unit.items()], i)]
+                       if nonzero([(x, a, i) for a, x in unit.items()], i)
+                       or nonzero([(x, i, a) for a, x in unit.items()], i)]
         return Verdict(not violations, violations)
 
 

@@ -17,8 +17,8 @@ convention in the ``linalg`` module docstring):
   constraints.  R^(x)n is built once per (morphism, n) as int columns,
   from the restriction map's int columns in plain int products with one
   ``reduce_ints`` per power; the constraint rows are built from it as int
-  rows and go straight to the elimination loop, and the basis is read off
-  the pivot rows with one field element per entry.
+  rows and go straight to the elimination loop, whose int basis is kept
+  and divided once for the field vectors.
   Only the binding constraints are built: a morphism (H, H, g) whose
   restriction map and coefficient map are both identity matrices asks
   c_H = c_H at every degree, so it adds no row.  The test is on the maps,
@@ -47,8 +47,8 @@ convention in the ``linalg`` module docstring):
     are streamed once, by ``invariant_space`` alone.
   - The coboundaries of degree n are the pivot images of degree n - 1
     (the columns greedy independence picks from X_(n-1)), read in ints at
-    the free columns of S^n_G, whose basis ``invariant_space`` clears to
-    ints once.  So a tower up to N never builds S^(N+1)_G.
+    the free columns of S^n_G against the int basis ``invariant_space``
+    keeps from the kernel.  So a tower up to N never builds S^(N+1)_G.
   - Their one elimination per degree, each row's pivot at its largest
     column (``last_pivot_echelon``), picks the classes, the cocycles whose
     free column is no pivot, and is kept as int rows: ``is_coboundary(n,
@@ -73,6 +73,7 @@ from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
                         _representatives)
 from .groups import (FiniteGroup, GroupAction, fixed_subalgebra,
                      orbit_category, restriction_map)
+from .leibniz import AlgebraMorphism, check_morphism
 from .shuffles import rho_sum
 from .verdict import Verdict
 
@@ -114,9 +115,10 @@ def coset_function_coefficients(category, field):
 def check_coefficient_system(A):
     """The axioms of a coefficient system, as a verdict.  The violations
     of each algebra's ``validate`` come first, as ("algebra", (H, kind,
-    indices)).  A map's mu_H (M (x) M) is (mu_H (M (x) I)) (I (x) M)."""
+    indices)).  Each map M: A(G/K) -> A(G/H) is checked to be an algebra
+    map, M(e_i e_j) = M(e_i) M(e_j), by ``check_morphism`` on the
+    algebras' ``integral`` products, in ints."""
     cat = A.category
-    field = A.field
     violations = [("algebra", (H, kind, where)) for H in cat.subgroups
                   for kind, where in A.algebras[H].validate().violations]
     for m in cat.morphisms:
@@ -128,11 +130,9 @@ def check_coefficient_system(A):
             continue
         if mat.apply(aK.unit) != aH.unit:
             violations.append(("unit", m))
-        lhs = aH.mu.mul(mat.kron(Matrix.identity(field, aH.dim))).mul(
-            Matrix.identity(field, aK.dim).kron(mat))
-        if lhs != mat.mul(aK.mu):
+        if not check_morphism(AlgebraMorphism(aK, aH, mat)).ok:
             violations.append(("algebra_map", m))
-        if H == K and g == 0 and mat != Matrix.identity(field, aH.dim):
+        if H == K and g == 0 and not _is_identity(mat):
             violations.append(("identity_morphism", m))
     if any(kind == "shape" for kind, _ in violations):
         return Verdict(False, violations)   # composites need matching shapes
@@ -405,13 +405,11 @@ class EquivariantSetup:
     def invariant_space(self, n):
         if n in self._spaces:
             return self._spaces[n]
-        total = self.ambient_dim(n)
-        basis, free = int_kernel_basis(self.field, self._constraint_rows(n),
-                                       total)
-        space = InvariantCochainSpace(self.field, total, basis, free,
-                                      clear_denominators(basis))
-        self._spaces[n] = space
-        return space
+        f, total = self.field, self.ambient_dim(n)
+        ints, free = int_kernel_basis(f, self._constraint_rows(n), total)
+        self._spaces[n] = InvariantCochainSpace(
+            f, total, f.divide_ints(*ints), free, ints)
+        return self._spaces[n]
 
     def _delta_sums(self, n):
         """delta of each basis vector b of S^n_G, as int rows in ambient

@@ -8,9 +8,10 @@ convention in the ``linalg`` module docstring): a ``GroupAction`` clears
 each psi_g to int rows once, ``fixed_subalgebra`` takes g^H as the kernel
 of the stacked int rows of psi_h - I and its induced brackets from the
 algebra's ``integral`` constants and the subspace's int basis, which it
-keeps, and ``restriction_map`` applies psi_g's int rows to that basis.
-Field elements are made once, for the structure constants and the
-matrices that the ``LeibnizAlgebra`` and ``AlgebraMorphism`` hold.
+keeps as the kernel returned it, and ``restriction_map`` applies psi_g's
+int rows to that basis.  Field elements are made once, for the
+inclusion, the structure constants and the matrices that the
+``LeibnizAlgebra`` and ``AlgebraMorphism`` hold.
 """
 
 from __future__ import annotations
@@ -256,10 +257,10 @@ def fixed_subalgebra(action, H):
             P, p = action.integral[h]
             rows += f.reduce_ints([{**row, i: row.get(i, 0) - p}
                                    for i, row in enumerate(P)])
-    basis, free = int_kernel_basis(f, rows, m)
-    inclusion = Matrix.from_entries(f, len(basis), m, basis).transpose()
-    cleared = clear_denominators(basis)
+    cleared, free = int_kernel_basis(f, rows, m)
     ints, e = cleared
+    inclusion = Matrix.from_entries(f, len(ints), m,
+                                    f.divide_ints(ints, e)).transpose()
     s, d = alg.integral
     brackets = []
     for u in ints:
@@ -278,7 +279,7 @@ def fixed_subalgebra(action, H):
         w = dense_vector(f, f.divide_ints([w], e * e * d)[0], m)
         raise AssertionError(
             f"fixed-point set not closed under bracket, witness {w}")
-    k = len(basis)
+    k = len(ints)
     coords = [dense_vector(f, x, k) for x in f.divide_ints(coords, e * e * d)]
     structure = [coords[i * k:(i + 1) * k] for i in range(k)]
     return FixedSubalgebra(H, inclusion, free, cleared,

@@ -10,23 +10,26 @@ Field elements are falsy exactly when they are zero.
 
 Int rows.  The hot loops of every layer run on sparse rows of Python
 ints, which only this module converts.  Over Q a set of int rows stands
-for the rows divided by one common denominator d, which
-``clear_denominators`` finds; over F_p the ints are residues and d = 1.
-Single entries may be combined with the field's ``add`` and ``mul``,
-which keep ints ints over Q and residues residues over F_p; sums of many
-terms are taken in plain ints and brought back by the field's
-``reduce_ints`` (zeros dropped; over F_p, reduced mod p), or turned into
-field elements over d by its ``divide_ints``, one call per list of rows.
+for the rows divided by one common denominator d; over F_p the ints are
+residues and d = 1.  Field elements become int rows in one way only,
+``clear_denominators``, and int rows become field elements in one way
+only, the field's ``divide_ints``, one call per list of rows.  Single
+entries may be combined with the field's ``add`` and ``mul``, which keep
+ints ints over Q and residues residues over F_p; sums of many terms are
+taken in plain ints and brought back by the field's ``reduce_ints``
+(zeros dropped; over F_p, reduced mod p).
 
 The one elimination loop, ``reduce_int_rows``, runs on int rows:
-``Matrix.rref`` feeds it a matrix's rows, each cleared by ``to_ints``,
-and callers that build a system in ints feed it theirs directly or
-through ``int_kernel_basis`` (or ``int_column_reduction``, on columns)
-and ``last_pivot_echelon``.  Its step that clears a row at the pivot
-columns found so far, ``clear_at_pivots``, is also the span test.  Bases of subspaces come from
-``kernel_basis`` in reduced-echelon form, read straight off the int
-pivot rows, so ``int_free_coordinates`` reads coordinates of int rows
-off the free columns instead of eliminating again.
+``Matrix.rref`` and ``kernel_basis`` feed it a matrix's rows, cleared
+by one ``clear_denominators`` call, and callers that build a system in
+ints feed it theirs directly or through ``int_kernel_basis`` (or
+``int_column_reduction``, on columns) and ``last_pivot_echelon``.  Its
+step that clears a row at the pivot columns found so far,
+``clear_at_pivots``, is also the span test.  Bases of subspaces come
+from ``int_kernel_basis`` in reduced-echelon form, read straight off the
+int pivot rows as int rows over their least common denominator, so
+``int_free_coordinates`` reads coordinates of int rows off the free
+columns instead of eliminating again.
 """
 
 from __future__ import annotations
@@ -100,15 +103,7 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
-    # int rows (module docstring); the first four serve the elimination
-
-    def to_ints(self, row):
-        """The row times the lcm of its denominators, as ints."""
-        s = lcm(*[x.denominator for x in row.values()])
-        if s == 1:
-            return {j: x.numerator for j, x in row.items()}
-        return {j: x.numerator * (s // x.denominator) for j, x in row.items()}
-
+    # int rows (module docstring); ``normalise`` serves the elimination
     def normalise(self, row):
         """An int row divided by the gcd of its entries and signed so that
         its first entry is positive."""
@@ -119,17 +114,6 @@ class RationalField:
             if g != 1:
                 row = {j: x // g for j, x in row.items()}
         return row
-
-    def from_ints(self, row, pc):
-        """A normalised int row divided by its entry at column pc."""
-        d = row[pc]
-        if d == 1:
-            return {j: Fraction(x) for j, x in row.items()}
-        return {j: Fraction(x, d) for j, x in row.items()}
-
-    def neg_quotient(self, x, d):
-        """-x/d for ints x and d > 0."""
-        return Fraction(-x, d)
 
     def reduce_ints(self, rows):
         """Int rows without their zero entries."""
@@ -192,12 +176,7 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    # int rows (module docstring); the first four serve the elimination
-
-    def to_ints(self, row):
-        """A copy of the row; residues are ints already."""
-        return dict(row)
-
+    # int rows (module docstring); ``normalise`` serves the elimination
     def normalise(self, row):
         """A row of residues scaled so that its first entry is 1."""
         p = self.p
@@ -207,14 +186,6 @@ class PrimeField:
                 inv = pow(lead, p - 2, p)
                 row = {j: x * inv % p for j, x in row.items()}
         return row
-
-    def from_ints(self, row, pc):
-        """A monic row of residues is already in the field."""
-        return row
-
-    def neg_quotient(self, x, d):
-        """-x/d for an entry x of a monic row, whose lead d is 1."""
-        return -x % self.p
 
     def reduce_ints(self, rows):
         """Int rows reduced to residues, zeros dropped."""
@@ -382,17 +353,18 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list).
 
-        The rows enter as ints through the field's ``to_ints``,
+        The rows enter as ints through one ``clear_denominators`` call,
         ``reduce_int_rows`` eliminates them, and each pivot row leaves
-        through ``from_ints``, divided by its lead.  The pivot rows in pivot
-        order and then empty rows are the unique RREF, so neither the row
-        order nor the loop's column index can change the result.
+        through ``divide_ints``, divided by its lead.  The pivot rows in
+        pivot order and then empty rows are the unique RREF, so neither the
+        row order nor the loop's column index can change the result.
         """
         f = self.field
         pivot_rows = reduce_int_rows(
-            f, [f.to_ints(row) for row in self.entries if row], self.cols)
+            f, clear_denominators(self.entries)[0], self.cols)
         pivots = sorted(pivot_rows)
-        entries = [f.from_ints(pivot_rows[pc], pc) for pc in pivots]
+        entries = [f.divide_ints([pivot_rows[pc]], pivot_rows[pc][pc])[0]
+                   for pc in pivots]
         entries.extend({} for _ in range(self.rows - len(pivots)))
         return Matrix.from_entries(f, self.rows, self.cols, entries), pivots
 
@@ -549,31 +521,32 @@ def kernel_basis(m):
     """Reduced-echelon basis of the null space, and its free columns: one
     sparse vector per free column, 1 there and 0 at the other free columns.
     """
-    f = m.field
-    return int_kernel_basis(f, [f.to_ints(row) for row in m.entries if row],
-                            m.cols)
+    (ints, e), free = int_kernel_basis(
+        m.field, clear_denominators(m.entries)[0], m.cols)
+    return m.field.divide_ints(ints, e), free
 
 
 def int_kernel_basis(field, rows, ncols):
-    """``kernel_basis`` of the matrix with the given int rows (as
-    ``to_ints`` makes them; any iterable, empty rows allowed, rows may be
-    changed in place).
-
-    The rows go straight to ``reduce_int_rows``, and each entry x of a
-    pivot row with lead d at a free column becomes one field element -x/d.
-    """
+    """``kernel_basis`` of the matrix with the given int rows (any
+    iterable, empty rows allowed, rows may be changed in place), in int
+    rows: ((ints, e), free), where e is the lcm of the pivot rows' leads
+    and an entry x of the pivot row with lead d, at a free column, becomes
+    -x e/d.  The full power of each prime in e divides some lead, whose
+    primitive row has an entry prime to it, so gcd(e, entries) = 1 and
+    (ints, e) is what ``clear_denominators`` makes of the field basis;
+    over F_p the leads are 1, so e = 1 and the entries are residues."""
     pivot_rows = reduce_int_rows(field, rows, ncols)
-    neg_quotient = field.neg_quotient
-    one = field.one()
+    mod = field.characteristic
+    e = lcm(*(row[pc] for pc, row in pivot_rows.items()))
     free = [c for c in range(ncols) if c not in pivot_rows]
-    basis = {fc: {fc: one} for fc in free}
+    basis = {fc: {fc: e} for fc in free}
     for pc in sorted(pivot_rows):
         row = pivot_rows[pc]
-        d = row[pc]
+        s = -e // row[pc]
         for j, x in row.items():
             if j != pc:         # a free column: the row is 0 at other pivots
-                basis[j][pc] = neg_quotient(x, d)
-    return [basis[fc] for fc in free], free
+                basis[j][pc] = s * x % mod if mod else s * x
+    return ([basis[fc] for fc in free], e), free
 
 
 def int_column_reduction(field, columns):
@@ -584,9 +557,10 @@ def int_column_reduction(field, columns):
     for j, w in enumerate(columns):
         for k, x in w.items():
             rows[k][j] = x
-    basis, free = int_kernel_basis(field, rows.values(), len(columns))
+    (ints, e), free = int_kernel_basis(field, rows.values(), len(columns))
     free = set(free)
-    return basis, [w for j, w in enumerate(columns) if j not in free]
+    return (field.divide_ints(ints, e),
+            [w for j, w in enumerate(columns) if j not in free])
 
 
 def int_free_coordinates(field, basis, free, rows):
@@ -595,7 +569,7 @@ def int_free_coordinates(field, basis, free, rows):
     columns (a basis from ``kernel_basis``): the rows' entries at those
     columns, as int rows over the same denominator, if each row is rebuilt
     by its combination of the basis, else None; a row costs its nonzeros.
-    The basis is given as ``clear_denominators`` makes it, (int rows, e),
+    The basis is given as ``int_kernel_basis`` returns it, (int rows, e),
     and is checked against e times each row."""
     ints, e = basis
     position = {c: i for i, c in enumerate(free)}

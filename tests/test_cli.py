@@ -513,6 +513,26 @@ def test_a_violation_with_a_huge_residual_is_a_validation_error(
     assert err.strip().endswith(")") and len(err) < 200
 
 
+def test_validate_lists_the_first_ten_violations_and_the_total(tmp_path,
+                                                                capsys):
+    # [e_i, e_j] = s = e_1 + e_2 + e_3 for all i, j: [e_i, [e_j, e_k]] = 3s
+    # while [[e_i, e_j], e_k] - [[e_i, e_k], e_j] = 0, so all 27 triples fail
+    doc = lambda6_doc(algebra={"dim": 3, "brackets": [
+        {"i": i, "j": j, "value": [1, 1, 1]}
+        for i in range(1, 4) for j in range(1, 4)]})
+    code, out, _ = run(capsys, ["validate", write(tmp_path, doc)])
+    assert code == 2
+    first = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    assert (f"leibniz_identity: violations at triples {first[:10]} "
+            "(27 in all)\n") in out
+    # ten or fewer are listed without a total
+    doc = lambda6_doc(algebra={"dim": 1, "brackets": [
+        {"i": 1, "j": 1, "value": [1]}]})
+    code, out, _ = run(capsys, ["validate", write(tmp_path, doc)])
+    assert code == 2
+    assert "leibniz_identity: violations at triples [(0, 0, 0)]\n" in out
+
+
 def test_validate_skips_action_when_group_fails(tmp_path, capsys):
     doc = one_dim_doc([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
     code, out, _ = run(capsys, ["validate", write(tmp_path, doc)])

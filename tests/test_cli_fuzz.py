@@ -17,6 +17,13 @@ a fixed time.  Some changes have a known outcome:
   0) or refused by a check (exit 2): by ``validate`` with its report, by
   the other commands with a validation error.  The residual of a check
   may then hold an int too long to print, so no message may print it.
+
+Two more fuzzers change what is around the values: the document's shape
+(a key deleted, ``[]``, ``{}`` or ``null`` in place of a value, an extra
+entry in an object or a list) and the command line (an argument
+deleted, repeated, replaced or moved).  Each run must end with exit code
+0, 1 or 2 and a report or a message, or, for a command line that
+argparse refuses, with its ``SystemExit(2)``; never with a traceback.
 """
 
 import contextlib
@@ -196,3 +203,121 @@ def test_the_bases_compute():
         for command in range(len(COMMANDS)):
             code, body = unchanged(base, command)
             assert code == 0 and body
+
+
+def nodes(doc, path=()):
+    """The path of every value in a document, object entries and list
+    items alike, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, x in items:
+        yield path + (k,)
+        yield from nodes(x, path + (k,))
+
+
+def at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@st.composite
+def shape_mutations(draw):
+    """(base index, command index, description, mutated document)."""
+    base = draw(st.integers(0, len(BASES) - 1))
+    command = draw(st.integers(0, len(COMMANDS) - 1))
+    doc = copy.deepcopy(BASES[base])
+    kind = draw(st.sampled_from(["delete", "replace", "extend"]))
+    if kind == "extend":
+        path = draw(st.sampled_from([()] + [
+            p for p in nodes(doc) if isinstance(at(doc, p), (dict, list))]))
+        node = at(doc, path)
+        if isinstance(node, dict):
+            node["extra"] = 1
+        else:
+            node.append(copy.deepcopy(node[-1]) if node else 0)
+        return base, command, (kind, path), doc
+    path = draw(st.sampled_from(list(nodes(doc))))
+    if kind == "delete":
+        del at(doc, path[:-1])[path[-1]]
+        return base, command, (kind, path), doc
+    value = draw(st.sampled_from([[], {}, None]))
+    at(doc, path[:-1])[path[-1]] = value
+    return base, command, (kind, path, value), doc
+
+
+def assert_computed_or_refused(code, body, err):
+    assert "Traceback" not in err
+    if code == 0:
+        assert body and not err
+    elif code == 1:
+        assert err.startswith("parse error") and not body
+    else:                   # a check's report, or a message
+        assert code == 2 and (body or err)
+
+
+@given(shape_mutations())
+@settings(max_examples=150, deadline=None)
+def test_a_reshaped_document_is_computed_or_refused(mutation):
+    base, command, _, doc = mutation
+    code, body, err, seconds = run(COMMANDS[command], doc)
+    assert seconds < SECONDS
+    assert_computed_or_refused(code, body, err)
+
+
+ARGVS = [
+    ["validate", "FILE"],
+    ["cohomology", "FILE", "--equivariant", "--max-degree", "2"],
+    ["homology", "FILE", "--max-degree", "2"],
+    ["cup", "FILE", "--p", "1", "--q", "1"],
+    ["zinbiel-check", "FILE", "--degrees", "1", "1", "1"],
+    ["--json", "--catalog", "lambda6_z2", "cohomology", "--max-degree", "2"],
+    ["rho-identity", "--p", "1", "--q", "1", "--r", "1"],
+]
+WORDS = ["FILE", "missing.json", "", "x", "-1", "0", "1", "3", "1.5",
+         "--json", "--catalog", "lambda6", "lambda6_z2", "abelian_0",
+         "--equivariant", "--max-degree", "--p", "--degrees", "validate",
+         "cup"]
+
+
+@st.composite
+def argv_mutations(draw):
+    argv = list(draw(st.sampled_from(ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(["delete", "repeat", "replace", "move"]))
+        if kind == "delete" and k < len(argv):
+            del argv[k]
+        elif kind == "repeat" and k < len(argv):
+            argv.insert(k, argv[k])
+        elif kind == "move" and k < len(argv):
+            argv.insert(draw(st.integers(0, len(argv) - 1)), argv.pop(k))
+        else:
+            argv.insert(k, draw(st.sampled_from(WORDS)))
+    return argv
+
+
+@given(argv_mutations())
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_command_line_is_computed_or_refused(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(BASES[0], fh)
+        argv = [path if a == "FILE" else a for a in argv]
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # argparse refuses the line
+                assert exc.code == 2
+                code = None
+        seconds = time.monotonic() - start
+    assert seconds < SECONDS
+    body = [line for line in out.getvalue().splitlines()
+            if not line.startswith("# generated ")]
+    if code is None:
+        assert "Traceback" not in err.getvalue() and "usage:" in err.getvalue()
+    else:
+        assert_computed_or_refused(code, body, err.getvalue())

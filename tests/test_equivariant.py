@@ -21,6 +21,7 @@ from leibcohom.equivariant import (constant_coefficients,
 
 from conftest import (ambient_coboundary, block_diag, catalog_setup,
                       greedy_classes, greedy_independent, rebased_action,
+                      rebasing,
                       reference_cohomology, sympy_kernel, sympy_rank)
 
 
@@ -143,6 +144,78 @@ def test_dense_coefficient_system_verdicts():
                                                    cs.maps))
     assert v.violations[:len(expected)] == [
         ("algebra", (e, kind, where)) for kind, where in expected]
+
+
+@st.composite
+def z2_coefficient_systems(draw):
+    """A system on Z/2 over Q or GF(3) whose algebras are functions on 1-3
+    points in a basis B_H = P_H diag(c), with P_H unit triangular and
+    scalars c (denominators over Q), and whose maps are each a pullback
+    along a function of the points, brought to those bases, with or
+    without one entry changed, or a matrix drawn at random.  Returns the
+    field, the category, the tables, the units and the maps, in Fractions,
+    and the system."""
+    f = draw(st.sampled_from([QQ, GF(3)]))
+    scalars = [1, 2, -1, Fraction(1, 2), Fraction(-2, 3)] if f == QQ else [1, 2]
+    entries = st.sampled_from([0, 0, 1, -1, 2] + scalars)
+    cat = L.orbit_category(L.FiniteGroup.cyclic(2))
+    n, basis, inverse, tables, units = {}, {}, {}, {}, {}
+    for H in cat.subgroups:
+        n[H] = k = draw(st.integers(1, 3))
+        P, Q = rebasing(k, draw(st.integers(0, 99)))
+        c = [Fraction(draw(st.sampled_from(scalars))) for _ in range(k)]
+        basis[H] = [[P[a][i] * c[i] for i in range(k)] for a in range(k)]
+        inverse[H] = [[Q[i][a] / c[i] for a in range(k)] for i in range(k)]
+        B, Bi = basis[H], inverse[H]
+        tables[H] = [[[sum(Bi[l][a] * B[a][i] * B[a][j] for a in range(k))
+                       for l in range(k)] for j in range(k)] for i in range(k)]
+        units[H] = [sum(Bi[l][a] for a in range(k)) for l in range(k)]
+    maps = {}
+    for m in cat.morphisms:
+        H, K, _ = m
+        kind = draw(st.sampled_from(["pullback", "changed", "random"]))
+        if kind == "random":
+            M = [[Fraction(draw(entries)) for _ in range(n[K])]
+                 for _ in range(n[H])]
+        else:
+            to = [draw(st.integers(0, n[K] - 1)) for _ in range(n[H])]
+            M = [[sum(inverse[H][i][a] * basis[K][to[a]][j]
+                      for a in range(n[H])) for j in range(n[K])]
+                 for i in range(n[H])]
+            if kind == "changed":
+                M[draw(st.integers(0, n[H] - 1))][
+                    draw(st.integers(0, n[K] - 1))] += Fraction(
+                        draw(st.sampled_from(scalars)))
+        maps[m] = M
+    system = CoefficientSystem(
+        cat, f, {H: L.CoefficientAlgebra(f, n[H], tables[H], units[H])
+                 for H in cat.subgroups},
+        {m: Matrix.from_rows(f, M) for m, M in maps.items()})
+    return f, cat, tables, maps, system
+
+
+@given(z2_coefficient_systems())
+@settings(max_examples=80, deadline=None)
+def test_algebra_map_verdicts_match_a_fraction_loop(drawn):
+    f, cat, tables, maps, system = drawn
+
+    def breaks_products(m):
+        """Whether M(e_i e_j) - M(e_i) M(e_j) is nonzero for some i, j."""
+        H, K, _ = m
+        M, TH, TK = maps[m], tables[H], tables[K]
+        h, k = len(M), len(M[0])
+        for i, j in product(range(k), repeat=2):
+            for r in range(h):
+                x = sum(M[r][l] * TK[i][j][l] for l in range(k))
+                x -= sum(M[a][i] * M[b][j] * TH[a][b][r]
+                         for a in range(h) for b in range(h))
+                if f.coerce(x):
+                    return True
+        return False
+
+    v = check_coefficient_system(system)
+    assert [m for kind, m in v.violations if kind == "algebra_map"] == \
+        [m for m in cat.morphisms if breaks_products(m)]
 
 
 # ---------------------------------------------------------------------------

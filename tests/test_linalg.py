@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
                               int_column_reduction, int_free_coordinates,
+                              int_kernel_basis,
                               solve, solve_matrix,
                               vec_add, vec_is_zero, dense_vector,
                               sparse_vector, clear_denominators, is_prime,
                               PRIME_TEST_BOUND)
+
+from conftest import sympy_kernel, sympy_rref
 
 
 def qmat(rows):
@@ -653,4 +656,41 @@ def test_reducing_int_rows_drops_exactly_the_zeros(field, data):
     assert divided == [{j: y for j, x in row.items()
                         if (y := field.coerce(Fraction(x, d)))}
                        for row in rows]
+
+
+
+# ---------------------------------------------------------------------------
+# int_kernel_basis hands back its basis as int rows over the least common
+# denominator e, which ``kernel_basis`` and the set-up divide once.
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [QQ, GF(3), GF(2 ** 61 - 1)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_int_kernel_basis_is_the_reduced_null_space_over_one_denominator(
+        field, data):
+    r, c = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    entries = st.one_of(st.just(field.zero()), field_elements(field))
+    rows = [sparse_vector(data.draw(st.lists(entries, min_size=c,
+                                             max_size=c)))
+            for _ in range(r)]
+    ints, _ = clear_denominators(rows)
+    (basis, e), free = int_kernel_basis(field, ints, c)
+    assert type(e) is int and e > 0
+    assert all(type(x) is int for v in basis for x in v.values())
+    if field == QQ:
+        assert gcd(e, *(x for v in basis for x in v.values())) == 1
+        vectors = [{j: Fraction(x, e) for j, x in v.items()} for v in basis]
+    else:
+        assert e == 1
+        assert all(0 < x < field.p for v in basis for x in v.values())
+        vectors = basis
+    assert vectors == sympy_kernel(field, rows, c)
+    pivots = sympy_rref(field, rows, c)[1]
+    assert free == [j for j in range(c) if j not in pivots]
+    assert kernel_basis(Matrix.from_entries(field, r, c, rows)) == \
+        (vectors, free)
 
