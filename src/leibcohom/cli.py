@@ -423,10 +423,7 @@ def cmd_homology(args):
 
 def cmd_cup(args):
     problem = load_problem(args)
-    p, q = args.p, args.q
-    if p < 1 or q < 1:
-        print("cup product needs strictly positive degrees", file=sys.stderr)
-        return 2
+    p, q = _integer(args.p, "--p", 1), _integer(args.q, "--q", 1)
     setup = make_setup(problem)
     check_size(p + q, setup.ambient_dim)
     report = Report("cup")
@@ -460,10 +457,7 @@ def cmd_cup(args):
 
 def cmd_zinbiel_check(args):
     problem = load_problem(args)
-    p, q, r = args.degrees
-    if min(p, q, r) < 1:
-        print("zinbiel check needs strictly positive degrees", file=sys.stderr)
-        return 2
+    p, q, r = (_integer(x, "--degrees", 1) for x in args.degrees)
     if p + q + r > problem.max_degree + 2:
         print("degree overflow beyond configured max", file=sys.stderr)
         return 2
@@ -498,9 +492,9 @@ def cmd_zinbiel_check(args):
 
 
 def cmd_rho_identity(args):
-    p, q, r = args.p, args.q, args.r
-    if min(p, q, r) < 1 or p + q + r > 9:
-        print("require 1 <= p,q,r and p+q+r <= 9", file=sys.stderr)
+    p, q, r = (_integer(getattr(args, x), f"--{x}", 1) for x in "pqr")
+    if p + q + r > 9:
+        print("require p+q+r <= 9", file=sys.stderr)
         return 2
     report = Report("rho-identity")
     v = check_rho_identity(p, q, r)

@@ -18,13 +18,15 @@ convention in the ``linalg`` module docstring):
   from the restriction map's int columns in plain int products with one
   ``reduce_ints`` per power; the constraint rows are built from it as int
   rows and go straight to the elimination loop, whose int basis is kept
-  and divided once for the field vectors.
+  and divided into field vectors only when they are read.
   Only the binding constraints are built: a morphism (H, H, g) whose
   restriction map and coefficient map are both identity matrices asks
   c_H = c_H at every degree, so it adds no row.  The test is on the maps,
   not on the label g, so a coefficient system whose identity morphism is
   not sent to the identity is still constrained by it.  Which morphisms
-  bind, and the int rows of their -A(g-hat), are found once per setup.
+  bind, and the int rows of their -A(g-hat), are found once per setup,
+  and each binding restriction map is checked there to be a bracket
+  morphism: that keeps delta's images invariant at every degree.
   ``check_invariance`` still evaluates every morphism, on
   ``restriction_power``, the one conversion of R^(x)n to field entries.
 * ``cohomology(n)`` needs S^n_G only, and takes each degree through one
@@ -39,16 +41,11 @@ convention in the ``linalg`` module docstring):
     the cocycles (its null space, the same reduced basis the coboundary
     matrix X_n would give) and the pivot columns.  Only the cocycles, the
     pivot images and their denominator are kept.
-  - The guard: each pivot image is checked against every binding
-    constraint of degree n + 1, exactly.  The products are summed from
-    the int columns of R^(x)(n+1) and the coefficient maps, with no
-    constraint row built, so an image that leaves the invariant subspace
-    is refused in its own degree.  The constraint rows of each degree
-    are streamed once, by ``invariant_space`` alone.
   - The coboundaries of degree n are the pivot images of degree n - 1
     (the columns greedy independence picks from X_(n-1)), read in ints at
     the free columns of S^n_G against the int basis ``invariant_space``
-    keeps from the kernel.  So a tower up to N never builds S^(N+1)_G.
+    keeps from the kernel.  So a tower up to N never builds S^(N+1)_G, and
+    R^(x)n only for n <= N.
   - Their one elimination per degree, each row's pivot at its largest
     column (``last_pivot_echelon``), picks the classes, the cocycles whose
     free column is no pivot, and is kept as int rows: ``is_coboundary(n,
@@ -152,15 +149,21 @@ def _is_identity(mat):
 
 @dataclass
 class InvariantCochainSpace:
+    """S^n_G as the kernel returned it; its field vectors are divided from
+    the int rows on first read only, and a tower reads none."""
     field: object
     ambient_dim: int
-    vectors: list          # sparse basis vectors in ambient coordinates
     free: list             # the free column of each basis vector
-    ints: tuple            # the vectors as int rows over one denominator
+    ints: tuple            # the basis as int rows over one denominator
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self.free)
+
+    @cached_property
+    def vectors(self):
+        """The sparse basis vectors in ambient coordinates."""
+        return self.field.divide_ints(*self.ints)
 
     @property
     def basis(self):
@@ -310,51 +313,54 @@ class EquivariantSetup:
 
     @cached_property
     def _binding(self):
-        """The degree-independent part of the binding constraints, built on
-        first use: (morphism, minus_A, e) for each binding morphism, with
-        minus_A the int rows of -A(g-hat) over their denominator e.  A
-        morphism (H, H, g) whose restriction map and coefficient map are
-        both identity matrices asks c_H = c_H at every degree, so it binds
-        nothing."""
+        """The degree-independent part of the binding constraints, checked
+        and built on first use: (morphism, minus_A, e) for each binding
+        morphism, with minus_A the int rows of -A(g-hat) over their
+        denominator e.  A morphism (H, H, g) whose restriction map and
+        coefficient map are both identity matrices asks c_H = c_H at every
+        degree, so it binds nothing.
+
+        The restriction map R: g^K -> g^H of each binding morphism must be
+        a bracket morphism, and is checked once here, on the map the setup
+        holds at first use.  That one check keeps delta invariant at every
+        degree: R[x, y] = [Rx, Ry] gives d_H R^(x)(n+1) = R^(x)n d_K, so a
+        constraint C of the morphism takes C(delta b) = C(b) d_K = 0 for b
+        in S^n_G, whatever the coefficient map."""
         neg = self.field.neg
         out = []
         for m in self.category.morphisms:
-            H, K, _ = m
-            A = self.coefficients.maps[m]
-            if H == K and _is_identity(self.restrictions[m].matrix) \
-                    and _is_identity(A):
+            H, K, g = m
+            R, A = self.restrictions[m], self.coefficients.maps[m]
+            if H == K and _is_identity(R.matrix) and _is_identity(A):
                 continue
+            if not check_morphism(R).ok:
+                raise AssertionError(
+                    f"the restriction map of ({sorted(H)}, {sorted(K)}, {g}) "
+                    f"breaks the bracket: delta leaves the invariant subspace")
             rows, e = clear_denominators(A.entries)
             out.append((m, [{aj: neg(x) for aj, x in row.items()}
                             for row in rows], e))
         return out
 
-    def _binding_constraints(self, n):
-        """The binding morphisms (H, K, g) of degree n, as the parts of
-        their constraint rows c_H R^{(x)n} - A(g-hat) c_K over a common
-        denominator of R^{(x)n} and A(g-hat): (aH, offH, aK, offK, columns,
-        r, minus_A), with R^{(x)n}'s int columns times r at the H block and
-        the rows of minus_A at the K block.  Row (tK, al) is r times
-        column tK at the indices offH + tH aH + al, plus minus_A[al] at the
-        indices offK + tK aK + aj."""
+    def _constraint_rows(self, n):
+        """The invariance constraints of degree n as int rows in ambient
+        indices, yielded one by one and kept nowhere.  Each binding
+        morphism (H, K, g) gives one row (tK, al) of c_H R^{(x)n} -
+        A(g-hat) c_K per tK and al, over a common denominator of R^{(x)n}
+        and A(g-hat): r times column tK of R^{(x)n}'s int columns at the
+        indices offH + tH aH + al, plus row al of minus_A, brought to the
+        same denominator, at the indices offK + tK aK + aj."""
+        add = self.field.add
         offsets = {H: (a, off) for (H, _, a, off) in self.layout(n)}
         for m, minus_A, e in self._binding:
             H, K, _ = m
+            (aH, offH), (aK, offK) = offsets[H], offsets[K]
             columns, d = self._restriction_ints(m, n)
             s = lcm(d, e)
             r, k = s // d, s // e           # both 1 over F_p, where d = e = 1
             if k != 1:
                 minus_A = [{aj: k * x for aj, x in row.items()}
                            for row in minus_A]
-            yield (*offsets[H], *offsets[K], columns, r, minus_A)
-
-    def _constraint_rows(self, n):
-        """The invariance constraints of degree n as int rows in ambient
-        indices, one per row (tK, al) of each binding morphism, yielded one
-        by one and kept nowhere."""
-        add = self.field.add
-        for aH, offH, aK, offK, columns, r, minus_A in \
-                self._binding_constraints(n):
             for tK, column in enumerate(columns):
                 for al in range(aH):
                     row = {offH + tH * aH + al: r * x
@@ -368,47 +374,12 @@ class EquivariantSetup:
                             del row[k]
                     yield row
 
-    def _satisfy_constraints(self, n, vectors):
-        """Whether the int rows ``vectors``, ambient vectors of degree n
-        each over some denominator, satisfy every constraint of degree n.
-        The product of each constraint row with the vectors is summed
-        exactly from the parts of ``_binding_constraints``, meeting the
-        vectors through an index of their entries by column, without
-        building the row, and without the index when nothing binds."""
-        constraints = list(self._binding_constraints(n)) if vectors else []
-        if not constraints:
-            return True
-        mod = self.field.characteristic
-        index = [[] for _ in range(self.ambient_dim(n))]
-        for i, w in enumerate(vectors):     # column -> [(vector, int entry)]
-            for k, y in w.items():
-                index[k].append((i, y))
-        for aH, offH, aK, offK, columns, r, minus_A in constraints:
-            for tK, column in enumerate(columns):
-                at_K = offK + tK * aK
-                for al in range(aH):
-                    acc = {}
-                    at_H = offH + al
-                    for tH, x in column.items():
-                        for i, y in index[at_H + tH * aH]:
-                            acc[i] = acc.get(i, 0) + x * y
-                    if r != 1:
-                        acc = {i: r * x for i, x in acc.items()}
-                    for aj, c in minus_A[al].items():
-                        for i, y in index[at_K + aj]:
-                            acc[i] = acc.get(i, 0) + c * y
-                    for x in acc.values():
-                        if x % mod if mod else x:
-                            return False
-        return True
-
     def invariant_space(self, n):
         if n in self._spaces:
             return self._spaces[n]
         f, total = self.field, self.ambient_dim(n)
         ints, free = int_kernel_basis(f, self._constraint_rows(n), total)
-        self._spaces[n] = InvariantCochainSpace(
-            f, total, f.divide_ints(*ints), free, ints)
+        self._spaces[n] = InvariantCochainSpace(f, total, free, ints)
         return self._spaces[n]
 
     def _delta_sums(self, n):
@@ -462,15 +433,13 @@ class EquivariantSetup:
         the columns of its int images: the reduced-echelon basis of their
         null space, the cocycles in invariant coordinates, and the images at
         its pivot columns, which span the coboundaries of degree n + 1, as
-        int rows over D.  Before they are kept, those images are checked
-        against the constraints of degree n + 1; the other images are
-        combinations of them."""
+        int rows over D.  No constraint of degree n + 1 is read: the images
+        are invariant because ``_binding`` checked every binding
+        restriction map, and ``_coordinates`` reads them at the free
+        columns of S^(n+1)_G when that degree is asked for."""
         if n not in self._reductions:
             sums, d = self._delta_sums(n)
             cocycles, images = int_column_reduction(self.field, sums)
-            if not self._satisfy_constraints(n + 1, images):
-                raise AssertionError(
-                    f"delta image leaves the invariant subspace in degree {n}")
             self._reductions[n] = cocycles, images, d
         return self._reductions[n]
 

@@ -218,7 +218,8 @@ def test_cup_reports_a_product_that_fails_its_check(capsys, monkeypatch):
 def test_cup_rejects_degree_zero(capsys):
     code, _, err = run(capsys, ["--catalog", "lambda6_z2", "cup",
                                 "--p", "0", "--q", "1"])
-    assert code == 2
+    assert code == 1
+    assert err.strip() == "parse error: --p: 0 is below 1"
 
 
 def test_zinbiel_check_command(capsys):
@@ -294,7 +295,8 @@ def test_zinbiel_check_reads_one_echelon_of_its_own_degree(
 def test_zinbiel_check_bad_degrees(capsys):
     code, _, err = run(capsys, ["--catalog", "derived2_f2_z2",
                                 "zinbiel-check", "--degrees", "0", "1", "1"])
-    assert code == 2
+    assert code == 1
+    assert err.strip() == "parse error: --degrees: 0 is below 1"
 
 
 def test_rho_identity_command(capsys):
@@ -307,7 +309,8 @@ def test_rho_identity_command(capsys):
 def test_rho_identity_bad_degrees(capsys):
     code, _, err = run(capsys, ["rho-identity", "--p", "0", "--q", "1",
                                 "--r", "1"])
-    assert code == 2
+    assert code == 1
+    assert err.strip() == "parse error: --p: 0 is below 1"
 
 
 def test_report_determinism_plain(tmp_path, capsys):

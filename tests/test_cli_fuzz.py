@@ -24,6 +24,8 @@ entry in an object or a list) and the command line (an argument
 deleted, repeated, replaced or moved).  Each run must end with exit code
 0, 1 or 2 and a report or a message, or, for a command line that
 argparse refuses, with its ``SystemExit(2)``; never with a traceback.
+A degree option below its least value (0 for ``--max-degree``, 1 for
+``--p``, ``--q``, ``--r`` and ``--degrees``) is a parse error too.
 """
 
 import contextlib
@@ -297,9 +299,10 @@ def argv_mutations(draw):
     return argv
 
 
-@given(argv_mutations())
-@settings(max_examples=150, deadline=None)
-def test_a_mutated_command_line_is_computed_or_refused(argv):
+def run_argv(argv):
+    """(exit code, stdout without its timestamp line, stderr, seconds) of
+    a command line, with "FILE" naming the first base document; the exit
+    code is None where argparse refuses the line."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.json")
@@ -314,10 +317,52 @@ def test_a_mutated_command_line_is_computed_or_refused(argv):
                 assert exc.code == 2
                 code = None
         seconds = time.monotonic() - start
-    assert seconds < SECONDS
     body = [line for line in out.getvalue().splitlines()
             if not line.startswith("# generated ")]
+    return code, body, err.getvalue(), seconds
+
+
+@given(argv_mutations())
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_command_line_is_computed_or_refused(argv):
+    code, body, err, seconds = run_argv(argv)
+    assert seconds < SECONDS
     if code is None:
-        assert "Traceback" not in err.getvalue() and "usage:" in err.getvalue()
+        assert "Traceback" not in err and "usage:" in err
     else:
-        assert_computed_or_refused(code, body, err.getvalue())
+        assert_computed_or_refused(code, body, err)
+
+
+# Every degree option of the command line takes its lower bound the same
+# way: a value below it is a parse error with exit 1 that names the
+# option, and the bound itself is computed.  (template, option, least)
+DEGREE_OPTIONS = [
+    (["cohomology", "FILE", "--equivariant", "--max-degree", "{}"],
+     "--max-degree", 0),
+    (["homology", "FILE", "--max-degree", "{}"], "--max-degree", 0),
+    (["cup", "FILE", "--p", "{}", "--q", "1"], "--p", 1),
+    (["cup", "FILE", "--p", "1", "--q", "{}"], "--q", 1),
+    (["zinbiel-check", "FILE", "--degrees", "1", "{}", "1"], "--degrees", 1),
+    (["rho-identity", "--p", "{}", "--q", "1", "--r", "1"], "--p", 1),
+    (["rho-identity", "--p", "1", "--q", "1", "--r", "{}"], "--r", 1),
+]
+
+
+@given(st.sampled_from(DEGREE_OPTIONS), st.integers(1, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_a_degree_below_its_least_is_a_parse_error(option, below):
+    template, name, least = option
+    value = least - below
+    code, body, err, _ = run_argv([a.format(value) for a in template])
+    assert (code, body, err) == (
+        1, [], f"parse error: {name}: {value} is below {least}\n")
+    code, body, err, _ = run_argv([a.format(least) for a in template])
+    assert code == 0 and body and not err
+
+
+def test_the_upper_degree_bounds_stay_refusals():
+    # p + q + r beyond the document's max_degree + 2, or beyond 9
+    assert run_argv(["zinbiel-check", "FILE", "--degrees", "2", "2", "1"])[::2] \
+        == (2, "degree overflow beyond configured max\n")
+    assert run_argv(["rho-identity", "--p", "4", "--q", "3", "--r", "3"])[::2] \
+        == (2, "require p+q+r <= 9\n")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
@@ -9,6 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
+from leibcohom import equivariant
 from leibcohom.catalog import _letter_permutation_action
 from leibcohom.complexes import BoundaryChain
 from leibcohom.leibniz import free_leibniz_truncated
@@ -18,6 +20,7 @@ from leibcohom.equivariant import (constant_coefficients,
                                    coset_function_coefficients,
                                    check_coefficient_system,
                                    CoefficientSystem, EquivariantCochain)
+from leibcohom.verdict import Verdict
 
 from conftest import (ambient_coboundary, block_diag, catalog_setup,
                       greedy_classes, greedy_independent, rebased_action,
@@ -395,12 +398,14 @@ def test_delta_image_outside_invariants_rejected():
 
 
 def test_a_fresh_cohomology_rejects_an_image_outside_invariants():
-    # the top degree of a tower sees it too, without building S^2
+    # the one check runs at the first invariant space, before any delta
     setup = _tampered_setup()
     degrees = _spy_on_spaces(setup)
     with pytest.raises(AssertionError, match="leaves the invariant subspace"):
         setup.cohomology(1)
-    assert max(degrees) == 1
+    assert degrees == [0]
+    with pytest.raises(AssertionError, match=r"\(\[0\], \[0\], 1\)"):
+        _tampered_setup().invariant_space(3)
 
 
 # ---------------------------------------------------------------------------
@@ -965,12 +970,19 @@ def test_large_prime_int_rows_hold_residues(name, coefficients):
 
 
 # ---------------------------------------------------------------------------
-# The guard on delta's images: _delta_reduction(n) must refuse exactly when
-# some image of degree n + 1 breaks an invariance constraint of degree
-# n + 1.  The oracle writes every constraint row out from the restriction
-# and coefficient matrices and takes its sympy product with the images.  It
-# multiplies all the images, not only the pivot images the guard reads:
-# the others are combinations of those, so both products vanish together.
+# The invariance check.  delta keeps S^n_G invariant because the restriction
+# map R: g^K -> g^H of each binding morphism is a bracket morphism: then
+# d_H R^(x)(n+1) = R^(x)n d_K, so every constraint C of the morphism takes
+# C(delta b) = C(b) d_K = 0.  ``_binding`` checks each binding R once, and
+# refuses the setup at its first invariant space.  The oracles share no
+# code with it:
+#   - a Fraction loop of R[e_i, e_j] - [R e_i, R e_j] must fail on some
+#     binding R exactly when the setup is refused;
+#   - the sympy product of every constraint row of degree n + 1, written
+#     out from the restriction and coefficient matrices, with all delta
+#     images of degree n must vanish at every degree up to a tower's top
+#     unless the setup is refused.  That also checks the delta-sum code,
+#     whose images of the top degree nothing else reads.
 # ---------------------------------------------------------------------------
 
 def _rational(x):
@@ -1005,28 +1017,77 @@ def _all_constraint_rows(setup, n):
     return rows
 
 
-def _guard_matches_the_sympy_product(setup, top):
-    """Asserts that the guard refuses degree n exactly when the product is
-    nonzero, for n <= top; returns whether it refused any degree."""
+def _breaks_the_bracket(phi):
+    """Whether R[e_i, e_j] != [R e_i, R e_j] for some basis pair, R =
+    phi's matrix, summed in Fractions from the dense matrix and structure
+    constants (residues read mod p)."""
+    p = phi.target.field.characteristic
+    R = [[Fraction(x) for x in row] for row in phi.matrix.data]
+    S, T = phi.source.structure, phi.target.structure
+    k, h = phi.source.dim, phi.target.dim
+    for i, j, r in product(range(k), range(k), range(h)):
+        x = sum(R[r][l] * S[i][j][l] for l in range(k)) - sum(
+            R[a][i] * R[b][j] * T[a][b][r] for a in range(h) for b in range(h))
+        if x % p if p else x:
+            return True
+    return False
+
+
+def _binding_morphisms(setup):
+    """Every morphism but the (H, H, g) whose restriction and coefficient
+    maps are both identity matrices."""
+    def identity(M):
+        return all(x == (i == j) for i, row in enumerate(M.data)
+                   for j, x in enumerate(row))
+    return [m for m in setup.category.morphisms
+            if m[0] != m[1] or not identity(setup.restrictions[m].matrix)
+            or not identity(setup.coefficients.maps[m])]
+
+
+def _refused(setup):
+    """Whether the setup's check refuses it, with its message.  A refused
+    setup's binding data is then built with the check passed over, so that
+    it computes what an unchecked setup would."""
+    try:
+        setup._binding
+        return False
+    except AssertionError as e:
+        assert "leaves the invariant subspace" in str(e)
+    with mock.patch.object(equivariant, "check_morphism",
+                           lambda phi: Verdict(True, [])):
+        setup._binding
+    return True
+
+
+def _broken_degrees(setup, top):
+    """The degrees n <= top whose delta images have a nonzero sympy
+    product with the constraint rows of degree n + 1."""
     p = setup.field.characteristic
-    refused_any = False
+    broken = []
     for n in range(top + 1):
         images = setup.field.divide_ints(*setup._delta_sums(n))
-        broken = False
-        if any(images):
-            C = sympy.Matrix(_all_constraint_rows(setup, n + 1))
-            V = sympy.Matrix(setup.ambient_dim(n + 1), len(images),
-                             lambda k, j: _rational(images[j].get(k, 0)))
-            broken = any(x % p if p else x for x in C * V)
-        try:
-            setup._delta_reduction(n)
-            refused = False
-        except AssertionError as e:
-            assert "leaves the invariant subspace" in str(e)
-            refused = True
-        assert refused == broken, n
-        refused_any |= refused
-    return refused_any
+        if not any(images):
+            continue
+        C = sympy.Matrix(_all_constraint_rows(setup, n + 1))
+        V = sympy.Matrix(setup.ambient_dim(n + 1), len(images),
+                         lambda k, j: _rational(images[j].get(k, 0)))
+        if any(x % p if p else x for x in C * V):
+            broken.append(n)
+    return broken
+
+
+def _check_matches_the_oracles(setup, top):
+    """Asserts that the setup is refused exactly when the Fraction loop
+    breaks a binding restriction map, and only a refused setup has images
+    that break a constraint in a degree n <= top; returns (refused, the
+    broken degrees)."""
+    breaks = any(_breaks_the_bracket(setup.restrictions[m])
+                 for m in _binding_morphisms(setup))
+    refused = _refused(setup)
+    assert refused == breaks
+    broken = _broken_degrees(setup, top)
+    assert refused or not broken, broken
+    return refused, broken
 
 
 def _tamper(setup, morphism, matrix):
@@ -1100,7 +1161,7 @@ def _rescale_coefficients(setup, H0, c):
        st.sampled_from([constant_coefficients, coset_function_coefficients]),
        st.data())
 @settings(max_examples=40, deadline=None)
-def test_the_guard_refuses_exactly_the_images_that_break_a_constraint(
+def test_the_check_refuses_exactly_the_restrictions_that_break_the_bracket(
         action, coefficients, data):
     setup = _setup(action, coefficients)
     f = setup.field
@@ -1121,8 +1182,9 @@ def test_the_guard_refuses_exactly_the_images_that_break_a_constraint(
                                       else [-1]))
         _rescale_coefficients(setup, H0, c)
     # the oracle writes out dense rows: degree 3 only while they are short
-    _guard_matches_the_sympy_product(setup,
-                                     2 if setup.ambient_dim(3) <= 200 else 1)
+    refused, _ = _check_matches_the_oracles(
+        setup, 2 if setup.ambient_dim(3) <= 200 else 1)
+    assert not refused or kind == "restriction"
 
 
 def _non_morphism(alg):
@@ -1142,30 +1204,46 @@ def _non_morphism(alg):
 @pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
 @pytest.mark.parametrize("name", ["lambda6_z2", "derived2_f2_z2",
                                   "free_leib(2,2)_perm"])
-def test_the_guard_refuses_a_catalog_restriction_that_is_no_morphism(
+def test_the_check_refuses_a_catalog_restriction_that_is_no_morphism(
         name, coefficients):
+    # each of these delta images would leave the invariant subspace
     setup = catalog_setup(name, coefficients=coefficients)
     e = frozenset({0})
     _tamper(setup, (e, e, 1), _non_morphism(setup.fixed[e].algebra))
     top = 1 if name == "free_leib(2,2)_perm" else 2
-    assert _guard_matches_the_sympy_product(setup, top)
+    refused, broken = _check_matches_the_oracles(setup, top)
+    assert refused and broken
 
 
 @pytest.mark.parametrize("name, coefficients", [
     ("lambda6_z2", "coset-functions"), ("free_leib(2,2)_perm", "constant")])
 @pytest.mark.parametrize("c", [2, Fraction(1, 2)])
-def test_the_guard_keeps_a_rescaled_coefficient_system(name, coefficients, c):
+def test_the_check_keeps_a_rescaled_coefficient_system(name, coefficients, c):
     # the constraint rows of (e, G, 0) take a factor that the restriction
-    # part alone must be multiplied by
+    # part alone must be multiplied by; the coefficient maps drop out of
+    # C(delta b) = C(b) d_K
     setup = catalog_setup(name, coefficients)
     _rescale_coefficients(setup, frozenset({0}), c)
-    assert not _guard_matches_the_sympy_product(setup, 2)
+    assert _check_matches_the_oracles(setup, 2) == (False, [])
 
 
-def test_the_guard_reads_every_pivot_image():
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS)
+def test_a_catalog_tower_keeps_every_constraint_up_to_its_top(
+        name, coefficients):
+    # the images of the top degree are read nowhere else in the program
+    setup = catalog_setup(name, coefficients)
+    top = 3
+    for n in range(top + 1):
+        setup.cohomology(n)
+    assert _check_matches_the_oracles(setup, top) == (False, [])
+
+
+def test_the_check_refuses_a_restriction_broken_in_one_entry():
     # on free_leib(2,2)_perm, g^G -> g with one entry doubled breaks the
-    # bracket; in degree 1 only the middle one of three pivot images then
-    # breaks a constraint of degree 2
+    # bracket; in degree 1 only the middle one of three pivot images would
+    # then break a constraint of degree 2, and the setup is refused before
+    # any image is summed
     setup = catalog_setup("free_leib(2,2)_perm", "coset-functions")
     f = setup.field
     e, G = frozenset({0}), frozenset({0, 1})
@@ -1174,9 +1252,10 @@ def test_the_guard_reads_every_pivot_image():
     bad = Matrix.from_entries(f, R.matrix.rows, R.matrix.cols,
                               [{1: f.coerce(2)} if i == 3 else row
                                for i, row in enumerate(R.matrix.entries)])
-    assert not L.check_morphism(L.AlgebraMorphism(R.source, R.target, bad)).ok
     _tamper(setup, (e, G, 0), bad)
-    assert _guard_matches_the_sympy_product(setup, 1)
+    with pytest.raises(AssertionError, match="leaves the invariant subspace"):
+        setup.invariant_space(0)
+    assert _check_matches_the_oracles(setup, 1) == (True, [1])
     images = setup.field.divide_ints(*setup._delta_sums(1))
     V = sympy.Matrix(setup.ambient_dim(2), len(images),
                      lambda k, j: _rational(images[j].get(k, 0)))
@@ -1200,6 +1279,23 @@ def test_a_tower_streams_each_constraint_system_once(name, coefficients):
         setup.invariant_space(n)
         setup.cohomology(n)
     assert streamed == list(range(top + 1))
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
+def test_a_tower_builds_no_restriction_power_above_its_top(name, coefficients):
+    setup = catalog_setup(name, coefficients=coefficients)
+    asked = []
+    build = setup._restriction_ints
+
+    def spy(morphism, n):
+        asked.append(n)
+        return build(morphism, n)
+    setup._restriction_ints = spy
+    top = 3 if name == "free_leib(2,2)_perm" else 5
+    for n in range(top + 1):
+        setup.cohomology(n)
+    assert max(asked) == top
 
 
 # ---------------------------------------------------------------------------

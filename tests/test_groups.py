@@ -247,18 +247,32 @@ try:
 except AssertionError as exc:
     if "cannot compose" in str(exc):
         print("composite guard")
+action = L.catalog("lambda6_z2").action
+category = L.orbit_category(action.group)
+setup = L.EquivariantSetup(action, category,
+                           L.constant_coefficients(category, QQ))
+setup.restrictions[(e, e, 1)] = L.AlgebraMorphism(
+    setup.fixed[e].algebra, setup.fixed[e].algebra,
+    Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+try:
+    setup.invariant_space(0)
+except AssertionError as exc:
+    if "leaves the invariant subspace" in str(exc):
+        print("setup guard")
 """
 
 
 def test_guards_survive_python_O():
     # psi = 2 Id on lambda6 is linear but doubles brackets, so it is no
-    # algebra map; the guards must raise with asserts compiled away
+    # algebra map, and neither is a restriction of lambda6_z2 that negates
+    # e_3 alone, which a setup refuses at its first invariant space; the
+    # guards must raise with asserts compiled away
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:4] == ["shape guard", "morphism guard",
+    assert done.stdout.split("\n")[:5] == ["shape guard", "morphism guard",
                                            "group shape guard",
-                                           "composite guard"]
+                                           "composite guard", "setup guard"]
