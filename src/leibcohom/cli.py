@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -313,19 +314,21 @@ class Report:
         self.entries.append((key, value))
 
     def emit(self, as_json):
-        elapsed = time.monotonic() - self.start
-        stamp = datetime.now(timezone.utc).isoformat()
+        """Print the report.  A reader gone early (``| head -1``) leaves
+        stdout on devnull, so the exit flush is quiet and the code kept."""
+        stamp = (f"{datetime.now(timezone.utc).isoformat()} "
+                 f"elapsed={time.monotonic() - self.start:.3f}s")
         if as_json:
-            doc = {"command": self.command,
-                   "timestamp": f"{stamp} elapsed={elapsed:.3f}s"}
-            for k, v in self.entries:
-                doc[k] = v
-            print(json.dumps(doc, indent=2, sort_keys=False))
+            text = json.dumps({"command": self.command, "timestamp": stamp,
+                               **dict(self.entries)}, indent=2)
         else:
-            print(f"# generated {stamp} elapsed={elapsed:.3f}s")
-            print(f"command: {self.command}")
-            for k, v in self.entries:
-                print(f"{k}: {v}")
+            text = "\n".join([f"# generated {stamp}",
+                              f"command: {self.command}"]
+                             + [f"{k}: {v}" for k, v in self.entries])
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _fmt_subgroup(H):

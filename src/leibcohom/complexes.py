@@ -32,7 +32,8 @@ from functools import cached_property
 from itertools import product
 
 from .linalg import (Matrix, clear_denominators, dense_vector,
-                     int_column_reduction, reduce_int_rows, sparse_vector)
+                     int_column_reduction, int_combination, reduce_int_rows,
+                     sparse_vector)
 from .verdict import Verdict
 
 
@@ -213,25 +214,16 @@ class CoefficientAlgebra:
         """Commutativity (i, j), associativity (i, j, k) and the unit i on
         the basis, each violation in that order.  The products e_i e_j are
         read in ints from ``integral``, over their common denominator e,
-        and the unit is cleared to one int row over u, so both sides of an
-        identity are sums of int rows, compared in ints (residues over
+        and the unit is cleared to one int row over u, so each identity is
+        one ``int_combination`` of int rows, checked in ints (residues over
         F_p).  A triple where e_i e_j and e_j e_k both vanish holds."""
         d = self.dim
-        mod = self.field.characteristic
+        reduce = self.field.reduce_ints
         P, e = self.integral
         (unit,), u = clear_denominators([sparse_vector(self.unit)])
-        rows = [[tuple(row.items()) for row in Pi] for Pi in P]
 
-        def nonzero(terms, target=None):
-            """Whether the sum of x e_a e_b over the (x, a, b) in terms,
-            less u e at the index ``target``, is nonzero."""
-            acc = [0] * d
-            for x, a, b in terms:
-                for t, y in rows[a][b]:
-                    acc[t] += x * y
-            if target is not None:
-                acc[target] -= u * e
-            return any(x % mod for x in acc) if mod else any(acc)
+        def nonzero(terms):
+            return bool(reduce([int_combination(terms)])[0])
 
         violations = [("commutativity", (i, j))
                       for i, j in product(range(d), repeat=2)
@@ -239,12 +231,14 @@ class CoefficientAlgebra:
         violations += [     # (e_i e_j) e_k - e_i (e_j e_k)
             ("associativity", (i, j, k))
             for i, j, k in product(range(d), repeat=3)
-            if (rows[i][j] or rows[j][k]) and nonzero(
-                [(x, l, k) for l, x in rows[i][j]]
-                + [(-x, i, l) for l, x in rows[j][k]])]
+            if (P[i][j] or P[j][k]) and nonzero(
+                [(x, P[l][k]) for l, x in P[i][j].items()]
+                + [(-x, P[i][l]) for l, x in P[j][k].items()])]
         violations += [("unit", i) for i in range(d)
-                       if nonzero([(x, a, i) for a, x in unit.items()], i)
-                       or nonzero([(x, i, a) for a, x in unit.items()], i)]
+                       if nonzero([(-u * e, {i: 1})] + [
+                           (x, P[a][i]) for a, x in unit.items()])
+                       or nonzero([(-u * e, {i: 1})] + [
+                           (x, P[i][a]) for a, x in unit.items()])]
         return Verdict(not violations, violations)
 
 

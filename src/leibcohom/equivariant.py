@@ -64,7 +64,7 @@ from math import lcm
 
 from .linalg import (Matrix, clear_at_pivots, clear_denominators,
                      combination, dense_vector, int_column_reduction,
-                     int_free_coordinates, int_kernel_basis,
+                     int_combination, int_free_coordinates, int_kernel_basis,
                      last_pivot_echelon, sparse_vector)
 from .complexes import (BoundaryChain, CoefficientAlgebra, CohomologyResult,
                         _representatives)
@@ -112,12 +112,17 @@ def coset_function_coefficients(category, field):
 def check_coefficient_system(A):
     """The axioms of a coefficient system, as a verdict.  The violations
     of each algebra's ``validate`` come first, as ("algebra", (H, kind,
-    indices)).  Each map M: A(G/K) -> A(G/H) is checked to be an algebra
-    map, M(e_i e_j) = M(e_i) M(e_j), by ``check_morphism`` on the
-    algebras' ``integral`` products, in ints."""
+    indices)).  Each map M: A(G/K) -> A(G/H) is cleared once, to int
+    columns (``AlgebraMorphism.integral``), and checked in ints to be
+    unital, an algebra map (``check_morphism``) and functorial, M_(m1 m2)
+    = M_m1 M_m2, each residual column one ``int_combination``."""
     cat = A.category
+    reduce = A.field.reduce_ints
     violations = [("algebra", (H, kind, where)) for H in cat.subgroups
                   for kind, where in A.algebras[H].validate().violations]
+    units = {H: clear_denominators([sparse_vector(a.unit)])
+             for H, a in A.algebras.items()}
+    columns = {}
     for m in cat.morphisms:
         H, K, g = m
         mat = A.maps[m]
@@ -125,20 +130,28 @@ def check_coefficient_system(A):
         if mat.rows != aH.dim or mat.cols != aK.dim:
             violations.append(("shape", m))
             continue
-        if mat.apply(aK.unit) != aH.unit:
+        phi = AlgebraMorphism(aK, aH, mat)
+        C, c = columns[m] = phi.integral
+        ((uK,), u), ((uH,), v) = units[K], units[H]
+        if reduce([int_combination([(-c * u, uH)] + [
+                (v * x, C[j]) for j, x in uK.items()])])[0]:
             violations.append(("unit", m))
-        if not check_morphism(AlgebraMorphism(aK, aH, mat)).ok:
+        if not check_morphism(phi).ok:
             violations.append(("algebra_map", m))
         if H == K and g == 0 and not _is_identity(mat):
             violations.append(("identity_morphism", m))
     if any(kind == "shape" for kind, _ in violations):
         return Verdict(False, violations)   # composites need matching shapes
     for m1 in cat.morphisms:
+        C1, c1 = columns[m1]
         for m2 in cat.morphisms:
             if m1[1] != m2[0]:
                 continue
-            comp = cat.compose(m1, m2)
-            if A.maps[comp] != A.maps[m1].mul(A.maps[m2]):
+            C2, c2 = columns[m2]
+            C, c = columns[cat.compose(m1, m2)]
+            if any(reduce([int_combination([(-c1 * c2, col)] + [
+                    (c * x, C1[k]) for k, x in col2.items()])
+                    for col2, col in zip(C2, C)])):
                 violations.append(("functoriality", (m1, m2)))
     return Verdict(not violations, violations)
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .linalg import (Matrix, clear_denominators, dense_vector,
-                     int_free_coordinates, int_kernel_basis, reduce_int_rows)
+                     int_combination, int_free_coordinates, int_kernel_basis,
+                     reduce_int_rows)
 from .leibniz import LeibnizAlgebra, AlgebraMorphism, check_morphism
 from .verdict import Verdict
 
@@ -184,22 +185,12 @@ class GroupAction:
         return self.matrices[g]
 
 
-def _int_product(rows, other):
-    """The product of two matrices given as int rows, as int rows."""
-    out = []
-    for row in rows:
-        acc = {}
-        for k, x in row.items():
-            for j, y in other[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append(acc)
-    return out
-
-
 def validate_action(action):
     """The action axioms, checked on the int rows of the psi_g: psi_0 = I,
-    p psi_g1 psi_g2 = p1 p2 psi_(g1 g2) on the ints P/p of each, full rank,
-    and each psi_g an algebra map."""
+    p psi_g1 psi_g2 = p1 p2 psi_(g1 g2) on the ints P/p of each, row by
+    row as one ``int_combination`` (row r of psi_g1 psi_g2 is the sum of
+    P1[r][k] times row k of P2), full rank, and each psi_g an algebra
+    map."""
     G, alg = action.group, action.algebra
     f = alg.field
     violations = []
@@ -210,10 +201,11 @@ def validate_action(action):
         for g2 in range(G.order):
             P2, p2 = action.integral[g2]
             P, p = action.integral[G.mul(g1, g2)]
-            lhs = [{j: p * x for j, x in row.items()}
-                   for row in _int_product(P1, P2)]
-            rhs = [{j: p1 * p2 * x for j, x in row.items()} for row in P]
-            if f.reduce_ints(lhs) != f.reduce_ints(rhs):
+            residual = f.reduce_ints([
+                int_combination([(-p1 * p2, row)]
+                                + [(p * x, P2[k]) for k, x in row1.items()])
+                for row1, row in zip(P1, P)])
+            if any(residual):
                 violations.append(("homomorphism", (g1, g2), None))
     for g in range(G.order):
         P, _ = action.integral[g]
@@ -244,10 +236,11 @@ def fixed_subalgebra(action, H):
 
     The kernel is taken from the int rows p_h psi_h - p_h I of every
     h != 0.  With the basis as int rows b_i over e and the structure
-    constants as int rows s over d, e^2 d [b_i, b_j] is the int row
-    sum_ab b_i[a] b_j[b] s[a][b], whose entries at the free columns are the
-    induced structure constants over e^2 d once the row is rebuilt from
-    them; closure failure would contradict a validated action."""
+    constants as int rows s over d, e^2 d [b_i, b_j] is the
+    ``int_combination`` sum_ab b_i[a] b_j[b] s[a][b], whose entries at the
+    free columns are the induced structure constants over e^2 d once the
+    row is rebuilt from them; closure failure would contradict a validated
+    action."""
     alg = action.algebra
     f = alg.field
     m = alg.dim
@@ -262,16 +255,10 @@ def fixed_subalgebra(action, H):
     inclusion = Matrix.from_entries(f, len(ints), m,
                                     f.divide_ints(ints, e)).transpose()
     s, d = alg.integral
-    brackets = []
-    for u in ints:
-        for v in ints:
-            acc = {}
-            for a, x in u.items():
-                for b, y in v.items():
-                    for k, z in s[a][b].items():
-                        acc[k] = acc.get(k, 0) + x * y * z
-            brackets.append(acc)
-    brackets = f.reduce_ints(brackets)
+    brackets = f.reduce_ints([
+        int_combination([(x * y, s[a][b]) for a, x in u.items()
+                         for b, y in v.items()])
+        for u in ints for v in ints])
     coords = int_free_coordinates(f, cleared, free, brackets)
     if coords is None:
         w = next(w for w in brackets

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import (Matrix, clear_denominators, dense_vector, sparse_vector,
-                     vec_is_zero, vec_add)
+from .linalg import (Matrix, clear_denominators, dense_vector,
+                     int_combination, sparse_vector)
 from .verdict import Verdict
 
 
@@ -72,39 +72,37 @@ def _integral(structure):
     return [rows[i * m:(i + 1) * m] for i in range(m)], d
 
 
+def _residuals(field, keys, sums, d, n):
+    """(key, residual) for each key whose int row in sums, one per key over
+    d, is nonzero in the field: divided by d in one ``divide_ints``, as a
+    dense vector of length n."""
+    return [(key, dense_vector(field, row, n))
+            for key, row in zip(keys, field.divide_ints(sums, d)) if row]
+
+
 def check_leibniz_identity(alg):
     """Verify [e_i,[e_j,e_k]] = [[e_i,e_j],e_k] - [[e_i,e_k],e_j] on all triples.
 
     The identity is quadratic in the structure constants, so it is checked
-    in ints on the constants times their common denominator d.  Only the
-    nonzero constants are visited: each term holds one of [e_j,e_k],
-    [e_i,e_j] and [e_i,e_k], so a triple where all three vanish holds, and
-    only the other triples are checked, in lexicographic order.
+    in ints on the constants s times their common denominator d, d^2 times
+    each residual being one ``int_combination``.  Only the nonzero
+    constants are visited: each term holds one of [e_j,e_k], [e_i,e_j] and
+    [e_i,e_k], so a triple where all three vanish holds, and only the other
+    triples are checked, in lexicographic order.
     """
-    f = alg.field
     n = alg.dim
     s, d = alg.integral
-    unscale = f.inv(f.coerce(d * d))
     triples = set()
     for a, b in product(range(n), repeat=2):
         if s[a][b]:
             for c in range(n):
                 triples.update(((c, a, b), (a, b, c), (a, c, b)))
-    violations = []
-    for i, j, k in sorted(triples):
-        res = [0] * n
-        for l, x in s[j][k].items():
-            for m, y in s[i][l].items():
-                res[m] += x * y
-        for l, x in s[i][j].items():
-            for m, y in s[l][k].items():
-                res[m] -= x * y
-        for l, x in s[i][k].items():
-            for m, y in s[l][j].items():
-                res[m] += x * y
-        if any(res) and any(map(f.coerce, res)):
-            violations.append(((i, j, k), [f.mul(f.coerce(x), unscale)
-                                           for x in res]))
+    triples = sorted(triples)
+    sums = (int_combination([(x, s[i][l]) for l, x in s[j][k].items()]
+                            + [(-x, s[l][k]) for l, x in s[i][j].items()]
+                            + [(x, s[l][j]) for l, x in s[i][k].items()])
+            for i, j, k in triples)
+    violations = _residuals(alg.field, triples, sums, d * d, n)
     return Verdict(not violations, violations)
 
 
@@ -137,39 +135,32 @@ class AlgebraMorphism:
 def check_morphism(phi):
     """phi([e_i,e_j]) = [phi e_i, phi e_j] on all basis pairs.
 
-    Checked in ints: with phi = P/p and structure constants S/s, T/t on
-    source and target, p^2 s t times a residual is
-    p t P S_ij - s sum_ab P_ai P_bj T_ab.
+    Checked in ints, one ``int_combination`` per pair: with phi = P/p and
+    structure constants S/s, T/t on source and target, p^2 s t times a
+    residual is p t P S_ij - s sum_ab P_ai P_bj T_ab, so a pair where S_ij
+    vanishes and so does T, P_i or P_j holds; the others are checked in
+    lexicographic order.
     """
     src, tgt = phi.source, phi.target
     if phi.matrix.rows != tgt.dim or phi.matrix.cols != src.dim:
         raise ValueError("matrix shape does not match algebra dimensions")
-    f = tgt.field
-    n, m = src.dim, tgt.dim
     P, p = phi.integral    # columns
     S, s = src.integral
     T, t = tgt.integral
-    pt = p * t
-    violations = []
-    for i, j in product(range(n), repeat=2):
-        res = [0] * m
-        for l, x in S[i][j].items():
-            for r, y in P[l].items():
-                res[r] += pt * x * y
-        for a, x in P[i].items():
-            for b, y in P[j].items():
-                c = s * x * y
-                for r, z in T[a][b].items():
-                    res[r] -= c * z
-        if any(res) and any(map(f.coerce, res)):
-            unscale = f.inv(f.coerce(p * p * s * t))
-            violations.append(((i, j), [f.mul(f.coerce(x), unscale)
-                                        for x in res]))
+    bracketed = any(map(any, T))
+    pairs = [(i, j) for i, j in product(range(src.dim), repeat=2)
+             if S[i][j] or bracketed and P[i] and P[j]]
+    sums = (int_combination([(p * t * x, P[l]) for l, x in S[i][j].items()]
+                            + [(-s * x * y, T[a][b]) for a, x in P[i].items()
+                               for b, y in P[j].items()])
+            for i, j in pairs)
+    violations = _residuals(tgt.field, pairs, sums, p * p * s * t, tgt.dim)
     return Verdict(not violations, violations)
 
 
 class DifferentialLieAlgebra:
-    """Lie algebra with a square-zero derivation d."""
+    """Lie algebra with a square-zero derivation d (``differential``, whose
+    column j is d(e_j))."""
 
     def __init__(self, field, dim, structure, differential):
         self.lie = LeibnizAlgebra(field, dim, structure)
@@ -177,47 +168,58 @@ class DifferentialLieAlgebra:
         self.dim = dim
         self.differential = differential
 
-    def validate(self):
-        f = self.field
-        violations = []
-        # antisymmetry
-        for i in range(self.dim):
-            for j in range(self.dim):
-                s = vec_add(f, self.lie.basis_bracket(i, j),
-                            self.lie.basis_bracket(j, i))
-                if not vec_is_zero(f, s):
-                    violations.append(("antisymmetry", (i, j), s))
-        # Jacobi, phrased as the Leibniz identity (equivalent given antisymmetry)
-        jac = check_leibniz_identity(self.lie)
-        for triple, residual in jac.violations:
-            violations.append(("jacobi", triple, residual))
-        # d^2 = 0
-        d2 = self.differential.mul(self.differential)
-        if not d2.is_zero():
-            violations.append(("d_squared", None, d2.data))
-        # derivation
+    def _differential_ints(self):
+        """(D, delta): d's columns as int rows, d(e_j) = D[j] / delta."""
         d = self.differential
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = d.apply(self.lie.basis_bracket(i, j))
-                rhs = vec_add(f,
-                              self.lie.bracket(d.column(i), self.lie.basis_vector(j)),
-                              self.lie.bracket(self.lie.basis_vector(i), d.column(j)))
-                residual = [f.sub(a, b) for a, b in zip(lhs, rhs)]
-                if not vec_is_zero(f, residual):
-                    violations.append(("derivation", (i, j), residual))
+        if (d.rows, d.cols) != (self.dim, self.dim):
+            raise ValueError(f"the differential must be {self.dim}x{self.dim}")
+        return clear_denominators(d.transpose().entries)
+
+    def validate(self):
+        """Antisymmetry (i, j), Jacobi (i, j, k), d^2 = 0 and the derivation
+        rule (i, j), in that order, each with its residual.  Checked in
+        ints on the constants s over sigma and d's columns D over delta,
+        each residual one ``int_combination``: sigma ([e_i,e_j] +
+        [e_j,e_i]); Jacobi as the Leibniz identity (equivalent given
+        antisymmetry); delta^2 d^2 e_j = sum_k D[j][k] D[k]; and sigma delta
+        (d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j])."""
+        f, n = self.field, self.dim
+        s, sigma = self.lie.integral
+        D, delta = self._differential_ints()
+        pairs = list(product(range(n), repeat=2))
+        violations = [("antisymmetry", ij, r) for ij, r in _residuals(
+            f, pairs, (int_combination([(1, s[i][j]), (1, s[j][i])])
+                       for i, j in pairs), sigma, n)]
+        violations += [("jacobi", triple, r) for triple, r
+                       in check_leibniz_identity(self.lie).violations]
+        d2 = f.reduce_ints([int_combination([(x, D[k]) for k, x in c.items()])
+                            for c in D])
+        if any(d2):
+            violations.append(("d_squared", None, Matrix.from_entries(
+                f, n, n, f.divide_ints(d2, delta * delta)).transpose().data))
+        rule = (int_combination([(x, D[l]) for l, x in s[i][j].items()]
+                                + [(-x, s[a][j]) for a, x in D[i].items()]
+                                + [(-x, s[i][a]) for a, x in D[j].items()])
+                for i, j in pairs)
+        violations += [("derivation", ij, r) for ij, r
+                       in _residuals(f, pairs, rule, sigma * delta, n)]
         return Verdict(not violations, violations)
 
 
 def derived_bracket_algebra(dgla):
-    """Leibniz algebra with [x,y]_d := [x, dy]."""
+    """Leibniz algebra with [x,y]_d := [x, dy]; sigma delta [e_i, e_j]_d is
+    the int row sum_b D[j][b] s[i][b] (``DifferentialLieAlgebra.validate``)."""
     verdict = dgla.validate()
     if not verdict.ok:
         raise ValueError(f"invalid differential Lie algebra: {verdict.violations[0]}")
-    d = dgla.differential
-    structure = [[dgla.lie.bracket(dgla.lie.basis_vector(i), d.column(j))
-                  for j in range(dgla.dim)] for i in range(dgla.dim)]
-    return LeibnizAlgebra(dgla.field, dgla.dim, structure)
+    f, n = dgla.field, dgla.dim
+    s, sigma = dgla.lie.integral
+    D, delta = dgla._differential_ints()
+    rows = f.divide_ints([
+        int_combination([(y, s[i][b]) for b, y in D[j].items()])
+        for i in range(n) for j in range(n)], sigma * delta)
+    return LeibnizAlgebra(f, n, [[dense_vector(f, rows[i * n + j], n)
+                                  for j in range(n)] for i in range(n)])
 
 
 def _word_index_map(dimV, N):

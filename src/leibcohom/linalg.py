@@ -17,7 +17,10 @@ only, the field's ``divide_ints``, one call per list of rows.  Single
 entries may be combined with the field's ``add`` and ``mul``, which keep
 ints ints over Q and residues residues over F_p; sums of many terms are
 taken in plain ints and brought back by the field's ``reduce_ints``
-(zeros dropped; over F_p, reduced mod p).
+(zeros dropped; over F_p, reduced mod p).  ``int_combination`` takes
+such a sum, of c row over (int, int row) pairs: each identity in
+structure constants is checked as one such sum per basis tuple, over a
+common denominator, that ``reduce_ints`` must bring to the empty row.
 
 The one elimination loop, ``reduce_int_rows``, runs on int rows:
 ``Matrix.rref`` and ``kernel_basis`` feed it a matrix's rows, cleared
@@ -277,9 +280,6 @@ class Matrix:
     def data(self):
         return [dense_vector(self.field, row, self.cols) for row in self.entries]
 
-    def is_zero(self):
-        return not any(self.entries)
-
     def column(self, j):
         z = self.field.zero()
         return [row.get(j, z) for row in self.entries]
@@ -469,6 +469,18 @@ def clear_denominators(rows):
             for row in rows], d
 
 
+def int_combination(terms):
+    """Sum of c * row over the (int, int row) pairs in terms, in plain ints:
+    an int row that may hold zeros and, over F_p, entries outside [0, p),
+    for the field's ``reduce_ints`` to bring back."""
+    acc = {}
+    get = acc.get
+    for c, row in terms:
+        for k, x in row.items():
+            acc[k] = get(k, 0) + c * x
+    return acc
+
+
 def sparse_vector(v):
     """The {index: entry} dict of a dense vector's nonzero entries."""
     return {j: x for j, x in enumerate(v) if x}
@@ -575,15 +587,10 @@ def int_free_coordinates(field, basis, free, rows):
     position = {c: i for i, c in enumerate(free)}
     coords = [{position[c]: x for c, x in w.items() if c in position}
               for w in rows]
-    for w, x in zip(rows, coords):
-        acc = {}
-        for i, y in x.items():
-            for k, z in ints[i].items():
-                acc[k] = acc.get(k, 0) + y * z
-        if e != 1:
-            w = {k: e * y for k, y in w.items()}
-        if field.reduce_ints([acc])[0] != w:
-            return None
+    if any(field.reduce_ints([
+            int_combination([(-e, w)] + [(y, ints[i]) for i, y in x.items()])
+            for w, x in zip(rows, coords)])):
+        return None
     return coords
 
 
@@ -621,10 +628,3 @@ def solve_matrix(m, b):
     for pc, row in zip(pivots, red.entries):
         x[pc] = {j - k: y for j, y in row.items() if j >= k}
     return Matrix.from_entries(m.field, k, b.cols, x)
-
-
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-def vec_is_zero(field, v):
-    return not any(v)

@@ -675,6 +675,36 @@ def test_one_parser_per_process_keeps_no_state(capsys):
     assert cli.build_parser() is parser
 
 
+# -- a reader that closes stdout early ----------------------------------------
+
+# 1-dimensional, [e, e] = e: [e, [e, e]] = e but [[e, e], e] - [[e, e], e] = 0
+NOT_LEIBNIZ = {"field": {"type": "rational"},
+               "algebra": {"dim": 1, "brackets": [{"i": 1, "j": 1, "value": [1]}]}}
+
+
+@pytest.mark.parametrize("argv, doc, code", [
+    (["--catalog", "lambda6", "cohomology", "--max-degree", "3"], None, 0),
+    (["--json", "--catalog", "lambda6", "cohomology", "--max-degree", "3"],
+     None, 0),
+    (["validate"], NOT_LEIBNIZ, 2),
+], ids=["text", "json", "failed-check"])
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(
+        tmp_path, argv, doc, code):
+    # the reader is gone before the report is written, as in `| (exit 0)`
+    if doc is not None:
+        argv = argv + [write(tmp_path, doc)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "leibcohom.cli"] + argv,
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == code
+    assert err == b""
+
+
 # -- the size pre-flight ------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

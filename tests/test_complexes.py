@@ -11,7 +11,7 @@ from leibcohom.catalog import lambda6 as lambda6_over
 from leibcohom.leibniz import free_leibniz_truncated
 from leibcohom.linalg import (QQ, GF, Matrix, clear_denominators,
                               combination, dense_vector, kernel_basis,
-                              last_pivot_echelon, rank, vec_is_zero)
+                              last_pivot_echelon, rank)
 from leibcohom.complexes import (BoundaryChain, TensorSpace, boundary_matrix,
                                  coboundary_matrix, CoefficientAlgebra,
                                  homology, cohomology, _representatives)
@@ -119,7 +119,7 @@ def test_homology_lambda6(lambda6):
     assert res.chain_dimension == 9
     assert res.betti == len(res.cycle_basis) - len(res.boundary_basis)
     for v in res.cycle_basis:
-        assert vec_is_zero(QQ, boundary_matrix(lambda6, 2).matrix.apply(v))
+        assert not any(boundary_matrix(lambda6, 2).matrix.apply(v))
 
 
 def test_homology_abelian():
@@ -169,7 +169,7 @@ def test_cohomology_representatives_are_cocycles(lambda6):
     res = cohomology(lambda6, A, 2)
     delta = coboundary_matrix(lambda6, A, 2)
     for v in res.representatives:
-        assert vec_is_zero(QQ, delta.apply(v))
+        assert not any(delta.apply(v))
     assert len(res.representatives) == res.betti
 
 

@@ -14,8 +14,7 @@ from leibcohom import equivariant
 from leibcohom.catalog import _letter_permutation_action
 from leibcohom.complexes import BoundaryChain
 from leibcohom.leibniz import free_leibniz_truncated
-from leibcohom.linalg import (QQ, GF, Matrix, clear_denominators, combination,
-                              vec_is_zero)
+from leibcohom.linalg import (QQ, GF, Matrix, clear_denominators, combination)
 from leibcohom.equivariant import (constant_coefficients,
                                    coset_function_coefficients,
                                    check_coefficient_system,
@@ -219,6 +218,59 @@ def test_algebra_map_verdicts_match_a_fraction_loop(drawn):
     v = check_coefficient_system(system)
     assert [m for kind, m in v.violations if kind == "algebra_map"] == \
         [m for m in cat.morphisms if breaks_products(m)]
+
+
+def functoriality_oracle(f, cat, maps):
+    """The (m1, m2) at which M_(m1 m2) - M_m1 M_m2, in a Fraction loop over
+    the maps as lists, is nonzero in f."""
+    out = []
+    for m1 in cat.morphisms:
+        for m2 in cat.morphisms:
+            if m1[1] != m2[0]:
+                continue
+            M1, M2, M = maps[m1], maps[m2], maps[cat.compose(m1, m2)]
+            if any(f.coerce(M[r][c] - sum(Fraction(M1[r][k]) * M2[k][c]
+                                          for k in range(len(M2))))
+                   for r in range(len(M)) for c in range(len(M[0]))):
+                out.append((m1, m2))
+    return out
+
+
+@given(z2_coefficient_systems())
+@settings(max_examples=80, deadline=None)
+def test_functoriality_and_unit_verdicts_match_a_fraction_loop(drawn):
+    f, cat, _, maps, system = drawn
+
+    def unital(m):
+        H, K, _ = m
+        uK, uH = system.algebras[K].unit, system.algebras[H].unit
+        return all(f.coerce(sum(Fraction(x) * uK[j] for j, x in enumerate(row))
+                            - uH[r]) == 0 for r, row in enumerate(maps[m]))
+
+    v = check_coefficient_system(system)
+    assert [m for kind, m in v.violations if kind == "unit"] == \
+        [m for m in cat.morphisms if not unital(m)]
+    assert [p for kind, p in v.violations if kind == "functoriality"] == \
+        functoriality_oracle(f, cat, maps)
+
+
+@pytest.mark.parametrize("which", [0, 7, 20, 33])
+def test_a_map_bumped_in_one_entry_breaks_functoriality_as_a_fraction_loop(
+        which):
+    # coset functions on S_3: 34 maps, one of them changed in one entry
+    cat = L.orbit_category(L.FiniteGroup.symmetric(3)[0])
+    cs = coset_function_coefficients(cat, QQ)
+    maps = {m: M.data for m, M in cs.maps.items()}
+    m = cat.morphisms[which]
+    maps[m] = [list(row) for row in maps[m]]
+    maps[m][0][0] += 1
+    v = check_coefficient_system(CoefficientSystem(
+        cat, QQ, cs.algebras, {k: Matrix.from_rows(QQ, M)
+                               for k, M in maps.items()}))
+    expected = functoriality_oracle(QQ, cat, maps)
+    assert expected
+    assert [p for kind, p in v.violations if kind == "functoriality"] == \
+        expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
 from leibcohom.linalg import QQ, Matrix
@@ -11,6 +14,8 @@ from leibcohom.groups import (FiniteGroup, GroupAction, enumerate_subgroups,
                               orbit_category, validate_action,
                               fixed_subalgebra, restriction_map)
 from leibcohom.leibniz import check_morphism
+
+from conftest import rebasing
 
 
 def test_group_validation():
@@ -82,6 +87,44 @@ def test_validate_bad_action(lambda6):
              [(k, loc, r) for k, loc, r in v.violations
               if k == "bracket_equivariance"]]
     assert (2, 2) in pairs
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_homomorphism_verdicts_match_a_fraction_loop(data):
+    # Z/n on an abelian algebra (so every invertible psi_g is an algebra
+    # map) by psi_g = S B^g S^-1, with S a rebasing times scalars that
+    # carry denominators, and one psi_g (g != 0) changed in one entry or not
+    n, B = data.draw(st.sampled_from([
+        (2, [[-1, 0], [0, 1]]), (2, [[0, 1, 0], [1, 0, 0], [0, 0, -1]]),
+        (4, [[0, -1], [1, 0]]), (3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]))
+    m = len(B)
+    P, Q = rebasing(m, data.draw(st.integers(0, 99)))
+    c = [Fraction(data.draw(st.sampled_from([1, -2, 3]))),
+         *(Fraction(1, data.draw(st.sampled_from([1, 2, 3])))
+           for _ in range(m - 1))]
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(m)) for j in range(m)]
+                for i in range(m)]
+
+    S = [[P[a][i] * c[i] for i in range(m)] for a in range(m)]
+    Si = [[Q[i][a] / c[i] for a in range(m)] for i in range(m)]
+    psi = [[[Fraction(int(i == j)) for j in range(m)] for i in range(m)]]
+    for _ in range(n - 1):
+        psi.append(mul(psi[-1], B))
+    psi = [mul(mul(S, M), Si) for M in psi]
+    if data.draw(st.booleans()):
+        g = data.draw(st.integers(1, n - 1))
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        psi[g][i][j] += Fraction(1, data.draw(st.sampled_from([1, 2, 5])))
+    group = FiniteGroup.cyclic(n)
+    action = GroupAction(group, L.LeibnizAlgebra.zero_bracket(QQ, m),
+                         [Matrix.from_rows(QQ, M) for M in psi])
+    v = validate_action(action)
+    assert [g for kind, g, _ in v.violations if kind == "homomorphism"] == [
+        (g1, g2) for g1, g2 in product(range(n), repeat=2)
+        if mul(psi[g1], psi[g2]) != psi[group.mul(g1, g2)]]
 
 
 def test_fixed_subalgebra_trivial_subgroup():

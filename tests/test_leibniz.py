@@ -245,3 +245,122 @@ def test_leibniz_check_matches_bracket_arithmetic_on_sparse_tables(data):
         if any(r):
             expected.append(((i, j, k), r))
     assert check_leibniz_identity(alg).violations == expected
+
+
+# -- the differential Lie algebra checks against a Fraction loop -----------
+
+def dgla_oracle(f, n, structure, rows):
+    """The violations ``DifferentialLieAlgebra.validate`` must report, from
+    plain Fraction brackets: structure[i][j] is [e_i, e_j] and rows is d,
+    whose column j is d(e_j); residuals are coerced into f at the end."""
+    S = [[[Fraction(x) for x in v] for v in row] for row in structure]
+    D = [[Fraction(x) for x in row] for row in rows]
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def br(u, v):
+        return [sum(u[i] * v[j] * S[i][j][k] for i in range(n)
+                    for j in range(n)) for k in range(n)]
+
+    def d(v):
+        return [sum(D[r][c] * v[c] for c in range(n)) for r in range(n)]
+
+    def plus(u, v, sign=1):
+        return [a + sign * b for a, b in zip(u, v)]
+
+    def found(kind, where, r):
+        r = [f.coerce(x) for x in r]
+        return [(kind, where, r)] if any(r) else []
+
+    pairs = list(product(range(n), repeat=2))
+    out = []
+    for i, j in pairs:
+        out += found("antisymmetry", (i, j), plus(S[i][j], S[j][i]))
+    for i, j, k in product(range(n), repeat=3):
+        out += found("jacobi", (i, j, k), plus(
+            br(e[i], br(e[j], e[k])),
+            plus(br(br(e[i], e[j]), e[k]), br(br(e[i], e[k]), e[j]), -1), -1))
+    d2 = [[f.coerce(sum(D[r][k] * D[k][c] for k in range(n)))
+           for c in range(n)] for r in range(n)]
+    if any(map(any, d2)):
+        out.append(("d_squared", None, d2))
+    for i, j in pairs:
+        column = [[D[r][c] for r in range(n)] for c in range(n)]
+        out += found("derivation", (i, j), plus(
+            d(S[i][j]), plus(br(column[i], e[j]), br(e[i], column[j])), -1))
+    derived = [[[f.coerce(x) for x in br(e[i], [D[r][j] for r in range(n)])]
+                for j in range(n)] for i in range(n)]
+    return out, derived
+
+
+# valid differential Lie algebras to plant violations in: (structure, d)
+VALID_DGLAS = [
+    ([[[0]]], [[0]]),
+    ([[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[0, 0], [1, 0]]),
+    ([[[0, 0], [0, 1]], [[0, -1], [0, 0]]], [[0, 0], [1, 0]]),   # two_dim
+    ([[[0, 0, 0], [0, 1, 0], [0, 0, 0]],                          # two_dim
+      [[0, -1, 0], [0, 0, 0], [0, 0, 0]],                         # plus a
+      [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],                         # central z
+     [[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+    ([[[0] * 3] * 3] * 3, [[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+]
+
+
+@st.composite
+def planted_dglas(draw):
+    """A field (QQ, GF(2), GF(3)), a valid differential Lie algebra scaled
+    by drawn nonzero constants, and at most two entries of its brackets or
+    of d bumped; or, now and then, a table drawn whole."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    scalars = small_fractions if f == QQ else st.integers(-2, 2)
+    structure, rows = draw(st.sampled_from(VALID_DGLAS))
+    n = len(rows)
+    a, b = draw(scalars.filter(bool)), draw(scalars.filter(bool))
+    structure = [[[a * x for x in v] for v in row] for row in structure]
+    rows = [[b * x for x in row] for row in rows]
+    if draw(st.integers(0, 4)) == 0:
+        structure = draw(st.lists(st.lists(st.lists(
+            scalars, min_size=n, max_size=n), min_size=n, max_size=n),
+            min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if draw(st.booleans()):
+            structure[i][j][k] += draw(scalars)
+        else:
+            rows[i][j] += draw(scalars)
+    return f, n, structure, rows
+
+
+@given(planted_dglas())
+@settings(max_examples=150, deadline=None)
+def test_dgla_validate_matches_a_fraction_loop(drawn):
+    f, n, structure, rows = drawn
+    dgla = DifferentialLieAlgebra(f, n, structure, Matrix.from_rows(f, rows))
+    expected, derived = dgla_oracle(f, n, structure, rows)
+    assert dgla.validate().violations == expected
+    if expected:
+        with pytest.raises(ValueError, match=expected[0][0]):
+            derived_bracket_algebra(dgla)
+    else:
+        assert derived_bracket_algebra(dgla).structure == derived
+
+
+@pytest.mark.parametrize("kind, structure, rows", [
+    ("antisymmetry", [[[0, 0], [0, 1]], [[0, 0], [0, 0]]], [[0, 0], [1, 0]]),
+    ("jacobi", [[[1]]], [[0]]),
+    ("d_squared", [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 0]]),
+    ("derivation", [[[0, 0], [0, 1]], [[0, -1], [0, 0]]], [[0, 1], [0, 0]]),
+])
+@pytest.mark.parametrize("f", [QQ, GF(2), GF(3)], ids=repr)
+def test_dgla_validate_reports_each_planted_kind(kind, structure, rows, f):
+    n = len(rows)
+    dgla = DifferentialLieAlgebra(f, n, structure, Matrix.from_rows(f, rows))
+    violations = dgla.validate().violations
+    assert violations == dgla_oracle(f, n, structure, rows)[0]
+    assert kind in {k for k, _, _ in violations}
+
+
+def test_dgla_refuses_a_differential_of_the_wrong_shape():
+    dgla = two_dim_dgla()
+    dgla.differential = Matrix.zero(QQ, 2, 3)
+    with pytest.raises(ValueError):
+        dgla.validate()

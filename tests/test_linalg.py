@@ -7,10 +7,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from leibcohom.linalg import (QQ, GF, Matrix, rank, kernel_basis, in_span,
-                              int_column_reduction, int_free_coordinates,
-                              int_kernel_basis,
+                              int_column_reduction, int_combination,
+                              int_free_coordinates, int_kernel_basis,
                               solve, solve_matrix,
-                              vec_add, vec_is_zero, dense_vector,
+                              dense_vector,
                               sparse_vector, clear_denominators, is_prime,
                               PRIME_TEST_BOUND)
 
@@ -119,7 +119,7 @@ def test_rank_nullity(m):
 def test_kernel_vectors_annihilate(m):
     basis, free = kernel_basis(m)
     for i, v in enumerate(dense(basis, m.cols)):
-        assert vec_is_zero(QQ, m.apply(v))
+        assert not any(m.apply(v))
         # reduced echelon: 1 at its own free column, 0 at the others
         assert [v[c] for c in free] == [int(i == j) for j in range(len(free))]
 
@@ -145,7 +145,7 @@ def test_int_free_coordinates_match_solve(m, coeffs):
     # a nonzero row r of m is off its null space, since r . r > 0 over Q
     for r in m.data:
         if any(r):
-            off = vec_add(QQ, v, r)
+            off = [a + b for a, b in zip(v, r)]
             assert coordinates(basis, free, sparse_vector(off)) is None
             assert solve(inclusion, off) is None
 
@@ -657,6 +657,35 @@ def test_reducing_int_rows_drops_exactly_the_zeros(field, data):
                         if (y := field.coerce(Fraction(x, d)))}
                        for row in rows]
 
+
+
+@pytest.mark.parametrize("field", CONVENTION_FIELDS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_int_combination_matches_a_fraction_sum(field, data):
+    # each drawn term may come back negated, so that whole rows cancel, and
+    # rows of one column make single entries cancel too
+    p = field.characteristic
+    big = 3 * p if p else 10 ** 30
+    ints = st.one_of(st.just(0), st.integers(-big, big))
+    terms = []
+    for c, row in data.draw(st.lists(st.tuples(ints, st.one_of(
+            st.dictionaries(st.integers(0, 40), ints, max_size=6),
+            st.dictionaries(st.just(7), ints, max_size=1))), max_size=8)):
+        terms.append((c, row))
+        if data.draw(st.booleans()):
+            terms.append((-c, row))
+    total = [Fraction(0)] * 41
+    for c, row in terms:
+        for j, x in row.items():
+            total[j] += Fraction(c) * x
+    summed = int_combination(terms)
+    assert all(type(x) is int for x in summed.values())
+    assert field.reduce_ints([summed]) == [
+        {j: y for j, x in enumerate(total) if (y := field.coerce(x))}]
+    # a row less itself is nothing, however its terms are split
+    assert field.reduce_ints([int_combination(
+        terms + [(-c, row) for c, row in terms])]) == [{}]
 
 
 # ---------------------------------------------------------------------------

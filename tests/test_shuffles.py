@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
-from leibcohom.linalg import QQ, Matrix, vec_is_zero
+from leibcohom.linalg import QQ, Matrix
 from leibcohom.complexes import (CoefficientAlgebra, boundary_matrix,
                                  TensorSpace, cohomology, coboundary_matrix)
 from leibcohom.shuffles import (perm_identity, perm_inverse, perm_compose,
@@ -296,7 +296,7 @@ def test_cocycle_cup_cocycle_is_cocycle(lambda6):
             cu = plain_cochain(setup, 1, [u])
             cv = plain_cochain(setup, 2, [v])
             d_out = values(delta_plain(lambda6, cup(cu, cv, setup)))
-            assert d_out.is_zero()
+            assert not any(d_out.entries)
 
 
 def test_cocycle_cup_coboundary_is_coboundary(lambda6):
@@ -404,7 +404,7 @@ def test_zinbiel_check_fails_with_a_nonassociative_coefficient_product():
     verdict = zinbiel_check_on_cohomology(x_at(0), x_at(0), x_at(1), setup)
     assert not verdict.ok
     kind, witness = verdict.violations[0]
-    assert kind == "defect_not_a_coboundary" and not vec_is_zero(QQ, witness)
+    assert kind == "defect_not_a_coboundary" and any(witness)
 
 
 # -- free zinbiel algebra -------------------------------------------------
