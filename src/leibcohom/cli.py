@@ -424,22 +424,26 @@ def cmd_homology(args):
     return 0
 
 
+def _class_cochains(setup, degrees):
+    """{n: the cochain of each class of HL^n_G}, one entry per degree."""
+    return {n: [setup.cochain_from_invariant(n, rep)
+                for rep in setup.cohomology(n).representatives]
+            for n in dict.fromkeys(degrees)}
+
+
 def cmd_cup(args):
     problem = load_problem(args)
     p, q = _integer(args.p, "--p", 1), _integer(args.q, "--q", 1)
     setup = make_setup(problem)
     check_size(p + q, setup.ambient_dim)
     report = Report("cup")
-    hp = setup.cohomology(p)
-    hq = setup.cohomology(q)
-    report.add(f"classes_degree_{p}", len(hp.representatives))
-    report.add(f"classes_degree_{q}", len(hq.representatives))
+    classes = _class_cochains(setup, (p, q))
+    for n, cochains in classes.items():
+        report.add(f"classes_degree_{n}", len(cochains))
     count = 0
     status = 0
-    for i, ra in enumerate(hp.representatives):
-        for j, rb in enumerate(hq.representatives):
-            a = setup.cochain_from_invariant(p, ra)
-            b = setup.cochain_from_invariant(q, rb)
+    for i, a in enumerate(classes[p]):
+        for j, b in enumerate(classes[q]):
             try:
                 cup(a, b, setup, check_invariance=False)
                 verdict = "ok"
@@ -467,16 +471,13 @@ def cmd_zinbiel_check(args):
     setup = make_setup(problem)
     check_size(p + q + r, setup.ambient_dim)
     report = Report("zinbiel-check")
-    reps = {n: setup.cohomology(n).representatives for n in {p, q, r}}
+    classes = _class_cochains(setup, (p, q, r))
     status = 0
     triples = 0
     failures = 0
-    for i, ra in enumerate(reps[p]):
-        for j, rb in enumerate(reps[q]):
-            for k, rc in enumerate(reps[r]):
-                a = setup.cochain_from_invariant(p, ra)
-                b = setup.cochain_from_invariant(q, rb)
-                c = setup.cochain_from_invariant(r, rc)
+    for i, a in enumerate(classes[p]):
+        for j, b in enumerate(classes[q]):
+            for k, c in enumerate(classes[r]):
                 v = zinbiel_check_on_cohomology(a, b, c, setup)
                 triples += 1
                 if v.ok:

@@ -8,7 +8,8 @@ these form the complex whose cohomology is the equivariant Leibniz
 cohomology.
 
 The fixed subalgebras and restriction maps are built in int rows by
-``groups``, and each restriction map keeps its int columns.  The
+``groups``, and each restriction map keeps its int columns; its bracket
+is checked here, once per binding morphism (below).  The
 per-degree data is built on demand and kept on the ``EquivariantSetup``,
 except the constraint rows, which are streamed (int rows follow the
 convention in the ``linalg`` module docstring):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 from .linalg import (Matrix, clear_denominators, dense_vector,
                      int_combination, sparse_vector)
@@ -20,7 +21,8 @@ class LeibnizAlgebra:
     ``structure[i][j]`` is the coordinate vector of [e_i, e_j], and
     ``integral`` is (s, d), the constants as int rows s[i][j] over their
     common denominator d (the convention in the ``linalg`` module
-    docstring), cleared once here for every integral check and boundary.
+    docstring), made once for every integral check and boundary: cleared
+    from ``structure`` here, or given as int rows to ``from_ints``.
     """
 
     def __init__(self, field, dim, structure):
@@ -30,7 +32,28 @@ class LeibnizAlgebra:
         self.dim = dim
         self.structure = [[[field.coerce(x) for x in structure[i][j]]
                            for j in range(dim)] for i in range(dim)]
-        self.integral = _integral(self.structure)
+        rows, d = clear_denominators(
+            [sparse_vector(v) for row in self.structure for v in row])
+        self.integral = [rows[i * dim:(i + 1) * dim] for i in range(dim)], d
+
+    @classmethod
+    def from_ints(cls, field, dim, rows, d):
+        """The algebra whose [e_i, e_j] is int row i dim + j of rows over d
+        (d = 1 over F_p).  ``integral`` is the rows over d divided by
+        gcd(d, entries), which is what the dense constructor clears from
+        the constants, and ``structure`` is divided from it once."""
+        rows = field.reduce_ints(rows)
+        g = gcd(d, *(x for row in rows for x in row.values()))
+        if g != 1:
+            rows = [{j: x // g for j, x in row.items()} for row in rows]
+            d //= g
+        alg = cls.__new__(cls)
+        alg.field, alg.dim = field, dim
+        vectors = [dense_vector(field, v, dim)
+                   for v in field.divide_ints(rows, d)]
+        alg.structure = [vectors[i * dim:(i + 1) * dim] for i in range(dim)]
+        alg.integral = [rows[i * dim:(i + 1) * dim] for i in range(dim)], d
+        return alg
 
     @classmethod
     def zero_bracket(cls, field, dim):
@@ -61,15 +84,6 @@ class LeibnizAlgebra:
 
     def basis_vector(self, i):
         return dense_vector(self.field, {i: self.field.one()}, self.dim)
-
-
-def _integral(structure):
-    """The structure constants as int rows over their common denominator
-    d: (s, d) with s[i][j] the sparse int vector of d [e_i, e_j]."""
-    m = len(structure)
-    rows, d = clear_denominators([sparse_vector(v) for row in structure
-                                  for v in row])
-    return [rows[i * m:(i + 1) * m] for i in range(m)], d
 
 
 def _residuals(field, keys, sums, d, n):
@@ -215,11 +229,9 @@ def derived_bracket_algebra(dgla):
     f, n = dgla.field, dgla.dim
     s, sigma = dgla.lie.integral
     D, delta = dgla._differential_ints()
-    rows = f.divide_ints([
+    return LeibnizAlgebra.from_ints(f, n, [
         int_combination([(y, s[i][b]) for b, y in D[j].items()])
         for i in range(n) for j in range(n)], sigma * delta)
-    return LeibnizAlgebra(f, n, [[dense_vector(f, rows[i * n + j], n)
-                                  for j in range(n)] for i in range(n)])
 
 
 def _word_index_map(dimV, N):
@@ -271,15 +283,6 @@ def free_leibniz_truncated(dimV, N, field=None):
         cache[key] = out
         return out
 
-    dim = len(words)
-    z = field.zero()
-    structure = []
-    for wi in words:
-        row = []
-        for wj in words:
-            v = [z] * dim
-            for w, c in wb(wi, wj).items():
-                v[index[w]] = field.coerce(c)
-            row.append(v)
-        structure.append(row)
-    return LeibnizAlgebra(field, dim, structure), words
+    return LeibnizAlgebra.from_ints(field, len(words), [
+        {index[w]: c for w, c in wb(wi, wj).items()}
+        for wi in words for wj in words], 1), words

@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
-from leibcohom import equivariant
+from leibcohom import equivariant, groups
 from leibcohom.catalog import _letter_permutation_action
 from leibcohom.complexes import BoundaryChain
 from leibcohom.leibniz import free_leibniz_truncated
@@ -1313,6 +1313,32 @@ def test_the_check_refuses_a_restriction_broken_in_one_entry():
                      lambda k, j: _rational(images[j].get(k, 0)))
     C = sympy.Matrix(_all_constraint_rows(setup, 2))
     assert [any(C * V[:, j]) for j in V.rref()[1]] == [False, True, False]
+
+
+@pytest.mark.parametrize("coefficients, binding", [("constant", 27),
+                                                    ("coset-functions", 28)])
+def test_a_setup_checks_each_binding_restriction_once_at_first_use(
+        coefficients, binding):
+    # S_3 has 34 orbit-category morphisms; the (H, H, g) whose restriction
+    # and coefficient maps are identity matrices bind nothing and are not
+    # checked, and construction checks none
+    checked = []
+
+    def spy(phi):
+        checked.append(phi)
+        return L.check_morphism(phi)
+    with mock.patch.object(groups, "check_morphism", spy), \
+            mock.patch.object(equivariant, "check_morphism", spy):
+        setup = catalog_setup("free_leib(3,1)_perm", coefficients)
+        assert len(setup.category.morphisms) == 34 and checked == []
+        setup.invariant_space(0)
+        assert [id(phi) for phi in checked] == [
+            id(setup.restrictions[m]) for m in _binding_morphisms(setup)]
+        assert len(checked) == binding
+        for n in range(3):
+            setup.invariant_space(n)
+            setup.cohomology(n)
+        assert len(checked) == binding
 
 
 @pytest.mark.parametrize("coefficients", ["constant", "coset-functions"])

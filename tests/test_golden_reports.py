@@ -94,6 +94,19 @@ def test_report_matches_golden(golden, tmp_path, monkeypatch, cid, argv):
     assert run_case(argv) == golden[cid]
 
 
+@pytest.mark.parametrize("cid", [c for c, _ in cases() if c.endswith(":text")])
+def test_text_report_keys_are_unique_and_those_of_its_json_twin(golden, cid):
+    text, twin = golden[cid], golden[cid[:-len("text")] + "json"]
+    lines = text["stdout"].splitlines()[1:]         # after "# generated"
+    keys = [line.split(": ", 1)[0] for line in lines]
+    assert len(keys) == len(set(keys)), keys
+    if twin["stdout"]:
+        assert keys == [k for k in json.loads(twin["stdout"])
+                        if k != "timestamp"]
+    else:
+        assert keys == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_reports.py --write")

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L
-from leibcohom.linalg import QQ, Matrix
+from leibcohom.catalog import (_diag_action, _letter_permutation_action,
+                               lambda6 as lambda6_over)
+from leibcohom.linalg import GF, QQ, Matrix
 from leibcohom.groups import (FiniteGroup, GroupAction, enumerate_subgroups,
                               orbit_category, validate_action,
                               fixed_subalgebra, restriction_map)
 from leibcohom.leibniz import check_morphism
 
-from conftest import rebasing
+from conftest import rebased_action, rebasing
 
 
 def test_group_validation():
@@ -250,6 +252,40 @@ def test_fixed_set_not_closed_rejected():
         fixed_subalgebra(action, frozenset({0, 1}))
 
 
+def _assert_integral_is_the_cleared_structure(action):
+    f = action.algebra.field
+    for alg in [action.algebra] + [
+            fixed_subalgebra(action, H).algebra
+            for H in orbit_category(action.group).subgroups]:
+        dense = L.LeibnizAlgebra(f, alg.dim, alg.structure)
+        assert alg.integral == dense.integral
+        assert alg.structure == dense.structure
+
+
+@pytest.mark.parametrize("name", ["lambda6_z2", "derived2_f2_z2",
+                                  "free_leib(2,1)_perm", "free_leib(2,2)_perm",
+                                  "free_leib(3,1)_perm", "free_leib(4,1)_perm"])
+def test_catalog_fixed_subalgebras_hold_the_cleared_structure(name):
+    # the induced constants, and a free algebra's, come as int rows
+    _assert_integral_is_the_cleared_structure(L.catalog(name).action)
+
+
+@given(st.sampled_from([QQ, GF(2), GF(3)]),
+       st.sampled_from(["lambda6", "free_leib(2,2)", "free_leib(3,1)"]),
+       st.integers(0, 99))
+@settings(max_examples=40, deadline=None)
+def test_rebased_fixed_subalgebras_hold_the_cleared_structure(f, kind, seed):
+    if kind == "lambda6":
+        action = _diag_action(lambda6_over(f), [1, -1, -1])
+    else:
+        dimV, N = (2, 2) if kind == "free_leib(2,2)" else (3, 1)
+        alg, words = L.free_leibniz_truncated(dimV, N, f)
+        action = _letter_permutation_action(alg, words, dimV)
+    action = rebased_action(action, seed)
+    assert validate_action(action).ok
+    _assert_integral_is_the_cleared_structure(action)
+
+
 def test_restriction_rejects_invalid_triple():
     alg = L.LeibnizAlgebra.zero_bracket(QQ, 2)
     swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
@@ -265,7 +301,9 @@ def test_restriction_rejects_invalid_triple():
 
 OPTIMIZED_GUARDS = """
 import leibcohom as L
-from leibcohom.linalg import QQ, Matrix
+from leibcohom.catalog import (_diag_action, _letter_permutation_action,
+                               lambda6 as lambda6_over)
+from leibcohom.linalg import GF, QQ, Matrix
 assert False, "asserts must be stripped here"
 try:
     Matrix(QQ, 2, 2, [[1, 2]])
@@ -274,9 +312,11 @@ except ValueError:
 alg = L.catalog("lambda6").algebra
 double = Matrix.from_rows(QQ, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 action = L.GroupAction(L.FiniteGroup.trivial(), alg, [double])
+category = L.orbit_category(action.group)
 e = frozenset({0})
 try:
-    L.restriction_map(action, (e, e, 0), {e: L.fixed_subalgebra(action, e)})
+    L.EquivariantSetup(action, category, L.constant_coefficients(
+        category, QQ)).invariant_space(0)
 except AssertionError as exc:
     if "breaks the bracket" in str(exc):
         print("morphism guard")
@@ -308,8 +348,8 @@ except AssertionError as exc:
 def test_guards_survive_python_O():
     # psi = 2 Id on lambda6 is linear but doubles brackets, so it is no
     # algebra map, and neither is a restriction of lambda6_z2 that negates
-    # e_3 alone, which a setup refuses at its first invariant space; the
-    # guards must raise with asserts compiled away
+    # e_3 alone; a setup refuses each at its first invariant space, and
+    # the guards must raise with asserts compiled away
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
