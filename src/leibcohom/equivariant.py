@@ -8,11 +8,14 @@ these form the complex whose cohomology is the equivariant Leibniz
 cohomology.
 
 The fixed subalgebras and restriction maps are built in int rows by
-``groups``, and each restriction map keeps its int columns; its bracket
-is checked here, once per binding morphism (below).  The
-per-degree data is built on demand and kept on the ``EquivariantSetup``,
-except the constraint rows, which are streamed (int rows follow the
-convention in the ``linalg`` module docstring):
+``groups``, and each restriction map keeps its int columns and its shape;
+its bracket is checked here, once per binding morphism (below).  The
+set-up reads only those int rows and shapes, so building a setup and its
+invariant spaces makes no field element; the restriction matrices and the
+induced structure constants are divided only when something reads them.
+The per-degree data is built on demand and kept on the
+``EquivariantSetup``, except the constraint rows, which are streamed (int
+rows follow the convention in the ``linalg`` module docstring):
 
 * ``invariant_space(n)`` is S^n_G, the null space of the invariance
   constraints.  R^(x)n is built once per (morphism, n) as int columns,
@@ -22,11 +25,11 @@ convention in the ``linalg`` module docstring):
   and divided into field vectors only when they are read.
   Only the binding constraints are built: a morphism (H, H, g) whose
   restriction map and coefficient map are both identity matrices asks
-  c_H = c_H at every degree, so it adds no row.  The test is on the maps,
-  not on the label g, so a coefficient system whose identity morphism is
-  not sent to the identity is still constrained by it.  Which morphisms
-  bind, and the int rows of their -A(g-hat), are found once per setup,
-  and each binding restriction map is checked there to be a bracket
+  c_H = c_H at every degree, so it adds no row.  The test is on the maps'
+  int rows, not on the label g, so a coefficient system whose identity
+  morphism is not sent to the identity is still constrained by it.  Which
+  morphisms bind, and the int rows of their -A(g-hat), are found once per
+  setup, and each binding restriction map is checked there to be a bracket
   morphism: that keeps delta's images invariant at every degree.
   ``check_invariance`` still evaluates every morphism, on
   ``restriction_power``, the one conversion of R^(x)n to field entries.
@@ -85,10 +88,11 @@ class CoefficientSystem:
 
 
 def constant_coefficients(category, field):
-    """A(G/H) = K for every H, all maps the identity."""
-    algebras = {H: CoefficientAlgebra.scalar(field)
-                for H in category.subgroups}
-    maps = {m: Matrix.identity(field, 1) for m in category.morphisms}
+    """A(G/H) = K for every H, all maps the identity; one algebra and one
+    matrix serve every subgroup and morphism."""
+    algebras = dict.fromkeys(category.subgroups,
+                             CoefficientAlgebra.scalar(field))
+    maps = dict.fromkeys(category.morphisms, Matrix.identity(field, 1))
     return CoefficientSystem(category, field, algebras, maps)
 
 
@@ -139,7 +143,7 @@ def check_coefficient_system(A):
             violations.append(("unit", m))
         if not check_morphism(phi).ok:
             violations.append(("algebra_map", m))
-        if H == K and g == 0 and not _is_identity(mat):
+        if H == K and g == 0 and not _is_identity(phi.integral, phi.shape):
             violations.append(("identity_morphism", m))
     if any(kind == "shape" for kind, _ in violations):
         return Verdict(False, violations)   # composites need matching shapes
@@ -157,8 +161,12 @@ def check_coefficient_system(A):
     return Verdict(not violations, violations)
 
 
-def _is_identity(mat):
-    return mat == Matrix.identity(mat.field, mat.rows)
+def _is_identity(ints, shape):
+    """Whether a matrix of the given shape, as int rows or columns over any
+    one denominator d, is an identity matrix: row i is d at i alone."""
+    rows, d = ints
+    return shape[0] == shape[1] and all(row == {i: d}
+                                        for i, row in enumerate(rows))
 
 
 @dataclass
@@ -298,7 +306,7 @@ class EquivariantSetup:
             else:
                 prev, d = self._restriction_ints(morphism, n - 1)
                 base, e = self._restriction_ints(morphism, 1)
-                h = self.restrictions[morphism].matrix.rows
+                h = self.restrictions[morphism].shape[0]
                 self._int_powers[key] = self.field.reduce_ints([
                     {i * h + j: x * y for i, x in u.items()
                      for j, y in v.items()}
@@ -313,7 +321,7 @@ class EquivariantSetup:
         if key not in self._restriction_powers:
             f = self.field
             columns = f.divide_ints(*self._restriction_ints(morphism, n))
-            nrows = self.restrictions[morphism].matrix.rows ** n
+            nrows = self.restrictions[morphism].shape[0] ** n
             self._restriction_powers[key] = Matrix.from_entries(
                 f, len(columns), nrows, columns).transpose()
         return self._restriction_powers[key]
@@ -345,13 +353,14 @@ class EquivariantSetup:
         for m in self.category.morphisms:
             H, K, g = m
             R, A = self.restrictions[m], self.coefficients.maps[m]
-            if H == K and _is_identity(R.matrix) and _is_identity(A):
+            rows, e = clear_denominators(A.entries)
+            if (H == K and _is_identity(R.integral, R.shape)
+                    and _is_identity((rows, e), (A.rows, A.cols))):
                 continue
             if not check_morphism(R).ok:
                 raise AssertionError(
                     f"the restriction map of ({sorted(H)}, {sorted(K)}, {g}) "
                     f"breaks the bracket: delta leaves the invariant subspace")
-            rows, e = clear_denominators(A.entries)
             out.append((m, [{aj: neg(x) for aj, x in row.items()}
                             for row in rows], e))
         return out

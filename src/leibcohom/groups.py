@@ -10,8 +10,10 @@ of the stacked int rows of psi_h - I and its induced brackets from the
 algebra's ``integral`` constants and the subspace's int basis, which it
 keeps as the kernel returned it, and hands to
 ``LeibnizAlgebra.from_ints`` as int rows; ``restriction_map`` applies
-psi_g's int rows to that basis.  Field elements are made once, for the
-inclusion, the structure constants and the restriction matrices.
+psi_g's int rows to that basis and hands the columns it reads to
+``AlgebraMorphism.from_ints``.  No field element is made: the induced
+structure constants and the restriction matrices are divided from their
+int rows only when something reads them.
 """
 
 from __future__ import annotations
@@ -219,9 +221,8 @@ def validate_action(action):
 
 
 class FixedSubalgebra:
-    def __init__(self, subgroup, inclusion, free, ints, algebra):
+    def __init__(self, subgroup, free, ints, algebra):
         self.subgroup = subgroup
-        self.inclusion = inclusion     # dim(g) x dim(g^H), columns = basis
         self.free = free               # the free column of each basis vector
         self.ints = ints               # (rows, e): the basis as int rows / e
         self.algebra = algebra         # induced Leibniz algebra on g^H
@@ -252,8 +253,6 @@ def fixed_subalgebra(action, H):
                                    for i, row in enumerate(P)])
     cleared, free = int_kernel_basis(f, rows, m)
     ints, e = cleared
-    inclusion = Matrix.from_entries(f, len(ints), m,
-                                    f.divide_ints(ints, e)).transpose()
     s, d = alg.integral
     brackets = f.reduce_ints([
         int_combination([(x * y, s[a][b]) for a, x in u.items()
@@ -266,7 +265,7 @@ def fixed_subalgebra(action, H):
         w = dense_vector(f, f.divide_ints([w], e * e * d)[0], m)
         raise AssertionError(
             f"fixed-point set not closed under bracket, witness {w}")
-    return FixedSubalgebra(H, inclusion, free, cleared,
+    return FixedSubalgebra(H, free, cleared,
                            LeibnizAlgebra.from_ints(f, len(ints), coords,
                                                     e * e * d))
 
@@ -274,13 +273,13 @@ def fixed_subalgebra(action, H):
 def restriction_map(action, morphism, fixed):
     """psi_g restricted to g^K -> g^H, in the chosen fixed-subalgebra bases.
 
-    ``fixed`` maps each subgroup to its FixedSubalgebra.  Returns an
-    AlgebraMorphism from fixed[K].algebra to fixed[H].algebra whose
-    ``integral`` columns are read in ints: psi_g's int rows P over p
-    applied to the int basis of g^K over e, then read at the free columns
-    of g^H, over p e.  The bracket is not checked here: psi_g of a
-    validated action is an automorphism, and ``EquivariantSetup`` checks
-    each binding restriction map once, on first use.
+    ``fixed`` maps each subgroup to its FixedSubalgebra.  Returns the
+    ``AlgebraMorphism.from_ints`` from fixed[K].algebra to fixed[H].algebra
+    of the columns read in ints: psi_g's int rows P over p applied to the
+    int basis of g^K over e, then read at the free columns of g^H, over
+    p e.  The bracket is not checked here: psi_g of a validated action is
+    an automorphism, and ``EquivariantSetup`` checks each binding
+    restriction map once, on first use.
     """
     H, K, g = morphism
     fH, fK = fixed[H], fixed[K]
@@ -295,6 +294,5 @@ def restriction_map(action, morphism, fixed):
         raise AssertionError(
             f"psi_{g} does not map the {sorted(K)}-fixed set into the "
             f"{sorted(H)}-fixed set; invalid morphism triple")
-    mat = Matrix.from_entries(f, fK.dim, fH.dim,
-                              f.divide_ints(columns, p * e)).transpose()
-    return AlgebraMorphism(fK.algebra, fH.algebra, mat, (columns, p * e))
+    return AlgebraMorphism.from_ints(fK.algebra, fH.algebra, columns, p * e,
+                                     fH.dim)

@@ -6,7 +6,7 @@ is assumed.  Indices are 0-based internally (file formats are 1-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -22,7 +22,8 @@ class LeibnizAlgebra:
     ``integral`` is (s, d), the constants as int rows s[i][j] over their
     common denominator d (the convention in the ``linalg`` module
     docstring), made once for every integral check and boundary: cleared
-    from ``structure`` here, or given as int rows to ``from_ints``.
+    from ``structure`` here, or given as int rows to ``from_ints``, which
+    leaves ``structure`` to be divided from them on first read.
     """
 
     def __init__(self, field, dim, structure):
@@ -41,7 +42,7 @@ class LeibnizAlgebra:
         """The algebra whose [e_i, e_j] is int row i dim + j of rows over d
         (d = 1 over F_p).  ``integral`` is the rows over d divided by
         gcd(d, entries), which is what the dense constructor clears from
-        the constants, and ``structure`` is divided from it once."""
+        the constants; ``structure`` is divided from it on first read."""
         rows = field.reduce_ints(rows)
         g = gcd(d, *(x for row in rows for x in row.values()))
         if g != 1:
@@ -49,11 +50,18 @@ class LeibnizAlgebra:
             d //= g
         alg = cls.__new__(cls)
         alg.field, alg.dim = field, dim
-        vectors = [dense_vector(field, v, dim)
-                   for v in field.divide_ints(rows, d)]
-        alg.structure = [vectors[i * dim:(i + 1) * dim] for i in range(dim)]
         alg.integral = [rows[i * dim:(i + 1) * dim] for i in range(dim)], d
         return alg
+
+    @cached_property
+    def structure(self):
+        """The constants as field elements, divided from ``integral`` (the
+        dense constructor sets them instead)."""
+        f, n = self.field, self.dim
+        s, d = self.integral
+        vectors = [dense_vector(f, v, n)
+                   for v in f.divide_ints([v for row in s for v in row], d)]
+        return [vectors[i * n:(i + 1) * n] for i in range(n)]
 
     @classmethod
     def zero_bracket(cls, field, dim):
@@ -120,20 +128,36 @@ def check_leibniz_identity(alg):
     return Verdict(not violations, violations)
 
 
-@dataclass
 class AlgebraMorphism:
-    """A linear map of algebras.  ``integral`` is the matrix's columns as
-    int rows over one denominator, (P, p); cleared from the matrix unless
-    the caller already has them."""
-    source: LeibnizAlgebra
-    target: LeibnizAlgebra
-    matrix: Matrix   # columns = images of source basis vectors
-    integral: tuple = None
+    """A linear map of algebras, given by its matrix, whose columns are the
+    images of the source basis vectors, or by ``from_ints``.  ``integral``
+    is the columns as int rows over one denominator, (P, p), cleared from
+    the matrix; ``shape`` is the matrix's (rows, cols)."""
 
-    def __post_init__(self):
-        if self.integral is None:
-            self.integral = clear_denominators(
-                self.matrix.transpose().entries)
+    def __init__(self, source, target, matrix):
+        self.source, self.target = source, target
+        self.matrix = matrix
+        self.shape = matrix.rows, matrix.cols
+        self.integral = clear_denominators(matrix.transpose().entries)
+
+    @classmethod
+    def from_ints(cls, source, target, columns, p, rows):
+        """The map whose column j is int row j of columns over p, with the
+        given number of rows; ``matrix`` is divided from them on first
+        read."""
+        phi = cls.__new__(cls)
+        phi.source, phi.target = source, target
+        phi.shape = rows, len(columns)
+        phi.integral = columns, p
+        return phi
+
+    @cached_property
+    def matrix(self):
+        f = self.target.field
+        columns, p = self.integral
+        rows, cols = self.shape
+        return Matrix.from_entries(f, cols, rows,
+                                   f.divide_ints(columns, p)).transpose()
 
     def apply(self, x):
         return self.matrix.apply(x)
@@ -156,7 +180,7 @@ def check_morphism(phi):
     lexicographic order.
     """
     src, tgt = phi.source, phi.target
-    if phi.matrix.rows != tgt.dim or phi.matrix.cols != src.dim:
+    if phi.shape != (tgt.dim, src.dim):
         raise ValueError("matrix shape does not match algebra dimensions")
     P, p = phi.integral    # columns
     S, s = src.integral

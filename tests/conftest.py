@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -165,6 +166,36 @@ def rebased_action(action, seed):
     P, Q = Matrix.from_rows(f, P), Matrix.from_rows(f, Q)
     return L.GroupAction(action.group, rebased(alg, seed),
                          [Q.mul(psi).mul(P) for psi in action.matrices])
+
+
+@contextlib.contextmanager
+def counting_fractions():
+    """Yields a list that gains one entry per ``Fraction`` made inside the
+    block: ``Fraction.__new__``, and ``Fraction._from_coprime_ints`` where
+    the fractions module has it (Python 3.12 on), are replaced by counting
+    wrappers and put back on exit."""
+    made = []
+    saved = {name: Fraction.__dict__[name]
+             for name in ("__new__", "_from_coprime_ints")
+             if name in Fraction.__dict__}
+    new = saved["__new__"].__func__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    Fraction.__new__ = staticmethod(counted_new)
+    if "_from_coprime_ints" in saved:
+        coprime = saved["_from_coprime_ints"].__func__
+
+        def counted_coprime(cls, n, d):
+            made.append((n, d))
+            return coprime(cls, n, d)
+        Fraction._from_coprime_ints = classmethod(counted_coprime)
+    try:
+        yield made
+    finally:
+        for name, attr in saved.items():
+            setattr(Fraction, name, attr)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -22,8 +26,8 @@ from leibcohom.equivariant import (constant_coefficients,
 from leibcohom.verdict import Verdict
 
 from conftest import (ambient_coboundary, block_diag, catalog_setup,
-                      greedy_classes, greedy_independent, rebased_action,
-                      rebasing,
+                      counting_fractions, greedy_classes, greedy_independent,
+                      rebased_action, rebasing,
                       reference_cohomology, sympy_kernel, sympy_rank)
 
 
@@ -1396,8 +1400,8 @@ def _vanishes(field, M):
 def _check_setup_data(setup):
     """g^H is the reduced-echelon null space of the stacked psi_h - I, its
     bracket is the one of g on the inclusion, and incl_H R = psi_g incl_K
-    for every morphism (H, K, g); the int data kept beside each matrix
-    equals it."""
+    for every morphism (H, K, g); the inclusion is rebuilt from the kept
+    int rows, and the int data kept beside each matrix equals it."""
     action, f = setup.action, setup.field
     alg = action.algebra
     m = alg.dim
@@ -1411,14 +1415,12 @@ def _check_setup_data(setup):
                  for j, x in enumerate(row)]
                 for h in sorted(H) if h
                 for i, row in enumerate(action.psi(h).data)]
-        columns = [{i: x for i, x in enumerate(c) if x}
-                   for c in fx.inclusion.columns()]
+        ints, e = fx.ints           # e = 1 over F_p
+        columns = [{i: Fraction(x, e) for i, x in c.items()} for c in ints]
         assert columns == sympy_kernel(
             f, [{j: x for j, x in enumerate(r) if x} for r in rows], m)
-        ints, e = fx.ints
-        assert [{i: _rational(x) / e for i, x in c.items()} for c in ints] \
-            == [{i: _rational(x) for i, x in c.items()} for c in columns]
-        incl[H] = _sym(fx.inclusion.data, k)
+        incl[H] = sympy.Matrix(m, k, lambda i, j: _rational(
+            columns[j].get(i, 0)))
         S = sympy.Matrix(k, k * k, lambda c, ab: _rational(
             fx.algebra.structure[ab // k][ab % k][c]))
         assert not k or _vanishes(f, incl[H] * S - T *
@@ -1443,3 +1445,134 @@ def test_catalog_setup_data_matches_sympy(name):
 @settings(max_examples=30, deadline=None)
 def test_nilpotent_setup_data_matches_sympy(action):
     _check_setup_data(_setup(action, constant_coefficients))
+
+
+def _restriction_by_a_fraction_loop(setup, morphism):
+    """psi_g on the basis of g^K, in the basis of g^H: summed in Fractions
+    from the dense psi_g and the kept int rows of both bases, each image
+    checked to be rebuilt by its entries at the free columns of g^H, which
+    are its coordinates.  Dense rows of field elements."""
+    H, K, g = morphism
+    f, m = setup.field, setup.action.algebra.dim
+    p = f.characteristic
+    psi = [[Fraction(x) for x in row] for row in setup.action.psi(g).data]
+
+    def basis(fx):
+        ints, e = fx.ints
+        return [[Fraction(v.get(a, 0), e) for a in range(m)] for v in ints]
+    fH, bH = setup.fixed[H], basis(setup.fixed[H])
+    columns = []
+    for b in basis(setup.fixed[K]):
+        image = [sum(x * y for x, y in zip(row, b)) for row in psi]
+        coords = [image[c] for c in fH.free]
+        rebuilt = [sum(x * v[a] for x, v in zip(coords, bH)) for a in range(m)]
+        assert all((x - y) % p == 0 if p else x == y
+                   for x, y in zip(image, rebuilt))
+        columns.append([f.coerce(x) for x in coords])
+    return [[c[r] for c in columns] for r in range(fH.dim)]
+
+
+def _scaled_swap():
+    """Z/2 swapping the two axes of abelian_2 with scales 2 and 1/2: g^G
+    is spanned by (1/2, 1), int row (1, 2) over 2."""
+    return L.GroupAction(L.FiniteGroup.cyclic(2),
+                         L.LeibnizAlgebra.zero_bracket(QQ, 2),
+                         [Matrix.identity(QQ, 2), Matrix.from_rows(
+                             QQ, [[0, Fraction(1, 2)], [2, 0]])])
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm",
+                                                    "scaled swap"])
+def test_each_restriction_matrix_is_a_fraction_loop_of_psi(name, seed):
+    action = (_scaled_swap() if name == "scaled swap"
+              else L.catalog(name).action)
+    if seed is not None:
+        action = rebased_action(action, seed)
+    setup = _setup(action, constant_coefficients)
+    for m, phi in setup.restrictions.items():
+        H, K, _ = m
+        assert phi.shape == (setup.fixed[H].dim, setup.fixed[K].dim)
+        assert phi.matrix.data == _restriction_by_a_fraction_loop(setup, m)
+
+
+@pytest.mark.parametrize("coefficients", [constant_coefficients,
+                                          coset_function_coefficients])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["scaled swap"])
+def test_the_binding_morphisms_are_read_off_the_int_columns(name,
+                                                            coefficients):
+    # the scaled swap's identity on g^G is 2/2 in int columns
+    action = (_scaled_swap() if name == "scaled swap"
+              else rebased_action(L.catalog(name).action, 1))
+    setup = _setup(action, coefficients)
+    assert [m for m, _, _ in setup._binding] == _binding_morphisms(setup)
+
+
+# ---------------------------------------------------------------------------
+# The set-up makes no field element: the fixed subalgebras, the restriction
+# maps and the induced brackets stay int rows until something reads them.
+# ---------------------------------------------------------------------------
+
+def _set_up_fractions(action, coefficients, top=3):
+    """(made, read, setup): the number of Fractions made while a setup on
+    the action is built and solves S^0_G .. S^top_G, and then while every
+    restriction matrix and induced structure is read.  The coefficient
+    system is built before the count."""
+    category = L.orbit_category(action.group)
+    cs = coefficients(category, action.algebra.field)
+    with counting_fractions() as made:
+        setup = L.EquivariantSetup(action, category, cs)
+        for n in range(top + 1):
+            setup.invariant_space(n)
+    with counting_fractions() as read:
+        for phi in setup.restrictions.values():
+            phi.matrix
+        for fx in setup.fixed.values():
+            fx.algebra.structure
+    return len(made), len(read), setup
+
+
+@pytest.mark.parametrize("over_f2", [False, True])
+@pytest.mark.parametrize("coefficients", [constant_coefficients,
+                                          coset_function_coefficients])
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + ["free_leib(2,2)_perm"])
+def test_the_set_up_makes_no_fraction(name, coefficients, over_f2):
+    # the spy sees the lazy views divided when they are read, over Q only
+    action = L.catalog(name).action
+    if over_f2:
+        action = action_over(action, GF(2))
+    made, read, setup = _set_up_fractions(action, coefficients)
+    assert made == 0
+    assert (read > 0) == (setup.field == QQ)
+
+
+OPTIMIZED_FRACTION_COUNT = """
+from leibcohom.linalg import GF
+import leibcohom as L
+from test_equivariant import (CATALOG_ACTIONS, _set_up_fractions,
+                              action_over, constant_coefficients,
+                              coset_function_coefficients)
+assert False, "asserts must be stripped here"
+for name in CATALOG_ACTIONS:
+    for coefficients in (constant_coefficients, coset_function_coefficients):
+        action = L.catalog(name).action
+        for a in (action, action_over(action, GF(2))):
+            made, read, setup = _set_up_fractions(a, coefficients)
+            print(name, setup.field, made, read > 0)
+"""
+
+
+def test_the_set_up_makes_no_fraction_under_python_O():
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c",
+                           OPTIMIZED_FRACTION_COUNT], cwd=tests, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4 * 2 * 2
+    for line in lines:
+        name, field, made, read = line.split()
+        assert (made, read) == ("0", str(field == "QQ"))

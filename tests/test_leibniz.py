@@ -66,6 +66,22 @@ def test_morphism_composition_closed(lambda6):
     assert check_morphism(a.compose(b)).ok
 
 
+def test_check_morphism_refuses_a_matrix_of_the_wrong_shape():
+    # the 2x2 matrix into a 3-dimensional target has as many int columns
+    # as the source has dimensions, so only its stored shape refuses it
+    plane = L.LeibnizAlgebra.zero_bracket(QQ, 2)
+    space = L.LeibnizAlgebra.zero_bracket(QQ, 3)
+    wide = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0]])
+    for phi in [AlgebraMorphism(plane, plane, wide),
+                AlgebraMorphism(plane, space, Matrix.identity(QQ, 2)),
+                AlgebraMorphism.from_ints(plane, space, [{0: 1}, {1: 1}], 1,
+                                          2)]:
+        with pytest.raises(ValueError, match="shape"):
+            check_morphism(phi)
+    assert check_morphism(AlgebraMorphism.from_ints(
+        plane, space, [{0: 1}, {1: 1}], 1, 3)).ok
+
+
 def two_dim_dgla():
     # [x, y] = y, d(x) = y, d(y) = 0
     z = 0
