@@ -7,18 +7,16 @@ from .leibniz import (LeibnizAlgebra, AlgebraMorphism, DifferentialLieAlgebra,
 from .groups import (FiniteGroup, GroupAction, OrbitCategory, FixedSubalgebra,
                      validate_action, enumerate_subgroups, orbit_category,
                      fixed_subalgebra, restriction_map)
-from .complexes import (TensorSpace, BoundaryOperator, CoefficientAlgebra,
-                        CohomologyResult, boundary_matrix, coboundary_matrix,
-                        homology, cohomology)
+from .complexes import (TensorSpace, CoefficientAlgebra, CohomologyResult,
+                        boundary_matrix, coboundary_matrix, homology,
+                        cohomology)
 from .equivariant import (CoefficientSystem, EquivariantCochain,
                           EquivariantSetup, constant_coefficients,
                           coset_function_coefficients,
                           check_coefficient_system)
 from .shuffles import (shuffles, shuffle_sum, tilde, rho_sum, tau_sum,
                        PermutationSum, check_rho_identity, cup,
-                       zinbiel_check_on_cohomology,
-                       FreeZinbielElement, free_zinbiel_product,
-                       check_zinbiel_axiom)
+                       zinbiel_check_on_cohomology)
 from .catalog import catalog, CatalogEntry
 
 __version__ = "0.1.0"

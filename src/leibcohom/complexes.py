@@ -55,12 +55,6 @@ class TensorSpace:
         return idx
 
 
-@dataclass
-class BoundaryOperator:
-    degree: int
-    matrix: Matrix   # TensorSpace(n) -> TensorSpace(n-1)
-
-
 class BoundaryChain:
     """d_k^T of one algebra as int rows, built one degree at a time.
 
@@ -143,11 +137,12 @@ def _boundary_transpose(alg, n):
 
 
 def boundary_matrix(alg, n):
-    """Matrix of d on the lexicographic tensor basis, degree n >= 2: the
-    tests' reference route."""
+    """Matrix of d_n: TensorSpace(m, n) -> TensorSpace(m, n - 1) on the
+    lexicographic tensor basis, degree n >= 2: the tests' reference
+    route."""
     if n < 2:
         raise ValueError("boundary map needs degree >= 2")
-    return BoundaryOperator(n, _boundary_transpose(alg, n).transpose())
+    return _boundary_transpose(alg, n).transpose()
 
 
 def betti_numbers(alg, n_max):

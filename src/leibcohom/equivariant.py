@@ -276,6 +276,11 @@ class EquivariantSetup:
         return cls(action, category, coefficients)
 
     def layout(self, n):
+        """(H, dim g^H, dim A(G/H), offset) of each subgroup's block of the
+        ambient cochains of degree n; every degree-n path reads it, so a
+        negative degree is refused here."""
+        if n < 0:
+            raise ValueError("degree must be >= 0")
         out = []
         off = 0
         for H in self.category.subgroups:
@@ -297,6 +302,8 @@ class EquivariantSetup:
         restriction map's ``integral``; each higher power is built once per
         (morphism, n), as R^{(x)(n-1)} (x) R in plain int products brought
         back by one ``reduce_ints``."""
+        if n < 0:
+            raise ValueError("degree must be >= 0")
         key = (morphism, n)
         if key not in self._int_powers:
             if n == 0:
@@ -525,8 +532,6 @@ class EquivariantSetup:
         the coboundaries and the classes from the echelon of degree n,
         then the cocycles from the reduction of delta's images in degree
         n, so that each chain steps on from d_n^T to d_{n+1}^T."""
-        if n < 0:
-            raise ValueError("degree must be >= 0")
         f = self.field
         coords, d, echelon = self._coboundary_echelon(n)
         cocycles = self._delta_reduction(n)[0]

@@ -1,17 +1,19 @@
-"""Shuffle combinatorics, the cup product, and the zinbiel machinery.
+"""Shuffle combinatorics in the integral group ring, and the cup product.
 
 Permutations are 1-based tuples: sigma[i-1] = sigma(i).  A permutation
 acts on tensor words by moving the content of slot j to slot sigma(j),
 i.e. sigma(v_1...v_n) has v_{sigma^{-1}(i)} in slot i.  Operator
-composition then matches the group-algebra product, so identities among
-the operators rho, tau can be decided exactly in K[S_n] regardless of
-the alphabet size (the action is faithful for alphabets >= n).
+composition then matches the group-ring product, so identities among
+the operators rho, tau can be decided exactly in Z[S_n] regardless of
+the alphabet size (the action is faithful for alphabets >= n).  Every
+shuffle carries the coefficient +-1, so ``PermutationSum`` holds int
+coefficients, and a field enters only when ``PermutationSum.matrix``
+writes an element out on the tensor words.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .linalg import (Matrix, clear_denominators, combination, dense_vector,
                      int_free_coordinates)
@@ -57,15 +59,19 @@ def shuffles(p, q):
 
 
 class PermutationSum:
-    """Element of the group algebra K[S_n], coefficients as Fractions."""
+    """Element of the integral group ring Z[S_n]: ``terms`` maps each
+    permutation to its nonzero int coefficient.  Any other coefficient
+    type is refused with ``TypeError``."""
 
     def __init__(self, n, terms=None):
         self.n = n
         self.terms = {}
         if terms:
             for sigma, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficient {c!r} of {sigma} is not "
+                                    f"an int")
+                if c:
                     self.terms[sigma] = c
 
     @classmethod
@@ -84,7 +90,7 @@ class PermutationSum:
         self._check(other)
         out = dict(self.terms)
         for sigma, c in other.terms.items():
-            out[sigma] = out.get(sigma, Fraction(0)) + c
+            out[sigma] = out.get(sigma, 0) + c
         return PermutationSum(self.n, out)
 
     def __sub__(self, other):
@@ -94,13 +100,13 @@ class PermutationSum:
         return PermutationSum(self.n, {s: cc * c for s, cc in self.terms.items()})
 
     def __mul__(self, other):
-        """Group-algebra product; matches composition of tensor operators."""
+        """Group-ring product; matches composition of tensor operators."""
         self._check(other)
         out = {}
         for s, cs in self.terms.items():
             for t, ct in other.terms.items():
                 st = perm_compose(s, t)
-                out[st] = out.get(st, Fraction(0)) + cs * ct
+                out[st] = out.get(st, 0) + cs * ct
         return PermutationSum(self.n, out)
 
     def embed(self, n_total, offset=0):
@@ -126,11 +132,13 @@ class PermutationSum:
             for j in range(n):
                 new[sigma[j] - 1] = word[j]
             new = tuple(new)
-            out[new] = out.get(new, Fraction(0)) + c
+            out[new] = out.get(new, 0) + c
         return {w: c for w, c in out.items() if c != 0}
 
     def matrix(self, m, field):
-        """Matrix on TensorSpace(m, n) over the given field."""
+        """Matrix on TensorSpace(m, n) over the given field: each int
+        coefficient of the word action is coerced into the field once, as
+        it is placed."""
         space = TensorSpace(m, self.n)
         rows = [{} for _ in range(space.dim)]
         for col, word in enumerate(space.words()):
@@ -151,12 +159,12 @@ def tilde(s):
     out = {}
     for sigma, c in s.terms.items():
         inv = perm_inverse(sigma)
-        out[inv] = out.get(inv, Fraction(0)) + perm_sign(sigma) * c
+        out[inv] = out.get(inv, 0) + perm_sign(sigma) * c
     return PermutationSum(s.n, out)
 
 
 def rho_sum(p, q):
-    """rho_{p,q} = Id_1 (x) tilde(sh_{p-1,q}), as an element of K[S_{p+q}]."""
+    """rho_{p,q} = Id_1 (x) tilde(sh_{p-1,q}), as an element of Z[S_{p+q}]."""
     if p < 1 or q < 0:
         raise ValueError("rho requires p >= 1, q >= 0")
     return tilde(shuffle_sum(p - 1, q)).embed(p + q, offset=1)
@@ -177,23 +185,6 @@ def tau_sum(p, q):
     return PermutationSum.single(tau_perm(p, q))
 
 
-def rho_explicit_word(p, q, word):
-    """The signed-sum formula for rho_{p,q} applied to one basis word.
-
-    sum over (p-1,q)-shuffles sigma of sgn(sigma) x_1 x_{sigma(2)} ...
-    x_{sigma(p+q)}, with sigma relabeled to act on positions 2..p+q.
-    Independent cross-check of rho_sum().
-    """
-    if len(word) != p + q:
-        raise ValueError(f"a word of length {len(word)} for rho_{{{p},{q}}}")
-    out = {}
-    for sigma in shuffles(p - 1, q):
-        sign = perm_sign(sigma)
-        new = (word[0],) + tuple(word[sigma[i] + 1 - 1] for i in range(p + q - 1))
-        out[new] = out.get(new, Fraction(0)) + sign
-    return {w: c for w, c in out.items() if c != 0}
-
-
 def check_rho_identity(p, q, r, flip_sign=False):
     """Exact check of the composition identity for rho and tau:
 
@@ -201,7 +192,7 @@ def check_rho_identity(p, q, r, flip_sign=False):
           = (Id_p (x) rho_{q,r}) o rho_{p,q+r}
           + (-1)^{rq} (Id_p (x) (tau_{r,q} o rho_{r,q})) o rho_{p,q+r}
 
-    Decided in the group algebra K[S_{p+q+r}], which is equivalent to the
+    Decided in the group ring Z[S_{p+q+r}], which is equivalent to the
     matrix identity on any alphabet of size >= p+q+r.  ``flip_sign``
     negates the (-1)^{rq} factor (negative control).
     """
@@ -289,92 +280,3 @@ def zinbiel_check_on_cohomology(a, b, c, setup):
         return Verdict.passed()
     return Verdict.failed([("defect_not_a_coboundary",
                              dense_vector(f, w, sn.ambient_dim))])
-
-
-# -- free zinbiel algebra -------------------------------------------------
-
-class FreeZinbielElement:
-    """Linear combination of words of length 1..N over a finite alphabet."""
-
-    def __init__(self, alphabet, max_degree, coeffs=None):
-        self.alphabet = alphabet
-        self.max_degree = max_degree
-        self.coeffs = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0 and len(w) <= max_degree:
-                    self.coeffs[w] = c
-
-    @classmethod
-    def word(cls, alphabet, max_degree, w):
-        return cls(alphabet, max_degree, {tuple(w): 1})
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeZinbielElement)
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return FreeZinbielElement(self.alphabet, self.max_degree, out)
-
-    def __repr__(self):
-        return f"FreeZinbielElement({self.coeffs})"
-
-
-def free_zinbiel_product(x, y, N=None):
-    """Bilinear extension of the half-shuffle product, truncated past N."""
-    return _half_shuffle_product(x, y, x.max_degree if N is None else N,
-                                 shuffles)
-
-
-def _half_shuffle_product(x, y, N, shuffle_set):
-    """Bilinear extension, truncated past N, of the product of words u, w
-    that keeps the first letter of u and moves the rest of u and w by
-    every shuffle of ``shuffle_set(len(u) - 1, len(w))``."""
-    out = {}
-    for u, cu in x.coeffs.items():
-        for w, cw in y.coeffs.items():
-            if len(u) + len(w) > N:
-                continue
-            p, q = len(u) - 1, len(w)
-            tail = u[1:] + w
-            for sigma in shuffle_set(p, q):
-                inv = perm_inverse(sigma)
-                new = (u[0],) + tuple(tail[inv[i] - 1] for i in range(p + q))
-                out[new] = out.get(new, Fraction(0)) + cu * cw
-    return FreeZinbielElement(x.alphabet, N, out)
-
-
-def check_zinbiel_axiom(alphabet, N, swap_shuffle=False):
-    """((rs)t) = (r(st)) + (r(ts)) on all word triples of total length <= N.
-
-    ``swap_shuffle`` replaces the half-shuffle by its (q,p)-swapped
-    variant (negative control).
-    """
-    if N < 3:
-        raise ValueError("need N >= 3 to see the axiom")
-    shuffle_set = (lambda p, q: shuffles(q, p)) if swap_shuffle else shuffles
-
-    def prod(x, y):
-        return _half_shuffle_product(x, y, N, shuffle_set)
-
-    words = []
-    for n in range(1, N - 1):
-        words.extend(product(range(alphabet), repeat=n))
-    violations = []
-    for wr in words:
-        for ws in words:
-            for wt in words:
-                if len(wr) + len(ws) + len(wt) > N:
-                    continue
-                r = FreeZinbielElement.word(alphabet, N, wr)
-                s = FreeZinbielElement.word(alphabet, N, ws)
-                t = FreeZinbielElement.word(alphabet, N, wt)
-                lhs = prod(prod(r, s), t)
-                rhs = prod(r, prod(s, t)) + prod(r, prod(t, s))
-                if lhs != rhs:
-                    violations.append((wr, ws, wt))
-    return Verdict(not violations, violations)

@@ -16,7 +16,8 @@ from leibcohom.complexes import (BoundaryChain, TensorSpace, boundary_matrix,
                                  coboundary_matrix, CoefficientAlgebra,
                                  homology, cohomology, _representatives)
 
-from conftest import greedy_independent, reference_cohomology, sympy_kernel
+from conftest import (greedy_independent, reference_cohomology, sympy_kernel,
+                      word_boundary)
 from test_linalg import textbook_rref
 
 
@@ -43,7 +44,7 @@ def oracle_boundary(alg, word):
 
 
 def matrix_column_as_dict(alg, n, word):
-    d = boundary_matrix(alg, n).matrix
+    d = boundary_matrix(alg, n)
     src = TensorSpace(alg.dim, n)
     dst = TensorSpace(alg.dim, n - 1)
     col = d.column(src.index(word))
@@ -75,8 +76,8 @@ def test_boundary_rejects_low_degree(lambda6):
 
 def test_d_squared_zero(lambda6):
     for n in (3, 4, 5):
-        dn = boundary_matrix(lambda6, n).matrix
-        dn1 = boundary_matrix(lambda6, n - 1).matrix
+        dn = boundary_matrix(lambda6, n)
+        dn1 = boundary_matrix(lambda6, n - 1)
         comp = dn1.mul(dn)
         assert all(x == QQ.zero() for row in comp.data for x in row)
 
@@ -84,8 +85,8 @@ def test_d_squared_zero(lambda6):
 def test_d_squared_zero_mod_two():
     alg = L.catalog("derived2_f2_z2").algebra
     for n in (3, 4, 5):
-        dn = boundary_matrix(alg, n).matrix
-        dn1 = boundary_matrix(alg, n - 1).matrix
+        dn = boundary_matrix(alg, n)
+        dn1 = boundary_matrix(alg, n - 1)
         comp = dn1.mul(dn)
         assert all(x == 0 for row in comp.data for x in row)
 
@@ -103,7 +104,7 @@ def test_coboundary_is_transpose_for_scalar(lambda6):
     A = CoefficientAlgebra.scalar(QQ)
     for n in (1, 2, 3):
         assert coboundary_matrix(lambda6, A, n) == \
-            boundary_matrix(lambda6, n + 1).matrix.transpose()
+            boundary_matrix(lambda6, n + 1).transpose()
 
 
 def test_coboundary_degree_zero(lambda6):
@@ -119,7 +120,7 @@ def test_homology_lambda6(lambda6):
     assert res.chain_dimension == 9
     assert res.betti == len(res.cycle_basis) - len(res.boundary_basis)
     for v in res.cycle_basis:
-        assert not any(boundary_matrix(lambda6, 2).matrix.apply(v))
+        assert not any(boundary_matrix(lambda6, 2).apply(v))
 
 
 def test_homology_abelian():
@@ -270,8 +271,8 @@ def small_algebras(draw):
 @settings(max_examples=40, deadline=None)
 def test_d_squared_zero_iff_leibniz(alg):
     # d^2 = 0 on degree 3 is exactly the Leibniz identity
-    d3 = boundary_matrix(alg, 3).matrix
-    d2 = boundary_matrix(alg, 2).matrix
+    d3 = boundary_matrix(alg, 3)
+    d2 = boundary_matrix(alg, 2)
     comp = d2.mul(d3)
     is_zero = all(x == QQ.zero() for row in comp.data for x in row)
     assert is_zero == L.check_leibniz_identity(alg).ok
@@ -286,34 +287,17 @@ def test_euler_characteristic_consistency(alg):
     m = alg.dim
     for n in (1, 2):
         res = homology(alg, n)
-        dn1 = boundary_matrix(alg, n + 1).matrix
+        dn1 = boundary_matrix(alg, n + 1)
         kernel_dim = m ** n if n == 1 else \
-            m ** n - rank(boundary_matrix(alg, n).matrix)
+            m ** n - rank(boundary_matrix(alg, n))
         assert res.betti == kernel_dim - rank(dn1)
 
 
 # ---------------------------------------------------------------------------
-# Word-level oracle in Fractions, written straight from the formula
-#   d(x_1..x_n) = sum_{i<j} (-1)^j (x_1..[x_i,x_j]..x_j-hat..x_n)
-# and sharing no code with the program: its own word order, its own sums.
+# Word-level oracle, ``conftest.word_boundary``, written straight from the
+# formula and sharing no code with the program, taken over Q with the
+# structure constants as Fractions.
 # ---------------------------------------------------------------------------
-
-def fraction_boundary(structure, m, n):
-    """{(target index, source index): Fraction} of d_n on the words of
-    range(m), lexicographic, from structure constants given as Fractions."""
-    sources = list(product(range(m), repeat=n))
-    targets = {w: t for t, w in enumerate(product(range(m), repeat=n - 1))}
-    out = {}
-    for s, word in enumerate(sources):
-        for j in range(2, n + 1):              # 1-based, as in the formula
-            for i in range(1, j):
-                coeffs = structure[word[i - 1]][word[j - 1]]
-                for k, c in enumerate(coeffs):
-                    new = word[:i - 1] + (k,) + word[i:j - 1] + word[j:]
-                    key = (targets[new], s)
-                    out[key] = out.get(key, Fraction(0)) + (-1) ** j * c
-    return {key: x for key, x in out.items() if x}
-
 
 @st.composite
 def structure_constants(draw, fractional):
@@ -335,20 +319,20 @@ def as_pairs(mat):
 @settings(max_examples=60, deadline=None)
 def test_boundary_matches_fraction_oracle_over_q(structure, n):
     m = len(structure)
-    d = boundary_matrix(L.LeibnizAlgebra(QQ, m, structure), n).matrix
+    d = boundary_matrix(L.LeibnizAlgebra(QQ, m, structure), n)
     assert (d.rows, d.cols) == (m ** (n - 1), m ** n)
     got = as_pairs(d)
     assert all(type(x) is Fraction for x in got.values())
-    assert got == fraction_boundary(structure, m, n)
+    assert got == word_boundary(QQ, structure, m, n)
 
 
 @given(structure_constants(fractional=False), st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
 def test_boundary_matches_fraction_oracle_over_gf3(structure, n):
     m = len(structure)
-    d = boundary_matrix(L.LeibnizAlgebra(GF(3), m, structure), n).matrix
+    d = boundary_matrix(L.LeibnizAlgebra(GF(3), m, structure), n)
     want = {key: int(x) % 3 for key, x in
-            fraction_boundary(structure, m, n).items()}
+            word_boundary(QQ, structure, m, n).items()}
     assert as_pairs(d) == {key: x for key, x in want.items() if x}
 
 
@@ -360,7 +344,7 @@ def test_coboundary_is_transpose_kron_identity(name, a):
     A = CoefficientAlgebra.pointwise_functions(f, a)
     for n in (1, 2, 3):
         assert coboundary_matrix(alg, A, n) == \
-            boundary_matrix(alg, n + 1).matrix.transpose().kron(
+            boundary_matrix(alg, n + 1).transpose().kron(
                 Matrix.identity(f, a))
     assert coboundary_matrix(alg, A, 0) == Matrix.zero(f, alg.dim * a, a)
 
@@ -453,8 +437,8 @@ def _check_homology(alg, n):
     f = alg.field
     dim = alg.dim ** n
     res = homology(alg, n)
-    rows = boundary_matrix(alg, n).matrix.entries if n > 1 else []
-    columns = boundary_matrix(alg, n + 1).matrix.transpose().entries
+    rows = boundary_matrix(alg, n).entries if n > 1 else []
+    columns = boundary_matrix(alg, n + 1).transpose().entries
     assert res.chain_dimension == dim
     assert res.cycles == sympy_kernel(f, rows, dim)
     assert res.boundaries == [columns[j] for j in

@@ -425,6 +425,34 @@ def test_fresh_setup_degree_two(lambda6_z2_setup):
     assert fresh.cohomology(2).betti == 1
 
 
+NEGATIVE_DEGREE_CALLS = {
+    "layout": lambda s, m: s.layout(-1),
+    "ambient_dim": lambda s, m: s.ambient_dim(-1),
+    "invariant_space": lambda s, m: s.invariant_space(-1),
+    "restriction_power": lambda s, m: s.restriction_power(m, -1),
+    "equivariant_coboundary": lambda s, m: s.equivariant_coboundary(-1),
+    "is_coboundary": lambda s, m: s.is_coboundary(-1, {}),
+    "cohomology": lambda s, m: s.cohomology(-1),
+    "invariant_to_ambient": lambda s, m: s.invariant_to_ambient(-1, []),
+    "cochain_from_invariant": lambda s, m: s.cochain_from_invariant(-1, []),
+    "check_invariance": lambda s, m: s.check_invariance(EquivariantCochain(
+        -1, dict.fromkeys(s.category.subgroups, Matrix.zero(QQ, 1, 1)))),
+    "EquivariantCochain.from_sparse":
+        lambda s, m: EquivariantCochain.from_sparse(s, -1, {}),
+    "EquivariantCochain.to_sparse":
+        lambda s, m: EquivariantCochain(-1, {}).to_sparse(s),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NEGATIVE_DEGREE_CALLS))
+def test_a_negative_degree_is_refused(call):
+    setup = catalog_setup("lambda6_z2")
+    m = next(m for m in setup.category.morphisms if m[0] != m[1])
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        NEGATIVE_DEGREE_CALLS[call](setup, m)
+    assert setup.cohomology(1).betti == 0       # the setup still works
+
+
 def _spy_on_spaces(setup):
     """Record the degree of every invariant_space call on this setup."""
     degrees = []

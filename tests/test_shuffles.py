@@ -12,12 +12,13 @@ from leibcohom.complexes import (CoefficientAlgebra, boundary_matrix,
 from leibcohom.shuffles import (perm_identity, perm_inverse, perm_compose,
                                 perm_sign, shuffles, PermutationSum,
                                 shuffle_sum, tilde, rho_sum, tau_perm,
-                                tau_sum, rho_explicit_word,
-                                check_rho_identity, cup,
-                                zinbiel_check_on_cohomology,
-                                FreeZinbielElement, free_zinbiel_product,
-                                check_zinbiel_axiom)
+                                tau_sum, check_rho_identity, cup,
+                                zinbiel_check_on_cohomology)
 from leibcohom.equivariant import EquivariantCochain
+
+from conftest import (FreeZinbielElement, check_zinbiel_axiom,
+                      counting_fractions, free_zinbiel_product,
+                      rho_explicit_word)
 
 
 # -- permutations ---------------------------------------------------------
@@ -76,20 +77,20 @@ def test_tilde_is_an_involution():
 
 
 def test_rho_1_1_is_identity():
-    assert rho_sum(1, 1).terms == {perm_identity(2): Fraction(1)}
+    assert rho_sum(1, 1).terms == {perm_identity(2): 1}
 
 
 def test_rho_2_1_pinned():
     # rho_{2,1} = Id_1 (x) tilde(sh_{1,1}); sh_{1,1} = id + (2 1), so
     # tilde gives id - (2 1), embedded as id - (1 3 2) on three letters
     s = rho_sum(2, 1)
-    assert s.terms == {(1, 2, 3): Fraction(1), (1, 3, 2): Fraction(-1)}
+    assert s.terms == {(1, 2, 3): 1, (1, 3, 2): -1}
 
 
 def test_tau_perm_block_swap():
     sigma = tau_perm(2, 1)
     ps = PermutationSum.single(sigma)
-    assert ps.apply_word(("a", "b", "c")) == {("c", "a", "b"): Fraction(1)}
+    assert ps.apply_word(("a", "b", "c")) == {("c", "a", "b"): 1}
 
 
 def test_rho_matches_explicit_formula():
@@ -112,6 +113,50 @@ def test_rho_matrix_agrees_with_word_action():
         expected = {words[i]: vec[i] for i in range(len(words))
                     if vec[i] != QQ.zero()}
         assert expansion == expected
+
+
+# -- the group ring is Z[S_n] --------------------------------------------
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 0.5, 1.0])
+def test_non_int_coefficient_is_refused(bad):
+    with pytest.raises(TypeError):
+        PermutationSum(3, {(1, 2, 3): bad})
+    with pytest.raises(TypeError):
+        PermutationSum.single((2, 1), bad)
+    with pytest.raises(TypeError):
+        rho_sum(2, 1).scale(bad)
+
+
+def test_shuffle_algebra_makes_no_fraction():
+    triples = [(p, q, r) for p in range(1, 6) for q in range(1, 6)
+               for r in range(1, 6) if p + q + r <= 7]
+    pairs = [(p, q) for p in range(1, 7) for q in range(0, 7 - p)]
+    with counting_fractions() as made:
+        for p, q, r in triples:
+            assert check_rho_identity(p, q, r).ok
+        for p, q in pairs:
+            rho = rho_sum(p, q)
+            rho.apply_word(tuple(range(p + q)))
+            rho.apply_word((0,) * (p + q))
+    assert len(triples) == 35 and len(pairs) == 21
+    assert made == []
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_rho_matrix_over_gf_is_the_rational_one_reduced(prime):
+    field = L.GF(prime)
+    for p in range(1, 4):
+        for q in range(1, 5 - p):
+            for h in (1, 2, 3):
+                rational = rho_sum(p, q).matrix(h, QQ)
+                assert all(x.denominator == 1 for row in rational.entries
+                           for x in row.values())
+                reduced = [{j: y for j, x in row.items()
+                            if (y := int(x) % prime)}
+                           for row in rational.entries]
+                assert rho_sum(p, q).matrix(h, field) == \
+                    Matrix.from_entries(field, rational.rows, rational.cols,
+                                        reduced), (p, q, h)
 
 
 # -- the rho composition identity ----------------------------------------
@@ -264,7 +309,7 @@ def delta_plain(alg, x):
     """delta(x) = x o d_{n+1} for a plain cochain x of degree n."""
     n = x.degree
     return EquivariantCochain(n + 1, {
-        H: m.mul(boundary_matrix(alg, n + 1).matrix)
+        H: m.mul(boundary_matrix(alg, n + 1))
         for H, m in x.components.items()})
 
 
@@ -416,11 +461,11 @@ def zw(w, alphabet=2, N=4):
 def test_zinbiel_word_products():
     # (a)(b) = ab ; (a)(bc) = abc ; (ab)(c) = abc + acb
     assert free_zinbiel_product(zw((0,)), zw((1,))).coeffs == \
-        {(0, 1): Fraction(1)}
+        {(0, 1): 1}
     assert free_zinbiel_product(zw((0,)), zw((1, 0))).coeffs == \
-        {(0, 1, 0): Fraction(1)}
+        {(0, 1, 0): 1}
     assert free_zinbiel_product(zw((0, 1)), zw((0,))).coeffs == \
-        {(0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}
+        {(0, 1, 0): 1, (0, 0, 1): 1}
 
 
 def test_zinbiel_truncation():
