@@ -1,5 +1,14 @@
 """Command-line front end: problem files in, deterministic reports out.
 
+``parse_problem`` reads the whole document, coefficients included, with
+one reader per kind of value (``_table``, ``_dimension``, ``_matrix``),
+and refuses a key given twice as it reads it.  ``_checks`` is the one
+check sequence: the Leibniz identity; the group axioms; the action
+axioms, once the group passes; the coefficient system, once the action
+passes (a given one in every command, a named one in ``validate`` only).
+``validate`` reports each check it reaches; the other commands refuse at
+the first failure.
+
 Exit codes: 0 success, 1 parse failure, 2 validation/check failure, an
 algebra over the dimension bound (``MAX_ALGEBRA_DIM``) or a degree over
 the size budget (``COCHAIN_BUDGET``).
@@ -81,6 +90,10 @@ def check_size(degree, dim_at):
 
 
 class Problem:
+    """A problem document, read.  ``coefficients`` is the name of a
+    system, or the (algebras, maps) of a given one; ``system`` is the
+    coefficient system on the orbit category, built on first use."""
+
     def __init__(self, field, algebra, group=None, action=None,
                  coefficients="constant", max_degree=4):
         self.field = field
@@ -89,6 +102,10 @@ class Problem:
         self.action = action
         self.coefficients = coefficients
         self.max_degree = max_degree
+
+    @functools.cached_property
+    def system(self):
+        return build_coefficient_system(self, orbit_category(self.group))
 
 
 def _scalar(field, x):
@@ -124,6 +141,48 @@ def _integer(x, what, least=None):
     return n
 
 
+def _dimension(x, what, where=""):
+    """The dimension of an algebra, refused over ``MAX_ALGEBRA_DIM``
+    before any table of it is built."""
+    dim = _integer(x, f"{what}: dim", 0)
+    if dim > MAX_ALGEBRA_DIM:
+        raise ProblemSizeError(f"{what}: dimension {dim}{where} is over the "
+                               f"bound of {MAX_ALGEBRA_DIM}")
+    return dim
+
+
+def _vector(field, xs, dim, what):
+    v = [_scalar(field, x) for x in xs]
+    if len(v) != dim:
+        raise ProblemParseError(f"{what} must have length {dim}")
+    return v
+
+
+def _table(field, entries, dim, what, where=""):
+    """The dim x dim table of vectors of a list of {i, j, value} entries:
+    1-based (i, j), each at most once; the pairs not listed are zero."""
+    given = {}
+    for ent in entries:
+        i, j = _integer(ent["i"], "i"), _integer(ent["j"], "j")
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ProblemParseError(f"{what} index out of range in {ent}"
+                                    f"{where} of dimension {dim}")
+        if (i, j) in given:
+            raise ProblemParseError(f"{what} (i, j) = ({i}, {j}) given "
+                                    f"twice{where}")
+        given[i, j] = _vector(field, ent["value"], dim,
+                              f"{what} value in {ent}{where}")
+    z = field.zero()
+    return [[given.get((i, j), [z] * dim) for j in range(1, dim + 1)]
+            for i in range(1, dim + 1)]
+
+
+def _matrix(field, rows):
+    """A matrix given as its list of rows of scalars."""
+    return Matrix.from_rows(field, [[_scalar(field, x) for x in r]
+                                    for r in rows])
+
+
 def parse_problem(doc):
     """Build a Problem from a decoded JSON document; any document of the
     wrong shape raises ProblemParseError."""
@@ -147,20 +206,9 @@ def _parse_problem(doc):
     aspec = doc.get("algebra")
     if not isinstance(aspec, dict) or "dim" not in aspec:
         raise ProblemParseError("algebra: need an object with 'dim'")
-    dim = _integer(aspec["dim"], "algebra: dim", 0)
-    if dim > MAX_ALGEBRA_DIM:
-        raise ProblemSizeError(f"algebra: dimension {dim} is over the bound "
-                               f"of {MAX_ALGEBRA_DIM}")
-    z = field.zero()
-    structure = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for ent in aspec.get("brackets", []):
-        i, j = _integer(ent["i"], "i") - 1, _integer(ent["j"], "j") - 1
-        value = [_scalar(field, x) for x in ent["value"]]
-        if not (0 <= i < dim and 0 <= j < dim) or len(value) != dim:
-            raise ProblemParseError(
-                f"algebra.brackets: index or vector out of range in {ent}")
-        structure[i][j] = value
-    algebra = LeibnizAlgebra(field, dim, structure)
+    dim = _dimension(aspec["dim"], "algebra")
+    algebra = LeibnizAlgebra(field, dim, _table(
+        field, aspec.get("brackets", []), dim, "algebra: bracket"))
 
     group = action = None
     if "group" in doc:
@@ -179,17 +227,44 @@ def _parse_problem(doc):
         mats = doc["action"].get("matrices")
         if not isinstance(mats, list) or len(mats) != group.order:
             raise ProblemParseError("action: need one matrix per group element")
-        matrices = []
-        for m in mats:
-            if len(m) != dim or any(len(r) != dim for r in m):
-                raise ProblemParseError("action: matrices must be dim x dim")
-            matrices.append(Matrix.from_rows(
-                field, [[_scalar(field, x) for x in r] for r in m]))
-        action = GroupAction(group, algebra, matrices)
+        if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats):
+            raise ProblemParseError("action: matrices must be dim x dim")
+        action = GroupAction(group, algebra, [_matrix(field, m) for m in mats])
 
-    coefficients = doc.get("coefficients", "constant")
+    coefficients = _coefficients(field, doc.get("coefficients", "constant"))
     max_degree = _integer(doc.get("max_degree", 4), "max_degree", 0)
     return Problem(field, algebra, group, action, coefficients, max_degree)
+
+
+def _coefficients(field, spec):
+    """A system's name, or the (algebras, maps) of a given system: one
+    algebra per subgroup and one map per (H, K, g), each at most once."""
+    if spec in ("constant", "coset-functions"):
+        return spec
+    if not isinstance(spec, dict):
+        raise ProblemParseError(f"coefficients: unknown spec {spec!r}")
+    algebras = {}
+    for s in spec["systems"]:
+        H = frozenset(_integer(x, "subgroup") for x in s["subgroup"])
+        if H in algebras:
+            raise ProblemParseError(
+                f"coefficients: subgroup {sorted(H)} given twice in systems")
+        where = f" for subgroup {sorted(H)}"
+        d = _dimension(s["dim"], "coefficients", where)
+        products = _table(field, s.get("products", []), d,
+                          "coefficients: product", where)
+        unit = _vector(field, s["unit"], d, f"coefficients: unit{where}")
+        algebras[H] = CoefficientAlgebra(field, d, products, unit)
+    maps = {}
+    for ent in spec["maps"]:
+        m = (frozenset(_integer(x, "H") for x in ent["H"]),
+             frozenset(_integer(x, "K") for x in ent["K"]),
+             _integer(ent["g"], "g"))
+        if m in maps:
+            raise ProblemParseError(
+                f"coefficients: the map of {_fmt_morphism(m)} given twice")
+        maps[m] = _matrix(field, ent["matrix"])
+    return algebras, maps
 
 
 def load_problem(args):
@@ -219,89 +294,67 @@ def load_problem(args):
 
 
 def build_coefficient_system(problem, category):
-    spec = problem.coefficients
-    field = problem.field
+    """The named system on the category, or the given one once it has a
+    map for every morphism of the category and for no other triple, and
+    an algebra for every subgroup."""
+    spec, field = problem.coefficients, problem.field
     if spec == "constant":
         return constant_coefficients(category, field)
     if spec == "coset-functions":
         return coset_function_coefficients(category, field)
-    if isinstance(spec, dict):
-        try:
-            algebras = {}
-            for s in spec["systems"]:
-                H = frozenset(_integer(x, "subgroup") for x in s["subgroup"])
-                d = _integer(s["dim"], "coefficients: dim", 0)
-                if d > MAX_ALGEBRA_DIM:
-                    raise ProblemSizeError(
-                        f"coefficients: dimension {d} of subgroup {sorted(H)} "
-                        f"is over the bound of {MAX_ALGEBRA_DIM}")
-                z = field.zero()
-                prod = [[[z] * d for _ in range(d)] for _ in range(d)]
-                for ent in s.get("products", []):
-                    i = _integer(ent["i"], "i") - 1
-                    j = _integer(ent["j"], "j") - 1
-                    if not (0 <= i < d and 0 <= j < d):
-                        raise ProblemParseError(
-                            f"coefficients: product index out of range in "
-                            f"{ent} for subgroup {sorted(H)} of dimension {d}")
-                    prod[i][j] = [_scalar(field, x) for x in ent["value"]]
-                unit = [_scalar(field, x) for x in s["unit"]]
-                if len(unit) != d or any(len(v) != d for r in prod for v in r):
-                    raise ProblemParseError(
-                        f"coefficients: vectors of subgroup {sorted(H)} "
-                        f"must have length {d}")
-                algebras[H] = CoefficientAlgebra(field, d, prod, unit)
-            maps = {}
-            for ent in spec["maps"]:
-                key = (frozenset(_integer(x, "H") for x in ent["H"]),
-                       frozenset(_integer(x, "K") for x in ent["K"]),
-                       _integer(ent["g"], "g"))
-                maps[key] = Matrix.from_rows(
-                    field, [[_scalar(field, x) for x in r]
-                            for r in ent["matrix"]])
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
-            raise ProblemParseError(f"coefficients: {exc}") from None
-        missing = [m for m in category.morphisms if m not in maps]
-        if missing or set(algebras) != set(category.subgroups):
+    algebras, maps = spec
+    morphisms = set(category.morphisms)
+    for m in maps:
+        if m not in morphisms:
             raise ProblemParseError(
-                "coefficients: must cover every subgroup and every morphism")
-        return CoefficientSystem(category, field, algebras, maps)
-    raise ProblemParseError(f"coefficients: unknown spec {spec!r}")
+                f"coefficients: the map of {_fmt_morphism(m)} is not a "
+                f"morphism of the orbit category")
+    if len(maps) != len(morphisms) or set(algebras) != set(category.subgroups):
+        raise ProblemParseError(
+            "coefficients: must cover every subgroup and every morphism")
+    return CoefficientSystem(category, field, algebras, maps)
+
+
+def _checks(problem, every_system):
+    """The checks of a problem in order, each drawn as (report key, name,
+    label of its violations, witness of one violation, verdict): the
+    Leibniz identity; the group axioms; the action axioms, once the group
+    passes; the coefficient system, once the action passes.  A given
+    system is always checked, a named one (a coefficient system by
+    construction) only with ``every_system``.  A check runs only when it
+    is drawn."""
+    yield ("leibniz_identity", "Leibniz identity", "violations at triples",
+           lambda x: x[0], check_leibniz_identity(problem.algebra))
+    if problem.group is None:
+        return
+    v = problem.group.validate()
+    yield "group_axioms", "group axioms", "violations", lambda x: x, v
+    if not v.ok or problem.action is None:
+        return
+    v = validate_action(problem.action)
+    yield "action_axioms", "action axioms", "violations", lambda x: x[:2], v
+    if v.ok and (every_system or not isinstance(problem.coefficients, str)):
+        yield ("coefficient_system", "coefficient system axioms", "violations",
+               lambda x: x, check_coefficient_system(problem.system))
 
 
 def check_problem(problem):
-    """Raise ProblemValidationError unless the algebra is Leibniz and the
-    group and action, when given, satisfy their axioms.  The message names
-    the check and the indices of its first violation only, as ``validate``
-    reports them: a residual may hold scalars too long to print."""
-    for name, check, obj, where in [
-            ("Leibniz identity", check_leibniz_identity, problem.algebra,
-             lambda x: x[0]),
-            ("group axioms", FiniteGroup.validate, problem.group,
-             lambda x: x),
-            ("action axioms", validate_action, problem.action,
-             lambda x: x[:2])]:
-        if obj is None:
-            continue
-        v = check(obj)
+    """Raise ProblemValidationError at the first of the problem's checks
+    that fails.  The message names the check and the indices of its first
+    violation only, as ``validate`` reports them: a residual may hold
+    scalars too long to print."""
+    for _, name, _, witness, v in _checks(problem, every_system=False):
         if not v.ok:
             raise ProblemValidationError(
-                f"{name} violated: {where(v.violations[0])}")
+                f"{name} violated: {witness(v.violations[0])}")
 
 
 def make_setup(problem):
     if problem.action is None:
         raise ProblemParseError("this command needs a group action")
     check_problem(problem)
-    category = orbit_category(problem.group)
-    coeffs = build_coefficient_system(problem, category)
-    # the named systems are coefficient systems by construction
-    if isinstance(problem.coefficients, dict):
-        v = check_coefficient_system(coeffs)
-        if not v.ok:
-            raise ProblemValidationError(
-                f"coefficient system axioms violated: {v.violations[0]}")
-    return EquivariantSetup(problem.action, category, coeffs)
+    return EquivariantSetup(problem.action, problem.system.category,
+                            problem.system)
 
 
 class Report:
@@ -335,6 +388,11 @@ def _fmt_subgroup(H):
     return "{" + ",".join(str(x) for x in sorted(H)) + "}"
 
 
+def _fmt_morphism(m):
+    H, K, g = m
+    return f"({_fmt_subgroup(H)}, {_fmt_subgroup(K)}, {g})"
+
+
 def _nonzero_entries(setup, n, vec):
     """The nonzero entries of a dense ambient vector of degree n, as
     "[(subgroup, A-index, word), ...]"."""
@@ -355,47 +413,53 @@ def _listed(prefix, violations):
 def cmd_validate(args):
     problem = load_problem(args)
     report = Report("validate")
-    status = 0
-    v = check_leibniz_identity(problem.algebra)
-    report.add("leibniz_identity", "ok" if v.ok else _listed(
-        "violations at triples", [t for t, _ in v.violations]))
-    if not v.ok:
-        status = 2
-    group_ok = True
-    if problem.group is not None:
-        gv = problem.group.validate()
-        report.add("group_axioms", "ok" if gv.ok else
-                   _listed("violations", gv.violations))
-        if not gv.ok:
-            status = 2
-            group_ok = False
-    # the action and coefficient checks presuppose a group
-    if problem.action is not None and group_ok:
-        av = validate_action(problem.action)
-        report.add("action_axioms", "ok" if av.ok else
-                   _listed("violations", [x[:2] for x in av.violations]))
-        if not av.ok:
-            status = 2
-        if av.ok:
-            category = orbit_category(problem.group)
-            cs = build_coefficient_system(problem, category)
-            cv = check_coefficient_system(cs)
-            report.add("coefficient_system", "ok" if cv.ok else
-                       _listed("violations", cv.violations))
-            if not cv.ok:
-                status = 2
+    ok = True
+    for key, _, label, witness, v in _checks(problem, every_system=True):
+        report.add(key, "ok" if v.ok else
+                   _listed(label, [witness(x) for x in v.violations]))
+        ok = ok and v.ok
     report.emit(args.json)
-    return status
+    return 0 if ok else 2
+
+
+def _tower(args):
+    """The problem of a cohomology or homology command and its top degree
+    N, from --max-degree or the document."""
+    problem = load_problem(args)
+    return problem, problem.max_degree if args.max_degree is None else \
+        _integer(args.max_degree, "--max-degree", 0)
+
+
+def _plain_betti_numbers(problem, n_max):
+    """The plain Betti numbers of degrees 0..n_max, once the problem
+    passes its checks and the size budget."""
+    check_problem(problem)
+    check_size(n_max + 1, lambda n: problem.algebra.dim ** n)
+    return betti_numbers(problem.algebra, n_max)
+
+
+def _setup(problem, degree):
+    """The problem's setup, once its cochain spaces of degrees 0..degree
+    fit the size budget."""
+    setup = make_setup(problem)
+    check_size(degree, setup.ambient_dim)
+    return setup
+
+
+def _classes(problem, degrees):
+    """The setup for a product of classes of the given degrees, and {n: the
+    cochain of each class of HL^n_G}, one entry per degree."""
+    setup = _setup(problem, sum(degrees))
+    return setup, {n: [setup.cochain_from_invariant(n, rep)
+                       for rep in setup.cohomology(n).representatives]
+                   for n in dict.fromkeys(degrees)}
 
 
 def cmd_cohomology(args):
-    problem = load_problem(args)
-    n_max = problem.max_degree if args.max_degree is None else \
-        _integer(args.max_degree, "--max-degree", 0)
+    problem, n_max = _tower(args)
     report = Report("cohomology")
     if args.equivariant:
-        setup = make_setup(problem)
-        check_size(n_max + 1, setup.ambient_dim)
+        setup = _setup(problem, n_max + 1)
         for H in setup.category.subgroups:
             report.add(f"fixed_dim_{_fmt_subgroup(H)}", setup.fixed[H].dim)
         for n in range(n_max + 1):
@@ -403,44 +467,28 @@ def cmd_cohomology(args):
         for n in range(n_max + 1):
             report.add(f"betti_{n}", setup.cohomology(n).betti)
     else:
-        check_problem(problem)
-        check_size(n_max + 1, lambda n: problem.algebra.dim ** n)
-        for n, b in enumerate(betti_numbers(problem.algebra, n_max)):
+        for n, b in enumerate(_plain_betti_numbers(problem, n_max)):
             report.add(f"betti_{n}", b)
     report.emit(args.json)
     return 0
 
 
 def cmd_homology(args):
-    problem = load_problem(args)
-    n_max = problem.max_degree if args.max_degree is None else \
-        _integer(args.max_degree, "--max-degree", 0)
-    check_problem(problem)
-    check_size(n_max + 1, lambda n: problem.algebra.dim ** n)
+    problem, n_max = _tower(args)
     report = Report("homology")
-    for n, b in enumerate(betti_numbers(problem.algebra, n_max)[1:], 1):
+    for n, b in enumerate(_plain_betti_numbers(problem, n_max)[1:], 1):
         report.add(f"betti_{n}", b)
     report.emit(args.json)
     return 0
 
 
-def _class_cochains(setup, degrees):
-    """{n: the cochain of each class of HL^n_G}, one entry per degree."""
-    return {n: [setup.cochain_from_invariant(n, rep)
-                for rep in setup.cohomology(n).representatives]
-            for n in dict.fromkeys(degrees)}
-
-
 def cmd_cup(args):
     problem = load_problem(args)
     p, q = _integer(args.p, "--p", 1), _integer(args.q, "--q", 1)
-    setup = make_setup(problem)
-    check_size(p + q, setup.ambient_dim)
+    setup, classes = _classes(problem, (p, q))
     report = Report("cup")
-    classes = _class_cochains(setup, (p, q))
     for n, cochains in classes.items():
         report.add(f"classes_degree_{n}", len(cochains))
-    count = 0
     status = 0
     for i, a in enumerate(classes[p]):
         for j, b in enumerate(classes[q]):
@@ -448,16 +496,14 @@ def cmd_cup(args):
                 cup(a, b, setup, check_invariance=False)
                 verdict = "ok"
             except VerdictError as exc:     # cup's own check of the product
-                (H, K, g), residual = exc.verdict.violations[0]
+                m, residual = exc.verdict.violations[0]
                 nonzero = [(al, t) for al, row in enumerate(residual.entries)
                            for t in sorted(row)]
-                verdict = (f"FAIL constraint ({_fmt_subgroup(H)}, "
-                           f"{_fmt_subgroup(K)}, {g}) residual nonzero at "
-                           f"{nonzero}")
+                verdict = (f"FAIL constraint {_fmt_morphism(m)} residual "
+                           f"nonzero at {nonzero}")
                 status = 2
             report.add(f"cup_{i}_{j}_invariant", verdict)
-            count += 1
-    report.add("pairs_checked", count)
+    report.add("pairs_checked", len(classes[p]) * len(classes[q]))
     report.emit(args.json)
     return status
 
@@ -468,18 +514,13 @@ def cmd_zinbiel_check(args):
     if p + q + r > problem.max_degree + 2:
         print("degree overflow beyond configured max", file=sys.stderr)
         return 2
-    setup = make_setup(problem)
-    check_size(p + q + r, setup.ambient_dim)
+    setup, classes = _classes(problem, (p, q, r))
     report = Report("zinbiel-check")
-    classes = _class_cochains(setup, (p, q, r))
-    status = 0
-    triples = 0
     failures = 0
     for i, a in enumerate(classes[p]):
         for j, b in enumerate(classes[q]):
             for k, c in enumerate(classes[r]):
                 v = zinbiel_check_on_cohomology(a, b, c, setup)
-                triples += 1
                 if v.ok:
                     report.add(f"triple_{i}_{j}_{k}", "ok")
                     continue
@@ -488,11 +529,11 @@ def cmd_zinbiel_check(args):
                            f"FAIL {kind} nonzero at "
                            f"{_nonzero_entries(setup, p + q + r, defect)}")
                 failures += 1
-                status = 2
-    report.add("triples_checked", triples)
+    report.add("triples_checked",
+               len(classes[p]) * len(classes[q]) * len(classes[r]))
     report.add("failures", failures)
     report.emit(args.json)
-    return status
+    return 2 if failures else 0
 
 
 def cmd_rho_identity(args):

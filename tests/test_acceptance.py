@@ -6,14 +6,11 @@ is exact equality over Q or F_p.
 """
 
 import time
-from fractions import Fraction
 from itertools import product
 from math import comb
 
-import pytest
-
 import leibcohom as L
-from leibcohom.linalg import QQ, GF, Matrix, in_span
+from leibcohom.linalg import QQ
 from leibcohom.complexes import (CoefficientAlgebra, boundary_matrix,
                                  coboundary_matrix, homology, cohomology)
 from leibcohom.equivariant import EquivariantCochain

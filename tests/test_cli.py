@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -13,11 +14,13 @@ from leibcohom.cli import main, parse_problem, ProblemParseError
 from leibcohom.complexes import (BoundaryChain, CoefficientAlgebra,
                                  betti_numbers, cohomology, homology)
 from leibcohom.equivariant import EquivariantSetup
+from leibcohom.groups import FiniteGroup
 from leibcohom.leibniz import check_leibniz_identity, free_leibniz_truncated
 from leibcohom.linalg import GF, Matrix
 from leibcohom.verdict import Verdict
 
 from conftest import rebased
+from test_cli_fuzz import BASES, CONSTANT, COSETS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -391,9 +394,12 @@ def test_validate_reports_bad_coefficient_system(tmp_path, capsys,
 # Before each A(G/H) was checked, ``validate`` passed it and
 # ``zinbiel-check --degrees 1 1 1`` failed 40 of 216 triples.  CI runs
 # ``validate`` on it as a negative control.
-NONASSOCIATIVE_COEFFICIENTS = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "data",
-    "nonassociative_coefficients.json")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+NONASSOCIATIVE_COEFFICIENTS = os.path.join(DATA,
+                                           "nonassociative_coefficients.json")
+# lambda6_z2 with the coset functions of Z/2 written out; CI diffs its
+# reports against those of "coset-functions"
+LAMBDA6_Z2_COSETS = os.path.join(DATA, "lambda6_z2_coset_functions.json")
 
 
 def test_a_nonassociative_coefficient_algebra_is_refused(capsys):
@@ -487,6 +493,125 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, doc):
     code, out, err = run(capsys, [argv[0], write(tmp_path, doc)] + argv[1:])
     assert code == 2
     assert "validation error" in err and out == ""
+
+
+# -- the document read in one pass, and checked through one sequence ---------
+
+# every command that reads a problem file
+FILE_COMMANDS = [["validate"], ["cohomology"], ["homology"],
+                 ["cohomology", "--equivariant"], ["cup", "--p", "1", "--q", "1"],
+                 ["zinbiel-check", "--degrees", "1", "1", "1"]]
+
+
+def run_file(capsys, tmp_path, argv, doc):
+    return run(capsys, [argv[0], write(tmp_path, doc)] + argv[1:])
+
+
+def repeated(doc, *path):
+    """The document with its list at ``path`` given its last entry twice."""
+    doc = copy.deepcopy(doc)
+    entries = doc
+    for k in path:
+        entries = entries[k]
+    entries.append(copy.deepcopy(entries[-1]))
+    return doc
+
+
+@pytest.mark.parametrize("path, message", [
+    (("coefficients", "systems"),
+     "coefficients: subgroup [0, 1] given twice in systems"),
+    (("coefficients", "maps"),
+     "coefficients: the map of ({0,1}, {0,1}, 0) given twice"),
+    (("coefficients", "systems", 0, "products"),
+     "coefficients: product (i, j) = (1, 1) given twice for subgroup [0]"),
+    (("algebra", "brackets"), "algebra: bracket (i, j) = (3, 3) given twice"),
+], ids=["subgroup", "map", "product", "bracket"])
+def test_a_repeated_entry_is_a_parse_error(tmp_path, capsys, path, message):
+    # the copy agrees with the entry it repeats, which it used to replace
+    doc = repeated(explicit_constant_doc(), *path)
+    for argv in FILE_COMMANDS:
+        assert run_file(capsys, tmp_path, argv, doc) == (
+            1, "", f"parse error: {message}\n")
+
+
+def test_a_map_of_no_morphism_is_a_parse_error(tmp_path, capsys):
+    # on Z/2 there is no G-map G/{0,1} -> G/{0}
+    doc = explicit_constant_doc()
+    doc["coefficients"]["maps"].append(
+        {"H": [0, 1], "K": [0], "g": 0, "matrix": [[1]]})
+    for argv in FILE_COMMANDS:
+        assert run_file(capsys, tmp_path, argv, doc) == (
+            1, "", "parse error: coefficients: the map of ({0,1}, {0}, 0) "
+                   "is not a morphism of the orbit category\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    (lambda6_doc(coefficients="bogus"), "coefficients: unknown spec 'bogus'"),
+    (lambda6_doc(coefficients=None), "coefficients: unknown spec None"),
+    # the group axioms fail, and the coefficients are refused before them
+    (one_dim_doc([[0, 1, 2], [1, 0, 1], [2, 2, 0]],
+                 coefficients={"maps": []}), "KeyError: 'systems'"),
+], ids=["unknown-name", "null", "no-systems"])
+def test_coefficients_are_read_with_the_document(tmp_path, capsys, doc,
+                                                 message):
+    for argv in FILE_COMMANDS:
+        assert run_file(capsys, tmp_path, argv, doc) == (
+            1, "", f"parse error: {message}\n")
+
+
+def given_systems():
+    """(id, document with a given system, the name of the same system):
+    the systems of Z/2 written out in the basis order of
+    ``coset_function_coefficients``."""
+    with open(LAMBDA6_Z2_COSETS) as fh:
+        cosets = json.load(fh)
+    gf3 = BASES[2]
+    return [("lambda6_z2-constant", lambda6_z2_doc(coefficients=CONSTANT),
+             "constant"),
+            ("lambda6_z2-coset-functions", cosets, "coset-functions"),
+            ("gf3-constant", dict(gf3, coefficients=CONSTANT), "constant"),
+            ("gf3-coset-functions", dict(gf3, coefficients=COSETS),
+             "coset-functions")]
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS[:1] + FILE_COMMANDS[3:],
+                         ids=" ".join)
+@pytest.mark.parametrize("given, name", [case[1:] for case in given_systems()],
+                         ids=[case[0] for case in given_systems()])
+def test_a_given_system_reports_as_its_named_system(tmp_path, capsys, argv,
+                                                     given, name):
+    code, out, err = run_file(capsys, tmp_path, argv, given)
+    named = run_file(capsys, tmp_path, argv, dict(given, coefficients=name))
+    assert code == 0 and not err
+    assert (code, strip_header(out), err) == (
+        named[0], strip_header(named[1]), named[2])
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("given", [True, False], ids=["given", "named"])
+def test_each_check_runs_once_per_command(tmp_path, capsys, monkeypatch, argv,
+                                          given):
+    calls = dict.fromkeys(["check_leibniz_identity", "FiniteGroup.validate",
+                           "validate_action", "check_coefficient_system"], 0)
+
+    def counted(name, check):
+        def spy(*args):
+            calls[name] += 1
+            return check(*args)
+        return spy
+
+    for name in ("check_leibniz_identity", "validate_action",
+                 "check_coefficient_system"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(FiniteGroup, "validate",
+                        counted("FiniteGroup.validate", FiniteGroup.validate))
+    doc = explicit_constant_doc() if given else lambda6_z2_doc()
+    code, out, _ = run_file(capsys, tmp_path, argv, doc)
+    assert code == 0 and out
+    # a named system is a coefficient system by construction
+    assert calls == {"check_leibniz_identity": 1, "FiniteGroup.validate": 1,
+                     "validate_action": 1, "check_coefficient_system":
+                     int(given or argv == ["validate"])}
 
 
 def _huge_residual_docs():

@@ -10,7 +10,6 @@ from unittest import mock
 
 import pytest
 import sympy
-from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 import leibcohom as L

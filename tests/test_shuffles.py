@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb
 
 import pytest
